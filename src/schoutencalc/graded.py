@@ -1,11 +1,11 @@
 """Permutations, shuffle enumeration and the Koszul sign machinery.
 
-Every sign-weighted sum in the bracket calculus is driven by the two
+Every sign-weighted sum in the bracket calculus is driven by the
 primitives defined here: enumeration of block-monotone (shuffle)
-permutations and the sign picked up when a permutation reorders a word of
-graded elements.  An adjacent swap of factors with degrees ``d`` and ``d'``
-costs ``(-1)**(d*d')``; the total sign is independent of the chosen
-decomposition into adjacent swaps.
+permutations and of unordered set partitions, and the sign picked up when a
+permutation reorders a word of graded elements.  An adjacent swap of factors
+with degrees ``d`` and ``d'`` costs ``(-1)**(d*d')``; the total sign is
+independent of the chosen decomposition into adjacent swaps.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator, Sequence
 
-__all__ = ["Permutation", "koszul_sign", "parity_sign", "shuffles"]
+__all__ = ["Permutation", "koszul_sign", "parity_sign", "set_partitions", "shuffles"]
 
 
 class Permutation:
@@ -137,3 +137,22 @@ def _shuffle_stream(sizes: tuple[int, ...]) -> Iterator[Permutation]:
 
     for images in gen(tuple(range(1, sum(sizes) + 1)), sizes):
         yield Permutation(images)
+
+
+def set_partitions(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The unordered set partitions of ``{1, ..., n}``, Bell-number many.
+
+    Each block is increasing and blocks are ordered by their least element,
+    so concatenating the blocks gives a shuffle of the block sizes.
+    """
+    if n < 1:
+        raise ValueError(f"n must be positive: {n}")
+    partitions: list[list[list[int]]] = [[[1]]]
+    for i in range(2, n + 1):
+        grown = []
+        for blocks in partitions:
+            for j in range(len(blocks)):
+                grown.append(blocks[:j] + [blocks[j] + [i]] + blocks[j + 1 :])
+            grown.append(blocks + [[i]])
+        partitions = grown
+    return [tuple(tuple(block) for block in blocks) for blocks in partitions]

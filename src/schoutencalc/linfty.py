@@ -10,6 +10,14 @@ trivial-scalar pairs, the weak natural injection ``i_n = (-1)**(n-1) (n-1)!
 x_n ^ ... ^ x_1`` together with a full structure-equation checker for weak
 morphisms, and the exact combinatorial sum over ordered compositions whose
 value ``1/2`` closes the injection argument.
+
+The checker sums the right side of the structure equation over unordered
+set partitions of the arguments with coefficient 1 (the unshuffle form of
+Lada-Markl).  That equals the ``1/p!``-weighted sum over ordered
+compositions because the components are multilinear and graded symmetric in
+the tensor grading, with a component's image carrying the total degree of
+its arguments, and the target bracket is graded symmetric too: the ``p!``
+block orders of one partition give equal terms.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from fractions import Fraction
 
 from .errors import UnsupportedPairError
 from .exterior import Multivector, embed, tensor_degree, wedge
-from .graded import koszul_sign, parity_sign, shuffles
+from .graded import Permutation, koszul_sign, parity_sign, set_partitions, shuffles
 from .pairs import GradedPairElement, LieRinehartPair, associated_bracket
 from .report import BracketReport
 
@@ -212,6 +220,10 @@ class MorphismFamily:
 
     ``component(k)`` returns the k-linear component or ``None`` for the zero
     map; components consume lists of source elements and produce multivectors.
+    The structure-equation checker assumes every component is multilinear and
+    graded symmetric in the tensor grading, and maps homogeneous arguments to
+    a multivector whose degree is their total degree; for a family that
+    breaks this, the checker's sum over set partitions is not the equation.
     """
 
     def __init__(self, components: dict[int, Callable] | None = None, rule: Callable | None = None):
@@ -283,11 +295,26 @@ def _compositions(n: int, p: int):
 def _structure_equation_residual(source, f: MorphismFamily, target_pair, args) -> Multivector:
     """LHS minus RHS of the weak-morphism structure equation, one term at a time.
 
-    Left side: ``sum_{p+q=n+1} sum_{Sh(q,p-1)} e(s) f_p(D_q(...), ...)``.
-    Right side: ``sum_p (1/p!) sum_{k_1+...+k_p=n} sum_{Sh(k_1..k_p)} e(s)
-    {f_{k_1}(...), ..., f_{k_p}(...)}_p`` over ordered compositions.
+    Left side: ``sum_{p+q=n+1} sum_{Sh(q,p-1)} e(s) f_p(D_q(...), ...)``,
+    skipping terms whose source bracket ``D_q`` is zero.
+    Right side: ``sum_{B_1 | ... | B_p} e(s) {f_{|B_1|}(x_{B_1}), ...,
+    f_{|B_p|}(x_{B_p})}_p`` over the unordered set partitions of ``1..n``
+    into ``p >= 2`` blocks (the arity-one bracket is zero), blocks increasing
+    and ordered by least element, ``s`` their concatenation.  Coefficient 1
+    replaces the ``1/p!`` of the ordered-composition form because the
+    components and the target bracket are multilinear and graded symmetric
+    in the tensor grading, so the ``p!`` block orders give equal terms.
+    Each block image is computed once per (argument, degree) choice and
+    shared by every homogeneous expansion of the arguments.
     """
     n = len(args)
+    partitions = []
+    for blocks in set_partitions(n):
+        fs = [f.component(len(block)) for block in blocks]
+        if len(blocks) > 1 and all(fk is not None for fk in fs):
+            s = Permutation([i for block in blocks for i in block])
+            partitions.append((blocks, fs, s))
+    images: dict[tuple[tuple[int, int], ...], Multivector] = {}
     residual = Multivector.zero(target_pair)
     for combo in itertools.product(*(source.components(a) for a in args)):
         elems = [c[0] for c in combo]
@@ -301,25 +328,21 @@ def _structure_equation_residual(source, f: MorphismFamily, target_pair, args) -
             parts = (q,) if p == 1 else (q, p - 1)
             for s in shuffles(parts):
                 inner = source.bracket(q, [elems[s(k) - 1] for k in range(1, q + 1)])
+                if inner.is_zero():
+                    continue
                 rest = [elems[s(k) - 1] for k in range(q + 1, n + 1)]
                 term = f_p([inner] + rest)
                 residual = residual + term.scaled(koszul_sign(s, degrees))
 
-        for p in range(1, n + 1):
-            factor = Fraction(1, math.factorial(p))
-            for ks in _compositions(n, p):
-                fs = [f.component(k) for k in ks]
-                if any(fk is None for fk in fs):
-                    continue
-                for s in shuffles(ks):
-                    images = []
-                    offset = 0
-                    for fk, k in zip(fs, ks):
-                        block = [elems[s(offset + t) - 1] for t in range(1, k + 1)]
-                        images.append(fk(block))
-                        offset += k
-                    term = n_bracket(target_pair, images)
-                    residual = residual - term.scaled(koszul_sign(s, degrees)).scaled(factor)
+        for blocks, fs, s in partitions:
+            block_images = []
+            for fk, block in zip(fs, blocks):
+                key = tuple((i, degrees[i - 1]) for i in block)
+                if key not in images:
+                    images[key] = fk([elems[i - 1] for i in block])
+                block_images.append(images[key])
+            term = n_bracket(target_pair, block_images)
+            residual = residual - term.scaled(koszul_sign(s, degrees))
     return residual
 
 

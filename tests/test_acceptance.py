@@ -5,10 +5,13 @@ per criterion.
 """
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
+import schoutencalc
 from schoutencalc import sampling
 from schoutencalc.exterior import Multivector, associated_exterior_morphism, wedge
 from schoutencalc.instances import cartan, sl2, sl2_to_gl2, solvable4
@@ -198,9 +201,17 @@ ZERO_MORPHISM = {
 
 
 def test_criterion_9_negative_controls(tmp_path):
+    # Run the package this test run imported, so a failed import in the child
+    # cannot pass for the exit code 1 expected here.
+    package_root = str(Path(schoutencalc.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+
     def run_cli(*args):
         return subprocess.run(
-            [sys.executable, "-m", "schoutencalc", *args], capture_output=True, text=True
+            [sys.executable, "-m", "schoutencalc", *args],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
 
     bad_pair = tmp_path / "corrupted.json"

@@ -1,10 +1,18 @@
 """Command-line behaviour: output formats, determinism and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import schoutencalc
+
+# The CLI runs in a child interpreter; point it at the package this test
+# run imported, which pytest may have found through its own pythonpath.
+PACKAGE_ROOT = str(Path(schoutencalc.__file__).resolve().parent.parent)
 
 CORRUPTED_SL2 = {
     "kind": "lie_algebra",
@@ -27,10 +35,12 @@ ZERO_MORPHISM = {
 
 
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "schoutencalc", *args],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
 
 

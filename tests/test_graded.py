@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schoutencalc.graded import Permutation, koszul_sign, parity_sign, shuffles
+from schoutencalc.graded import Permutation, koszul_sign, parity_sign, set_partitions, shuffles
 
 
 def brute_force_shuffles(parts):
@@ -173,6 +173,33 @@ class TestShuffles:
         for parts in [(2, 2), (2, 3), (1, 2, 2)]:
             images = [s.images for s in shuffles(parts)]
             assert images == sorted(images)
+
+
+class TestSetPartitions:
+    @pytest.mark.parametrize("n, bell", [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52), (6, 203)])
+    def test_count_is_bell_number(self, n, bell):
+        assert len(set_partitions(n)) == bell
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_each_partition_covers_once_in_canonical_order(self, n):
+        seen = set()
+        for blocks in set_partitions(n):
+            concatenation = [i for block in blocks for i in block]
+            assert sorted(concatenation) == list(range(1, n + 1))
+            assert all(list(block) == sorted(block) for block in blocks)
+            assert [block[0] for block in blocks] == sorted(block[0] for block in blocks)
+            assert frozenset(map(frozenset, blocks)) not in seen
+            seen.add(frozenset(map(frozenset, blocks)))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_concatenation_is_a_shuffle_of_the_block_sizes(self, n):
+        for blocks in set_partitions(n):
+            concatenation = Permutation([i for block in blocks for i in block])
+            assert concatenation in set(shuffles([len(block) for block in blocks]))
+
+    def test_rejects_nonpositive_n(self):
+        with pytest.raises(ValueError):
+            set_partitions(0)
 
 
 class TestParitySign:

@@ -1,5 +1,7 @@
 """Higher brackets, weak Jacobi sums, the differential and the injection."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,9 +16,12 @@ from schoutencalc.exterior import (
     wedge,
 )
 from schoutencalc.graded import Permutation, koszul_sign, shuffles
-from schoutencalc.instances import abelian, cartan, sl2, sl2_to_gl2, solvable4
+from schoutencalc.instances import abelian, cartan, perturbed_sl2, sl2, sl2_to_gl2, solvable4
 from schoutencalc.linfty import (
     BracketFamily,
+    _compositions,
+    _ExteriorSource,
+    _PairSource,
     aggregated_weak_jacobi_residual,
     ce_differential,
     check_linfty_morphism,
@@ -35,11 +40,52 @@ from schoutencalc.schouten import sn_antisym, sn_sym
 
 
 def all_monomials(pair):
-    import itertools
-
     for length in range(pair.dim + 1):
         for combo in itertools.combinations(range(1, pair.dim + 1), length):
             yield Multivector.monomial(pair, combo)
+
+
+def ordered_structure_equation_residual(source, f, target_pair, args):
+    """Oracle: the structure equation with its right side over ordered compositions.
+
+    ``sum_p (1/p!) sum_{k_1+...+k_p=n} sum_{Sh(k_1..k_p)} e(s)
+    {f_{k_1}(...), ..., f_{k_p}(...)}_p``, every block image evaluated afresh
+    and every left-side term built, zero source brackets included.
+    """
+    n = len(args)
+    residual = Multivector.zero(target_pair)
+    for combo in itertools.product(*(source.components(a) for a in args)):
+        elems = [c[0] for c in combo]
+        degrees = [c[1] for c in combo]
+
+        for q in range(1, n + 1):
+            p = n + 1 - q
+            f_p = f.component(p)
+            if f_p is None:
+                continue
+            parts = (q,) if p == 1 else (q, p - 1)
+            for s in shuffles(parts):
+                inner = source.bracket(q, [elems[s(k) - 1] for k in range(1, q + 1)])
+                rest = [elems[s(k) - 1] for k in range(q + 1, n + 1)]
+                term = f_p([inner] + rest)
+                residual = residual + term.scaled(koszul_sign(s, degrees))
+
+        for p in range(1, n + 1):
+            factor = Fraction(1, math.factorial(p))
+            for ks in _compositions(n, p):
+                fs = [f.component(k) for k in ks]
+                if any(fk is None for fk in fs):
+                    continue
+                for s in shuffles(ks):
+                    images = []
+                    offset = 0
+                    for fk, k in zip(fs, ks):
+                        block = [elems[s(offset + t) - 1] for t in range(1, k + 1)]
+                        images.append(fk(block))
+                        offset += k
+                    term = n_bracket(target_pair, images)
+                    residual = residual - term.scaled(koszul_sign(s, degrees)).scaled(factor)
+    return residual
 
 
 class TestNBracket:
@@ -94,8 +140,6 @@ class TestNBracket:
     def test_graded_symmetry_all_of_s3(self, factory):
         pair = factory()
         rng = sampling.rng_for(107)
-        import itertools
-
         for _ in range(25):
             args = [
                 sampling.random_homogeneous(pair, rng, rng.randint(0, 2)) for _ in range(3)
@@ -267,8 +311,6 @@ class TestNaturalInjection:
 
     def test_graded_symmetry_with_koszul_signs(self):
         rng = sampling.rng_for(139)
-        import itertools
-
         for _ in range(15):
             elems = []
             degrees = []
@@ -377,6 +419,71 @@ class TestStrictMorphism:
                     m.target, [associated_exterior_morphism(m, a) for a in args]
                 )
                 assert lhs == rhs
+
+
+class TestPartitionFormMatchesOrderedOracle:
+    """The set-partition evaluator equals the ordered-composition sum exactly."""
+
+    @pytest.mark.parametrize("factory", [sl2, lambda: cartan(2)])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_injection(self, factory, n):
+        pair = factory()
+        rng = sampling.rng_for(167 + n)
+        for trial in range(3):
+            args = [
+                sampling.random_pair_element(pair, rng, ensure_mixed=(trial % 2 == 0))
+                for _ in range(n)
+            ]
+            expected = ordered_structure_equation_residual(
+                _PairSource(pair), injection_family(pair), pair, args
+            )
+            assert injection_morphism_residual(pair, args) == expected
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_strict_exterior_source(self, n):
+        m = sl2_to_gl2()
+        family = strict_family(lambda mv: associated_exterior_morphism(m, mv))
+        rng = sampling.rng_for(173 + n)
+        for _ in range(3):
+            args = [
+                sampling.random_homogeneous(m.source, rng, rng.randint(0, 2))
+                for _ in range(n)
+            ]
+            expected = ordered_structure_equation_residual(
+                _ExteriorSource(m.source), family, m.target, args
+            )
+            report = check_linfty_morphism(
+                m.source, family, BracketFamily(m.target), n, args, source_kind="exterior"
+            )
+            assert (report.passed, report.residual) == (expected.is_zero(), str(expected))
+
+    def test_injection_into_another_bracket(self):
+        # Perturbed sl2 injected into the exterior algebra of true sl2 is not
+        # a weak morphism.  The perturbation sits in [e1, e2], so every first
+        # trial starts with e1 and e2 to make nonzero residuals likely.
+        source, target = perturbed_sl2(), sl2()
+        family = injection_family(target)
+        pinned = [
+            GradedPairElement(source.scalar_const(1), source.generator(1)),
+            GradedPairElement(source.scalar_zero(), source.generator(2)),
+        ]
+        rng = sampling.rng_for(179)
+        nonzero = 0
+        for n in (2, 3, 4):
+            for trial in range(3):
+                args = [
+                    sampling.random_pair_element(source, rng, ensure_mixed=(trial % 2 == 0))
+                    for _ in range(n)
+                ]
+                if trial == 0:
+                    args[:2] = pinned
+                expected = ordered_structure_equation_residual(
+                    _PairSource(source), family, target, args
+                )
+                report = check_linfty_morphism(source, family, BracketFamily(target), n, args)
+                assert (report.passed, report.residual) == (expected.is_zero(), str(expected))
+                nonzero += not expected.is_zero()
+        assert nonzero > 0
 
 
 class TestCompositionIdentity:
