@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from .errors import PairDocumentError, ParseError, UnsupportedPairError
 from .expr import evaluate, parse
@@ -30,7 +31,15 @@ from .linfty import (
     injection_family,
     weak_jacobi_residual,
 )
-from .pairs import LieRinehartPair, PairMorphism, check_leibniz, check_pair_morphism, load_morphism, load_pair
+from .pairs import (
+    LieRinehartPair,
+    PairMorphism,
+    check_leibniz,
+    check_pair_morphism,
+    load_morphism,
+    load_pair,
+    read_document,
+)
 from .report import BracketReport
 from .schouten import (
     check_antisym_jacobi,
@@ -207,8 +216,7 @@ def _run_morphism_strict(pair, args, emit) -> bool:
 
 def _load_morphism_document(path: str, default_source: LieRinehartPair) -> PairMorphism:
     try:
-        with open(path) as handle:
-            doc = json.load(handle)
+        doc = read_document(Path(path))
     except (OSError, json.JSONDecodeError) as exc:
         raise PairDocumentError(f"cannot read morphism document: {exc}") from exc
     target_spec = doc.get("target")
@@ -244,7 +252,7 @@ def _run_ce_square_zero(pair, args, emit) -> bool:
 
 def _run_combinatorial(args, emit) -> bool:
     all_passed = True
-    for n in range(2, (args.max_n or 10) + 1):
+    for n in range(2, args.max_n + 1):
         value = composition_identity_lhs(n)
         passed = value == Fraction(1, 2)
         report = (
@@ -265,6 +273,8 @@ def _cmd_check(pair, args, parser) -> int:
         parser.error("--trials must be at least 1")
     if args.n is not None and not 2 <= args.n <= 8:
         parser.error("--n must lie in 2..8")
+    if not 2 <= args.max_n <= 20:
+        parser.error("--max-n must lie in 2..20")
     if suite == "combinatorial":
         return EXIT_OK if _run_combinatorial(args, emit) else EXIT_VIOLATION
     pair = _require_pair(pair, parser)
@@ -355,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     check_parser.add_argument("--q", type=int, default=None)
     check_parser.add_argument("--trials", type=int, default=50)
     check_parser.add_argument("--seed", type=int, default=0)
-    check_parser.add_argument("--max-n", type=int, default=None, dest="max_n")
+    check_parser.add_argument("--max-n", type=int, default=10, dest="max_n")
     check_parser.add_argument("--morphism", help="morphism document (morphism-strict)")
 
     sub.add_parser("info", help="summarize the loaded pair")

@@ -18,6 +18,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 
 from .errors import PairDocumentError
 from .scalars import Scalar, parse_fraction
@@ -34,6 +35,7 @@ __all__ = [
     "check_pair_morphism",
     "load_morphism",
     "load_pair",
+    "read_document",
 ]
 
 
@@ -105,9 +107,16 @@ class GradedPairElement:
 
 
 class LieRinehartPair:
-    """Instance descriptor: generators, structure bracket and anchor."""
+    """Instance descriptor: generators, structure bracket and anchor.
 
-    __slots__ = ("kind", "dim", "nvars", "brackets", "name")
+    ``brackets`` is a read-only view.  ``monomial_brackets`` starts empty and
+    is filled by :func:`schoutencalc.schouten.sn_antisym` on trivial-scalar
+    pairs: it maps a pair of generator monomials to the bracket of the
+    unit-coefficient monomials, as ``(monomial, rational)`` pairs.  Each entry
+    is a pure function of the pair, so a fill is idempotent.
+    """
+
+    __slots__ = ("kind", "dim", "nvars", "brackets", "name", "monomial_brackets")
 
     def __init__(
         self,
@@ -133,8 +142,9 @@ class LieRinehartPair:
                 table[(i, j)] = value
         if kind == "cartan" and table:
             raise ValueError("cartan pairs have zero structure bracket on generators")
-        self.brackets = table
+        self.brackets = MappingProxyType(table)
         self.name = name or kind
+        self.monomial_brackets: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple] = {}
         if validate:
             self.validate_structure()
 
@@ -433,15 +443,27 @@ def _vector_from_json(entries, pair_dim: int, nvars: int) -> Vector:
     return out
 
 
+def read_document(document: str | Path | dict) -> dict:
+    """Parse a document given as a path, JSON text, or an already parsed dict.
+
+    A string whose first non-blank character is ``{`` is JSON text; any other
+    string or path names a file, and a missing file is reported as such.
+    """
+    if isinstance(document, dict):
+        return document
+    text = str(document)
+    if isinstance(document, Path) or not text.lstrip().startswith("{"):
+        path = Path(document)
+        if not path.exists():
+            raise PairDocumentError(f"no such file: {text}")
+        text = path.read_text()
+    return json.loads(text)
+
+
 def load_pair(document: str | Path | dict, *, validate: bool = True) -> LieRinehartPair:
     """Load a pair from a JSON document (path, JSON text, or parsed dict)."""
     try:
-        if isinstance(document, dict):
-            doc = document
-        else:
-            path = Path(document)
-            text = path.read_text() if path.exists() else str(document)
-            doc = json.loads(text)
+        doc = read_document(document)
         kind = doc["kind"]
         dim = int(doc["dimension"])
         nvars = dim if kind == "cartan" else 0
@@ -452,7 +474,7 @@ def load_pair(document: str | Path | dict, *, validate: bool = True) -> LieRineh
         return LieRinehartPair(kind, dim, table, name=doc.get("name", ""), validate=validate)
     except PairDocumentError:
         raise
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, OSError) as exc:
         raise PairDocumentError(f"invalid pair document: {exc}") from exc
 
 
@@ -463,12 +485,7 @@ def load_morphism(
 ) -> PairMorphism:
     """Load a morphism document: scalar images per variable, vector images per generator."""
     try:
-        if isinstance(document, dict):
-            doc = document
-        else:
-            path = Path(document)
-            text = path.read_text() if path.exists() else str(document)
-            doc = json.loads(text)
+        doc = read_document(document)
         scalar_images = [
             _coeff_from_json(value, target.nvars) for value in doc.get("scalar_map", [])
         ]
@@ -479,5 +496,5 @@ def load_morphism(
         return PairMorphism(source, target, scalar_images, vector_images)
     except PairDocumentError:
         raise
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, OSError) as exc:
         raise PairDocumentError(f"invalid morphism document: {exc}") from exc

@@ -23,6 +23,8 @@ graded antisymmetry, so the two routes cross-check each other's signs.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .exterior import INHOMOGENEOUS, Multivector, tensor_degree, wedge
 from .graded import koszul_sign, parity_sign, shuffles
 from .pairs import LieRinehartPair, PairMorphism, Vector, anchor, bracket_vectors
@@ -108,9 +110,36 @@ def _sn_term_pair(
     return out
 
 
+def _monomial_bracket(
+    pair: LieRinehartPair, mx: tuple[int, ...], my: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+    """``[e_mx, e_my]`` with unit coefficients, memoized in the pair's table."""
+    key = (mx, my)
+    entry = pair.monomial_brackets.get(key)
+    if entry is None:
+        one = pair.scalar_one()
+        value = _sn_term_pair(pair, mx, one, my, one)
+        entry = tuple((mono, coeff.terms[()]) for mono, coeff in value.terms.items())
+        pair.monomial_brackets[key] = entry
+    return entry
+
+
 def sn_antisym(pair: LieRinehartPair, x: Multivector, y: Multivector) -> Multivector:
-    """Antisymmetric Schouten-Nijenhuis bracket, homogeneous of tensor degree -1."""
+    """Antisymmetric Schouten-Nijenhuis bracket, homogeneous of tensor degree -1.
+
+    With trivial scalars the anchor is zero, so ``[a e_I, b e_J] = ab [e_I, e_J]``
+    and the bracket is read from the pair's table of monomial brackets.
+    """
     x._check(y)
+    if pair.is_trivial_scalars:
+        sums: dict[tuple[int, ...], Fraction] = {}
+        for mx, a in x.terms.items():
+            fa = a.terms[()]
+            for my, b in y.terms.items():
+                ab = fa * b.terms[()]
+                for mono, c in _monomial_bracket(pair, mx, my):
+                    sums[mono] = sums.get(mono, 0) + ab * c
+        return Multivector(pair, {mono: Scalar(0, {(): c}) for mono, c in sums.items() if c})
     out = Multivector.zero(pair)
     for mx, a in x.terms.items():
         for my, b in y.terms.items():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import schoutencalc
+from schoutencalc.cli import main
 
 # The CLI runs in a child interpreter; point it at the package this test
 # run imported, which pytest may have found through its own pythonpath.
@@ -80,6 +81,14 @@ class TestCheck:
         assert len(lines) == 9
         assert all(line.startswith("PASS combinatorial") for line in lines)
 
+    @pytest.mark.parametrize("max_n", ["0", "1", "21"])
+    def test_combinatorial_max_n_out_of_range_exits_2(self, max_n):
+        # 0 used to fall back to 10 and 1 to an empty, passing run.
+        result = run_cli("check", "combinatorial", "--max-n", max_n)
+        assert result.returncode == 2
+        assert "--max-n must lie in 2..20" in result.stderr
+        assert result.stdout == ""
+
     def test_weak_jacobi_seeded(self):
         result = run_cli(
             "--pair", "builtin:cartan2", "check", "weak-jacobi",
@@ -114,6 +123,17 @@ class TestCheck:
     def test_missing_pair_document_exits_3(self):
         result = run_cli("--pair", "/nonexistent/pair.json", "check", "leibniz")
         assert result.returncode == 3
+
+    def test_mistyped_pair_path_is_named(self, tmp_path, capsys):
+        missing = tmp_path / "sl2.jsn"
+        assert main(["--pair", str(missing), "info"]) == 3
+        assert capsys.readouterr().err.strip() == f"error: no such file: {missing}"
+
+    def test_mistyped_morphism_path_is_named(self, tmp_path, capsys):
+        missing = tmp_path / "morphism.jsn"
+        code = main(["--pair", "builtin:sl2", "check", "morphism-strict", "--morphism", str(missing)])
+        assert code == 3
+        assert capsys.readouterr().err.strip() == f"error: no such file: {missing}"
 
     def test_ce_square_zero_on_cartan_exits_2(self):
         result = run_cli("--pair", "builtin:cartan2", "check", "ce-square-zero")

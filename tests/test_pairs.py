@@ -206,6 +206,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             LieRinehartPair.lie_algebra(2, {(2, 1): {1: 1}})
 
+    def test_bracket_table_is_read_only(self):
+        pair = sl2()
+        with pytest.raises(TypeError):
+            pair.brackets[(1, 2)] = Vector.zero()
+        # A rebuild from the read-only table (as the CLI's --no-validate
+        # does) compares equal to the original.
+        rebuilt = LieRinehartPair(pair.kind, pair.dim, pair.brackets, validate=False)
+        assert rebuilt.compatible(pair)
+        assert not rebuilt.compatible(perturbed_sl2())
+
 
 class TestCheckLeibniz:
     @pytest.mark.parametrize("factory", [sl2, lambda: cartan(2)])
@@ -288,6 +298,20 @@ class TestDocuments:
             load_pair({"kind": "nonsense", "dimension": 2})
         with pytest.raises(PairDocumentError):
             load_pair('{"kind": "lie_algebra"}')
+
+    def test_missing_file_is_named(self, tmp_path):
+        missing = tmp_path / "sl2.jsn"
+        for document in (str(missing), missing):
+            with pytest.raises(PairDocumentError, match="^no such file: "):
+                load_pair(document)
+            with pytest.raises(PairDocumentError, match="^no such file: "):
+                load_morphism(document, sl2(), gl2())
+
+    def test_json_text_is_not_a_path(self):
+        text = json.dumps(self.sl2_doc())
+        assert load_pair("  " + text).compatible(sl2())
+        with pytest.raises(PairDocumentError, match="invalid pair document"):
+            load_pair("{not json")
 
     def test_corrupted_document_fails_validation(self):
         doc = self.sl2_doc()

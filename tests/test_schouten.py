@@ -1,13 +1,24 @@
 """Schouten-Nijenhuis brackets: golden values, gradings and identity checks."""
 
+import itertools
+
 import pytest
 
 from schoutencalc import sampling
 from schoutencalc.exterior import Multivector, tensor_degree, wedge
 from schoutencalc.graded import parity_sign
-from schoutencalc.instances import abelian, cartan, gl2, perturbed_sl2, sl2, sl2_to_gl2
+from schoutencalc.instances import (
+    abelian,
+    cartan,
+    gl2,
+    perturbed_sl2,
+    sl2,
+    sl2_to_gl2,
+    solvable4,
+)
 from schoutencalc.pairs import Vector, bracket_vectors
 from schoutencalc.schouten import (
+    _sn_term_pair,
     check_antisym_jacobi,
     check_morphism_respects_sn,
     check_poisson,
@@ -149,6 +160,86 @@ class TestOracleEquivalence:
             x_mv = Multivector.monomial(pair, mono_x, a)
             y_mv = Multivector.monomial(pair, mono_y, b)
             assert sn_antisym(pair, x_mv, y_mv) == results[0]
+
+
+def term_sum(pair, x, y):
+    """The general evaluator summed over term pairs, bypassing the monomial table."""
+    out = Multivector.zero(pair)
+    for mx, a in x.terms.items():
+        for my, b in y.terms.items():
+            out = out + _sn_term_pair(pair, mx, a, my, b)
+    return out
+
+
+def basis_monomials(pair):
+    generators = range(1, pair.dim + 1)
+    return [m for d in range(pair.dim + 1) for m in itertools.combinations(generators, d)]
+
+
+class TestMonomialTable:
+    """Trivial-scalar pairs read ``sn_antisym`` from a per-pair table of
+    monomial brackets; it must agree with the term-pair evaluator and the
+    Poisson oracle on every pair of basis monomials."""
+
+    @pytest.mark.parametrize(
+        "factory", [sl2, gl2, solvable4, lambda: abelian(3), perturbed_sl2]
+    )
+    def test_matches_term_sum_and_poisson(self, factory):
+        pair = factory()
+        rng = sampling.rng_for(113)
+        monomials = basis_monomials(pair)
+        cases = [
+            (
+                Multivector.monomial(pair, mx, sampling.random_fraction(rng, nonzero=True)),
+                Multivector.monomial(pair, my, sampling.random_fraction(rng, nonzero=True)),
+            )
+            for mx in monomials
+            for my in monomials
+        ]
+        cases += [
+            (sampling.random_multivector(pair, rng), sampling.random_multivector(pair, rng))
+            for _ in range(10)
+        ]
+        nonzero = 0
+        for x, y in cases:
+            got = sn_antisym(pair, x, y)
+            assert got == term_sum(pair, x, y)
+            assert got == sn_antisym_poisson(pair, x, y)
+            nonzero += not got.is_zero()
+        # Only the abelian bracket vanishes identically.
+        assert (nonzero > 0) == bool(pair.brackets)
+
+    def test_interleaved_pairs_keep_their_own_tables(self):
+        # Same dimension, different structure constants: a table shared
+        # between the two would hand one pair the other's brackets.
+        true, bent = sl2(), perturbed_sl2()
+        differ = 0
+        for mx, my in itertools.product(basis_monomials(true), repeat=2):
+            x, y = Multivector.monomial(true, mx), Multivector.monomial(true, my)
+            u, v = Multivector.monomial(bent, mx), Multivector.monomial(bent, my)
+            got_true = sn_antisym(true, x, y)
+            got_bent = sn_antisym(bent, u, v)
+            assert got_true == term_sum(true, x, y)
+            assert got_bent == term_sum(bent, u, v)
+            differ += got_true.terms != got_bent.terms
+        assert differ
+
+    def test_fresh_pair_starts_empty(self):
+        pair = sl2()
+        assert pair.monomial_brackets == {}
+        e, f = Multivector.monomial(pair, (1,)), Multivector.monomial(pair, (2,))
+        sn_antisym(pair, e, f)
+        assert set(pair.monomial_brackets) == {((1,), (2,))}
+        assert sl2().monomial_brackets == {}
+
+    def test_cartan_pair_never_fills_table(self):
+        pair = cartan(2)
+        rng = sampling.rng_for(127)
+        for _ in range(20):
+            x = sampling.random_multivector(pair, rng)
+            y = sampling.random_multivector(pair, rng)
+            sn_antisym(pair, x, y)
+        assert pair.monomial_brackets == {}
 
 
 class TestGradingHomogeneity:
