@@ -61,8 +61,6 @@ from .schouten import (
     check_sym_jacobi,
     decalage_relation,
     sn_antisym,
-    sn_antisym_poisson,
-    sn_antisym_shuffle,
     sn_sym,
 )
 

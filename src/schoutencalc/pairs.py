@@ -110,10 +110,15 @@ class LieRinehartPair:
     """Instance descriptor: generators, structure bracket and anchor.
 
     ``brackets`` is a read-only view.  ``monomial_brackets`` starts empty and
-    is filled by :func:`schoutencalc.schouten.sn_antisym` on trivial-scalar
-    pairs: it maps a pair of generator monomials to the bracket of the
-    unit-coefficient monomials, as ``(monomial, rational)`` pairs.  Each entry
-    is a pure function of the pair, so a fill is idempotent.
+    is filled by :func:`schoutencalc.schouten.sn_antisym` on first use: it
+    maps a pair ``(I, J)`` of generator monomials to three tuples,
+    ``products`` of ``(monomial, q)`` (the bracket of the unit-coefficient
+    monomials) and ``left`` and ``right`` of ``(k, monomial, q)``, so that
+    ``[a e_I, b e_J]`` is ``sum q ab e_mono + sum q a d_k(b) e_mono
+    + sum q b d_k(a) e_mono``.  That split requires the anchor of every
+    generator to be a derivation ``sum_k rho_ik d_k`` with constant
+    ``rho_ik``, which both pair kinds satisfy.  Each entry is a pure function
+    of the pair, so a fill is idempotent; there are at most ``4**dim``.
     """
 
     __slots__ = ("kind", "dim", "nvars", "brackets", "name", "monomial_brackets")
@@ -448,6 +453,7 @@ def read_document(document: str | Path | dict) -> dict:
 
     A string whose first non-blank character is ``{`` is JSON text; any other
     string or path names a file, and a missing file is reported as such.
+    Valid JSON that is not an object is a :class:`PairDocumentError`.
     """
     if isinstance(document, dict):
         return document
@@ -457,7 +463,10 @@ def read_document(document: str | Path | dict) -> dict:
         if not path.exists():
             raise PairDocumentError(f"no such file: {text}")
         text = path.read_text()
-    return json.loads(text)
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise PairDocumentError(f"document must be a JSON object, not {type(doc).__name__}")
+    return doc
 
 
 def load_pair(document: str | Path | dict, *, validate: bool = True) -> LieRinehartPair:

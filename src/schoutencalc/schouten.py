@@ -15,15 +15,19 @@ Sign conventions, fixed once and used everywhere:
 * The decalage twin is ``{x, y} = e(x) [y, x]`` with ``e(x)`` the parity of
   the tensor degree; on vectors it reproduces the Lie bracket.
 
-The primary evaluator (:func:`sn_antisym`) uses coefficient absorption; the
-independent oracle (:func:`sn_antisym_poisson`) recurses through the graded
-Leibniz rule ``[x, y^z] = [x,y]^z + (-1)**(deg(x)(deg(y)-1)) y^[x,z]`` and
-graded antisymmetry, so the two routes cross-check each other's signs.
+The term-pair evaluator (``_sn_term_pair``) expands each pair of
+coefficiented monomials through coefficient absorption, the vector bracket
+and the anchor.  :func:`sn_antisym` evaluates it only to fill a per-pair
+table of generator-monomial brackets, split into the parts that multiply
+``ab``, ``a d_k(b)`` and ``b d_k(a)``, and sums every argument through that
+table.  The independent oracles (Poisson-rule recursion and the shuffle
+form) live with the tests, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .exterior import INHOMOGENEOUS, Multivector, tensor_degree, wedge
 from .graded import koszul_sign, parity_sign, shuffles
@@ -38,8 +42,6 @@ __all__ = [
     "check_sym_jacobi",
     "decalage_relation",
     "sn_antisym",
-    "sn_antisym_poisson",
-    "sn_antisym_shuffle",
     "sn_sym",
 ]
 
@@ -110,16 +112,37 @@ def _sn_term_pair(
     return out
 
 
-def _monomial_bracket(
-    pair: LieRinehartPair, mx: tuple[int, ...], my: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    """``[e_mx, e_my]`` with unit coefficients, memoized in the pair's table."""
+def _constant_terms(value: Multivector) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+    """``(monomial, rational)`` pairs of a multivector with constant coefficients."""
+    if not all(coeff.is_constant() for coeff in value.terms.values()):
+        raise ValueError(
+            f"anchor of {value.pair.name} is not a constant-coefficient derivation: {value}"
+        )
+    return tuple((mono, coeff.constant_value()) for mono, coeff in value.terms.items())
+
+
+def _monomial_bracket(pair: LieRinehartPair, mx: tuple[int, ...], my: tuple[int, ...]) -> tuple:
+    """``(products, left, right)`` of ``[e_mx, e_my]``, memoized in the pair's table.
+
+    Probes the general evaluator with the coefficients ``(1, 1)``, ``(1, x_k)``
+    and ``(x_k, 1)``; the latter two, less ``x_k`` times the first, are the
+    parts linear in ``d_k b`` and ``d_k a``.
+    """
     key = (mx, my)
     entry = pair.monomial_brackets.get(key)
     if entry is None:
         one = pair.scalar_one()
-        value = _sn_term_pair(pair, mx, one, my, one)
-        entry = tuple((mono, coeff.terms[()]) for mono, coeff in value.terms.items())
+        unit = _sn_term_pair(pair, mx, one, my, one)
+        left: list[tuple[int, tuple[int, ...], Fraction]] = []
+        right: list[tuple[int, tuple[int, ...], Fraction]] = []
+        for k in range(1, pair.nvars + 1):
+            xk = pair.scalar_variable(k)
+            shifted = unit.scaled(xk)
+            probe = _sn_term_pair(pair, mx, one, my, xk) - shifted
+            left += [(k, mono, q) for mono, q in _constant_terms(probe)]
+            probe = _sn_term_pair(pair, mx, xk, my, one) - shifted
+            right += [(k, mono, q) for mono, q in _constant_terms(probe)]
+        entry = (_constant_terms(unit), tuple(left), tuple(right))
         pair.monomial_brackets[key] = entry
     return entry
 
@@ -127,96 +150,50 @@ def _monomial_bracket(
 def sn_antisym(pair: LieRinehartPair, x: Multivector, y: Multivector) -> Multivector:
     """Antisymmetric Schouten-Nijenhuis bracket, homogeneous of tensor degree -1.
 
-    With trivial scalars the anchor is zero, so ``[a e_I, b e_J] = ab [e_I, e_J]``
-    and the bracket is read from the pair's table of monomial brackets.
+    Exact when the anchor of every generator is a derivation
+    ``sum_k rho_ik d_k`` with constant ``rho_ik`` (zero on ``lie_algebra``
+    pairs, ``d_i`` on ``cartan`` pairs).  Then
+    ``[a e_I, b e_J] = sum q ab e_M + sum q a d_k(b) e_M + sum q b d_k(a) e_M``
+    over the ``products``, ``left`` and ``right`` lists of the pair's table
+    entry for ``(I, J)``, summed here in bare ``Fraction`` coefficients keyed
+    by (monomial, exponent tuple).
     """
     x._check(y)
-    if pair.is_trivial_scalars:
-        sums: dict[tuple[int, ...], Fraction] = {}
-        for mx, a in x.terms.items():
-            fa = a.terms[()]
-            for my, b in y.terms.items():
-                ab = fa * b.terms[()]
-                for mono, c in _monomial_bracket(pair, mx, my):
-                    sums[mono] = sums.get(mono, 0) + ab * c
-        return Multivector(pair, {mono: Scalar(0, {(): c}) for mono, c in sums.items() if c})
-    out = Multivector.zero(pair)
+    sums: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
     for mx, a in x.terms.items():
+        a_terms = a.terms.items()
         for my, b in y.terms.items():
-            out = out + _sn_term_pair(pair, mx, a, my, b)
-    return out
-
-
-def _poisson_pair(
-    pair: LieRinehartPair,
-    mx: tuple[int, ...],
-    a: Scalar,
-    my: tuple[int, ...],
-    b: Scalar,
-) -> Multivector:
-    n, m = len(mx), len(my)
-    if m >= 2:
-        # [X, Y'^z] = [X, Y']^z + (-1)**(deg(X)(deg(Y')-1)) Y'^[X, z]
-        head_mono, last = my[:-1], my[-1]
-        left = _poisson_pair(pair, mx, a, head_mono, b)
-        left = wedge(pair, left, Multivector.monomial(pair, (last,)))
-        right = _poisson_pair(pair, mx, a, (last,), pair.scalar_one())
-        right = wedge(pair, Multivector.monomial(pair, head_mono, b), right)
-        if parity_sign((n - 1) * (m - 3)) < 0:
-            right = -right
-        return left + right
-    if n >= 2:
-        flipped = _poisson_pair(pair, my, b, mx, a)
-        sign = -parity_sign((n - 1) * (m - 1))
-        return flipped if sign > 0 else -flipped
-    if n == 0 and m == 0:
-        return Multivector.zero(pair)
-    if n == 1 and m == 0:
-        return Multivector.from_scalar(pair, anchor(pair, Vector({mx[0]: a}), b))
-    if n == 0 and m == 1:
-        return -Multivector.from_scalar(pair, anchor(pair, Vector({my[0]: b}), a))
-    return Multivector.from_vector(
-        pair, bracket_vectors(pair, Vector({mx[0]: a}), Vector({my[0]: b}))
-    )
-
-
-def sn_antisym_poisson(pair: LieRinehartPair, x: Multivector, y: Multivector) -> Multivector:
-    """Independent oracle for :func:`sn_antisym` via Poisson-rule recursion."""
-    x._check(y)
-    out = Multivector.zero(pair)
-    for mx, a in x.terms.items():
-        for my, b in y.terms.items():
-            out = out + _poisson_pair(pair, mx, a, my, b)
-    return out
-
-
-def sn_antisym_shuffle(
-    pair: LieRinehartPair, xs: list[Vector], ys: list[Vector]
-) -> Multivector:
-    """Symmetric shuffle form of the bracket on lists of vector slots.
-
-    Sums ``e(s) e(t) [x_{s(1)}, y_{t(1)}] ^ x_{s(2..n)} ^ y_{t(2..m)}`` over
-    ``Sh(1, n-1) x Sh(1, m-1)``; agrees with the double-sum form.
-    """
-    n, m = len(xs), len(ys)
-    if n == 0 or m == 0:
-        raise ValueError("shuffle form needs at least one vector in each slot list")
-    degrees_x = [1] * n
-    degrees_y = [1] * m
-    out = Multivector.zero(pair)
-    s_parts = (1, n - 1) if n > 1 else (1,)
-    t_parts = (1, m - 1) if m > 1 else (1,)
-    for s in shuffles(s_parts):
-        for t in shuffles(t_parts):
-            sign = koszul_sign(s, degrees_x) * koszul_sign(t, degrees_y)
-            inner = bracket_vectors(pair, xs[s(1) - 1], ys[t(1) - 1])
-            if inner.is_zero():
-                continue
-            rest = [xs[s(k) - 1] for k in range(2, n + 1)]
-            rest += [ys[t(k) - 1] for k in range(2, m + 1)]
-            term = _wedge_vectors(pair, Multivector.from_vector(pair, inner), rest)
-            out = out + (term if sign > 0 else -term)
-    return out
+            b_terms = b.terms.items()
+            products, left, right = _monomial_bracket(pair, mx, my)
+            if products:
+                for ea, ca in a_terms:
+                    for eb, cb in b_terms:
+                        e = tuple(map(add, ea, eb))
+                        c = ca * cb
+                        for mono, q in products:
+                            key = (mono, e)
+                            sums[key] = sums.get(key, 0) + q * c
+            for k, mono, q in left:
+                for eb, cb in b_terms:
+                    n = eb[k - 1]
+                    if n:
+                        db = eb[: k - 1] + (n - 1,) + eb[k:]
+                        for ea, ca in a_terms:
+                            key = (mono, tuple(map(add, ea, db)))
+                            sums[key] = sums.get(key, 0) + q * n * ca * cb
+            for k, mono, q in right:
+                for ea, ca in a_terms:
+                    n = ea[k - 1]
+                    if n:
+                        da = ea[: k - 1] + (n - 1,) + ea[k:]
+                        for eb, cb in b_terms:
+                            key = (mono, tuple(map(add, da, eb)))
+                            sums[key] = sums.get(key, 0) + q * n * ca * cb
+    grouped: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+    for (mono, e), c in sums.items():
+        if c:
+            grouped.setdefault(mono, {})[e] = c
+    return Multivector(pair, {mono: Scalar(pair.nvars, terms) for mono, terms in grouped.items()})
 
 
 def sn_sym(pair: LieRinehartPair, x: Multivector, y: Multivector) -> Multivector:

@@ -1,0 +1,89 @@
+"""Independent evaluators of the antisymmetric Schouten-Nijenhuis bracket.
+
+Test-only oracles for :func:`schoutencalc.schouten.sn_antisym`.
+:func:`sn_antisym_poisson` recurses through the graded Leibniz rule
+``[x, y^z] = [x,y]^z + (-1)**(deg(x)(deg(y)-1)) y^[x,z]`` and graded
+antisymmetry down to the vector bracket and the anchor, so it shares no
+code path with the table-driven kernel; :func:`sn_antisym_shuffle` is the
+symmetric shuffle form on lists of vector slots.
+"""
+
+from __future__ import annotations
+
+from schoutencalc.exterior import Multivector, wedge
+from schoutencalc.graded import koszul_sign, parity_sign, shuffles
+from schoutencalc.pairs import LieRinehartPair, Vector, anchor, bracket_vectors
+from schoutencalc.scalars import Scalar
+from schoutencalc.schouten import _wedge_vectors
+
+
+def _poisson_pair(
+    pair: LieRinehartPair,
+    mx: tuple[int, ...],
+    a: Scalar,
+    my: tuple[int, ...],
+    b: Scalar,
+) -> Multivector:
+    n, m = len(mx), len(my)
+    if m >= 2:
+        # [X, Y'^z] = [X, Y']^z + (-1)**(deg(X)(deg(Y')-1)) Y'^[X, z]
+        head_mono, last = my[:-1], my[-1]
+        left = _poisson_pair(pair, mx, a, head_mono, b)
+        left = wedge(pair, left, Multivector.monomial(pair, (last,)))
+        right = _poisson_pair(pair, mx, a, (last,), pair.scalar_one())
+        right = wedge(pair, Multivector.monomial(pair, head_mono, b), right)
+        if parity_sign((n - 1) * (m - 3)) < 0:
+            right = -right
+        return left + right
+    if n >= 2:
+        flipped = _poisson_pair(pair, my, b, mx, a)
+        sign = -parity_sign((n - 1) * (m - 1))
+        return flipped if sign > 0 else -flipped
+    if n == 0 and m == 0:
+        return Multivector.zero(pair)
+    if n == 1 and m == 0:
+        return Multivector.from_scalar(pair, anchor(pair, Vector({mx[0]: a}), b))
+    if n == 0 and m == 1:
+        return -Multivector.from_scalar(pair, anchor(pair, Vector({my[0]: b}), a))
+    return Multivector.from_vector(
+        pair, bracket_vectors(pair, Vector({mx[0]: a}), Vector({my[0]: b}))
+    )
+
+
+def sn_antisym_poisson(pair: LieRinehartPair, x: Multivector, y: Multivector) -> Multivector:
+    """Independent oracle for :func:`sn_antisym` via Poisson-rule recursion."""
+    x._check(y)
+    out = Multivector.zero(pair)
+    for mx, a in x.terms.items():
+        for my, b in y.terms.items():
+            out = out + _poisson_pair(pair, mx, a, my, b)
+    return out
+
+
+def sn_antisym_shuffle(
+    pair: LieRinehartPair, xs: list[Vector], ys: list[Vector]
+) -> Multivector:
+    """Symmetric shuffle form of the bracket on lists of vector slots.
+
+    Sums ``e(s) e(t) [x_{s(1)}, y_{t(1)}] ^ x_{s(2..n)} ^ y_{t(2..m)}`` over
+    ``Sh(1, n-1) x Sh(1, m-1)``; agrees with the double-sum form.
+    """
+    n, m = len(xs), len(ys)
+    if n == 0 or m == 0:
+        raise ValueError("shuffle form needs at least one vector in each slot list")
+    degrees_x = [1] * n
+    degrees_y = [1] * m
+    out = Multivector.zero(pair)
+    s_parts = (1, n - 1) if n > 1 else (1,)
+    t_parts = (1, m - 1) if m > 1 else (1,)
+    for s in shuffles(s_parts):
+        for t in shuffles(t_parts):
+            sign = koszul_sign(s, degrees_x) * koszul_sign(t, degrees_y)
+            inner = bracket_vectors(pair, xs[s(1) - 1], ys[t(1) - 1])
+            if inner.is_zero():
+                continue
+            rest = [xs[s(k) - 1] for k in range(2, n + 1)]
+            rest += [ys[t(k) - 1] for k in range(2, m + 1)]
+            term = _wedge_vectors(pair, Multivector.from_vector(pair, inner), rest)
+            out = out + (term if sign > 0 else -term)
+    return out

@@ -29,8 +29,9 @@ from schoutencalc.schouten import (
     check_sym_jacobi,
     decalage_relation,
     sn_antisym,
-    sn_antisym_poisson,
 )
+
+from oracles import sn_antisym_poisson
 
 FAMILIES = {"sl2": sl2, "cartan2": lambda: cartan(2)}
 

@@ -135,6 +135,16 @@ class TestCheck:
         assert code == 3
         assert capsys.readouterr().err.strip() == f"error: no such file: {missing}"
 
+    @pytest.mark.parametrize("text", ["[1]", '"x"', "3"])
+    def test_non_object_documents_exit_3(self, tmp_path, capsys, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        code = main(["--pair", "builtin:sl2", "check", "morphism-strict", "--morphism", str(path)])
+        assert code == 3
+        assert "must be a JSON object" in capsys.readouterr().err
+        assert main(["--pair", str(path), "info"]) == 3
+        assert "must be a JSON object" in capsys.readouterr().err
+
     def test_ce_square_zero_on_cartan_exits_2(self):
         result = run_cli("--pair", "builtin:cartan2", "check", "ce-square-zero")
         assert result.returncode == 2

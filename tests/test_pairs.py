@@ -307,6 +307,16 @@ class TestDocuments:
             with pytest.raises(PairDocumentError, match="^no such file: "):
                 load_morphism(document, sl2(), gl2())
 
+    @pytest.mark.parametrize("text", ["[1]", '"x"', "3"])
+    def test_non_object_document_is_refused(self, tmp_path, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        for document in (str(path), path):
+            with pytest.raises(PairDocumentError, match="must be a JSON object"):
+                load_pair(document)
+            with pytest.raises(PairDocumentError, match="must be a JSON object"):
+                load_morphism(document, sl2(), gl2())
+
     def test_json_text_is_not_a_path(self):
         text = json.dumps(self.sl2_doc())
         assert load_pair("  " + text).compatible(sl2())

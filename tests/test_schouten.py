@@ -16,7 +16,8 @@ from schoutencalc.instances import (
     sl2_to_gl2,
     solvable4,
 )
-from schoutencalc.pairs import Vector, bracket_vectors
+from schoutencalc.pairs import LieRinehartPair, Vector, bracket_vectors
+from schoutencalc.scalars import Scalar
 from schoutencalc.schouten import (
     _sn_term_pair,
     check_antisym_jacobi,
@@ -25,10 +26,10 @@ from schoutencalc.schouten import (
     check_sym_jacobi,
     decalage_relation,
     sn_antisym,
-    sn_antisym_poisson,
-    sn_antisym_shuffle,
     sn_sym,
 )
+
+from oracles import sn_antisym_poisson, sn_antisym_shuffle
 
 
 class TestAntisymBase:
@@ -177,8 +178,8 @@ def basis_monomials(pair):
 
 
 class TestMonomialTable:
-    """Trivial-scalar pairs read ``sn_antisym`` from a per-pair table of
-    monomial brackets; it must agree with the term-pair evaluator and the
+    """``sn_antisym`` reads a per-pair table of monomial brackets; on
+    trivial-scalar pairs it must agree with the term-pair evaluator and the
     Poisson oracle on every pair of basis monomials."""
 
     @pytest.mark.parametrize(
@@ -232,14 +233,94 @@ class TestMonomialTable:
         assert set(pair.monomial_brackets) == {((1,), (2,))}
         assert sl2().monomial_brackets == {}
 
-    def test_cartan_pair_never_fills_table(self):
-        pair = cartan(2)
+    def test_cartan_pair_fills_bounded_table(self):
+        two = cartan(2)
+        assert two.monomial_brackets == {}
         rng = sampling.rng_for(127)
+        for _ in range(40):
+            x = sampling.random_multivector(two, rng)
+            y = sampling.random_multivector(two, rng)
+            sn_antisym(two, x, y)
+        assert 0 < len(two.monomial_brackets) <= 4**2
+        filled = dict(two.monomial_brackets)
+        three = cartan(3)
+        assert three.monomial_brackets == {}
+        for mx, my in itertools.product(basis_monomials(three), repeat=2):
+            x, y = Multivector.monomial(three, mx), Multivector.monomial(three, my)
+            sn_antisym(three, x, y)
+        assert len(three.monomial_brackets) == 4**3
         for _ in range(20):
-            x = sampling.random_multivector(pair, rng)
-            y = sampling.random_multivector(pair, rng)
-            sn_antisym(pair, x, y)
-        assert pair.monomial_brackets == {}
+            x = sampling.random_multivector(three, rng)
+            y = sampling.random_multivector(three, rng)
+            sn_antisym(three, x, y)
+        assert len(three.monomial_brackets) == 4**3
+        assert two.monomial_brackets == filled
+        assert not any(3 in mx + my for mx, my in two.monomial_brackets)
+        assert cartan(2).monomial_brackets == {}
+
+
+def polynomial(pair, rng, *, free_of=None):
+    """Nonzero polynomial of degree <= 3 with <= 3 terms, optionally without ``x_free_of``."""
+    while True:
+        a = sampling.random_scalar(pair, rng, max_degree=3, max_terms=3, nonzero=True)
+        if free_of is not None:
+            i = free_of - 1
+            a = Scalar(pair.nvars, {e[:i] + (0,) + e[i + 1 :]: c for e, c in a.terms.items()})
+        if not a.is_zero():
+            return a
+
+
+class TestCartanTable:
+    """On Cartan pairs a table entry splits ``[e_I, e_J]`` into the parts
+    multiplying ``ab``, ``a d_k(b)`` and ``b d_k(a)``; the kernel's sum must
+    agree with the term-pair evaluator and the Poisson oracle."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_term_sum_and_poisson(self, m):
+        pair = cartan(m)
+        rng = sampling.rng_for(131 + m)
+        monomials = basis_monomials(pair)
+
+        def monomial(mono, **kwargs):
+            return Multivector.monomial(pair, mono, polynomial(pair, rng, **kwargs))
+
+        def mixed():
+            # A scalar part plus one or two terms of positive degree.
+            out = monomial(())
+            for _ in range(rng.randint(1, 2)):
+                out = out + monomial(rng.choice(monomials[1:]))
+            return out
+
+        cases = [(monomial(mx), monomial(my)) for mx in monomials for my in monomials]
+        for k in range(1, m + 1):
+            for _ in range(10):
+                mx, my = rng.choice(monomials), rng.choice(monomials)
+                cases.append((monomial(mx, free_of=k), monomial(my)))
+                cases.append((monomial(mx), monomial(my, free_of=k)))
+        cases += [(mixed(), mixed()) for _ in range(10)]
+        cases += [(mixed(), monomial(my)) for my in monomials]
+        nonzero = 0
+        for x, y in cases:
+            got = sn_antisym(pair, x, y)
+            assert got == term_sum(pair, x, y)
+            assert got == sn_antisym_poisson(pair, x, y)
+            nonzero += not got.is_zero()
+        assert nonzero
+
+    def test_non_constant_anchor_is_refused(self):
+        class Curved(LieRinehartPair):
+            """Anchor ``x_1 d_i``: a derivation, but not with constant coefficients."""
+
+            __slots__ = ()
+
+            def anchor_generator(self, index, a):
+                return self.scalar_variable(1) * a.derivative(index)
+
+        pair = Curved("cartan", 2)
+        d1 = Multivector.monomial(pair, (1,))
+        x2 = Multivector.from_scalar(pair, pair.scalar_variable(2))
+        with pytest.raises(ValueError, match="constant-coefficient"):
+            sn_antisym(pair, d1, x2)
 
 
 class TestGradingHomogeneity:
