@@ -25,7 +25,6 @@ from .exterior import (
 from .graded import Permutation, koszul_sign, parity_sign, shuffles
 from .linfty import (
     BracketFamily,
-    MorphismFamily,
     aggregated_weak_jacobi_residual,
     ce_differential,
     check_linfty_morphism,
@@ -52,7 +51,7 @@ from .pairs import (
     load_morphism,
     load_pair,
 )
-from .report import BracketReport
+from .report import BracketReport, run_identity
 from .scalars import Scalar, parse_fraction
 from .schouten import (
     check_antisym_jacobi,

@@ -21,14 +21,16 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from . import sampling
 from .errors import PairDocumentError, ParseError, UnsupportedPairError
+from .exterior import associated_exterior_morphism
 from .expr import evaluate, parse
-from .instances import builtin_pair
+from .instances import pair_from_spec
 from .linfty import (
-    BracketFamily,
-    check_linfty_morphism,
+    ce_differential,
     composition_identity_lhs,
-    injection_family,
+    injection_morphism_residual,
+    n_bracket,
     weak_jacobi_residual,
 )
 from .pairs import (
@@ -37,27 +39,15 @@ from .pairs import (
     check_leibniz,
     check_pair_morphism,
     load_morphism,
-    load_pair,
     read_document,
 )
-from .report import BracketReport
+from .report import run_identity
+from .scalars import Scalar
 from .schouten import (
     check_antisym_jacobi,
     check_morphism_respects_sn,
     check_poisson,
     check_sym_jacobi,
-)
-
-SUITES = (
-    "leibniz",
-    "jacobi-antisym",
-    "jacobi-sym",
-    "poisson",
-    "weak-jacobi",
-    "morphism-injection",
-    "morphism-strict",
-    "ce-square-zero",
-    "combinatorial",
 )
 
 EXIT_OK = 0
@@ -66,38 +56,25 @@ EXIT_USAGE = 2
 EXIT_DOCUMENT = 3
 
 
-def _load_pair_argument(spec: str | None, *, validate: bool) -> LieRinehartPair | None:
-    if spec is None:
-        return None
-    if spec.startswith("builtin:"):
-        try:
-            pair = builtin_pair(spec[len("builtin:") :])
-        except KeyError as exc:
-            raise PairDocumentError(str(exc)) from exc
-        if not validate:
-            pair = LieRinehartPair(pair.kind, pair.dim, pair.brackets, name=pair.name, validate=False)
-        return pair
-    return load_pair(spec, validate=validate)
-
-
-def _emit(report: BracketReport, as_json: bool) -> None:
-    print(report.to_json() if as_json else report.render_text())
-
-
 def _require_pair(pair: LieRinehartPair | None, parser: argparse.ArgumentParser) -> LieRinehartPair:
     if pair is None:
         parser.error("this command needs --pair")
     return pair
 
 
-def _run_weak_jacobi(pair, args, emit) -> bool:
-    from . import sampling
+def _random_homogeneous_args(pair, rng, n):
+    return [sampling.random_homogeneous(pair, rng, rng.randint(0, min(2, pair.dim))) for _ in range(n)]
 
+
+def _sampled(check):
+    """A suite of one report from a library check drawing ``--trials`` seeded cases."""
+    return lambda pair, args: [check(pair, trials=args.trials, seed=args.seed)]
+
+
+def _run_weak_jacobi(pair, args):
     if (args.p or args.q) and not args.n:
         raise ValueError("--p/--q need an explicit --n")
-    ns = [args.n] if args.n else [3, 4]
-    all_passed = True
-    for n in ns:
+    for n in [args.n] if args.n else [3, 4]:
         if args.p or args.q:
             p = args.p or (n + 1 - args.q)
             q = args.q or (n + 1 - args.p)
@@ -110,108 +87,42 @@ def _run_weak_jacobi(pair, args, emit) -> bool:
             if p + q != n + 1 or p < 2 or q < 2:
                 raise ValueError(f"invalid split p={p}, q={q} for n={n}")
             rng = sampling.rng_for(args.seed)
-            failure = None
-            for _ in range(args.trials):
-                sample = [
-                    sampling.random_homogeneous(pair, rng, rng.randint(0, min(2, pair.dim)))
-                    for _ in range(n)
-                ]
-                residual = weak_jacobi_residual(pair, p, q, sample)
-                if not residual.is_zero():
-                    failure = BracketReport.failure(
-                        "weak-jacobi",
-                        str(residual),
-                        witness=[str(v) for v in sample],
-                        n=n,
-                        p=p,
-                        q=q,
-                        seed=args.seed,
-                    )
-                    break
-            report = failure or BracketReport.success("weak-jacobi", n=n, p=p, q=q, seed=args.seed)
-            emit(report)
-            all_passed &= report.passed
-    return all_passed
+            cases = (_random_homogeneous_args(pair, rng, n) for _ in range(args.trials))
+            residual = lambda sample: weak_jacobi_residual(pair, p, q, sample)
+            yield run_identity("weak-jacobi", cases, residual, n=n, p=p, q=q, seed=args.seed)
 
 
-def _run_morphism_injection(pair, args, emit) -> bool:
-    from . import sampling
-
-    family = injection_family(pair)
-    target = BracketFamily(pair)
-    all_passed = True
+def _run_morphism_injection(pair, args):
     for n in range(2, (args.n or 4) + 1):
         rng = sampling.rng_for(args.seed)
-        report = None
-        for _ in range(args.trials):
-            sample = [
-                sampling.random_pair_element(pair, rng, ensure_mixed=(rng.random() < 0.5))
-                for _ in range(n)
-            ]
-            result = check_linfty_morphism(
-                pair,
-                family,
-                target,
-                n,
-                sample,
-                identity="morphism-injection",
-                max_arity=max(5, args.n or 0),
-            )
-            if not result.passed:
-                result.seed = args.seed
-                result.witness = [f"({e.scalar}, {e.vector!r})" for e in sample]
-                report = result
-                break
-        report = report or BracketReport.success("morphism-injection", n=n, seed=args.seed)
-        emit(report)
-        all_passed &= report.passed
-    return all_passed
+        cases = (
+            [sampling.random_pair_element(pair, rng, ensure_mixed=(rng.random() < 0.5)) for _ in range(n)]
+            for _ in range(args.trials)
+        )
+        residual = lambda sample: injection_morphism_residual(pair, sample)
+        yield run_identity("morphism-injection", cases, residual, n=n, seed=args.seed)
 
 
-def _run_morphism_strict(pair, args, emit) -> bool:
-    from . import sampling
-    from .exterior import associated_exterior_morphism
-    from .linfty import n_bracket
-
+def _run_morphism_strict(pair, args):
     if args.morphism:
         morphism = _load_morphism_document(args.morphism, pair)
     else:
         morphism = PairMorphism.identity(pair)
     validation = check_pair_morphism(morphism, trials=args.trials, seed=args.seed)
-    emit(validation)
+    yield validation
     if not validation.passed:
-        return False
-    sn_report = check_morphism_respects_sn(morphism, trials=args.trials, seed=args.seed)
-    emit(sn_report)
-    all_passed = sn_report.passed
+        return
+    yield check_morphism_respects_sn(morphism, trials=args.trials, seed=args.seed)
+
+    def residual(sample):
+        lhs = associated_exterior_morphism(morphism, n_bracket(morphism.source, sample))
+        images = [associated_exterior_morphism(morphism, v) for v in sample]
+        return lhs - n_bracket(morphism.target, images)
+
     rng = sampling.rng_for(args.seed)
     for n in range(2, (args.n or 4) + 1):
-        report = None
-        for _ in range(args.trials):
-            sample = [
-                sampling.random_homogeneous(
-                    morphism.source, rng, rng.randint(0, min(2, morphism.source.dim))
-                )
-                for _ in range(n)
-            ]
-            lhs = associated_exterior_morphism(morphism, n_bracket(morphism.source, sample))
-            rhs = n_bracket(
-                morphism.target, [associated_exterior_morphism(morphism, v) for v in sample]
-            )
-            residual = lhs - rhs
-            if not residual.is_zero():
-                report = BracketReport.failure(
-                    "morphism-strict",
-                    str(residual),
-                    witness=[str(v) for v in sample],
-                    n=n,
-                    seed=args.seed,
-                )
-                break
-        report = report or BracketReport.success("morphism-strict", n=n, seed=args.seed)
-        emit(report)
-        all_passed &= report.passed
-    return all_passed
+        cases = (_random_homogeneous_args(morphism.source, rng, n) for _ in range(args.trials))
+        yield run_identity("morphism-strict", cases, residual, n=n, seed=args.seed)
 
 
 def _load_morphism_document(path: str, default_source: LieRinehartPair) -> PairMorphism:
@@ -219,92 +130,60 @@ def _load_morphism_document(path: str, default_source: LieRinehartPair) -> PairM
         doc = read_document(Path(path))
     except (OSError, json.JSONDecodeError) as exc:
         raise PairDocumentError(f"cannot read morphism document: {exc}") from exc
-    target_spec = doc.get("target")
-    if target_spec is None:
+    spec = doc.get("target")
+    if spec is None:
         target = default_source
-    elif isinstance(target_spec, str) and target_spec.startswith("builtin:"):
-        target = builtin_pair(target_spec[len("builtin:") :])
-    elif isinstance(target_spec, dict):
-        target = load_pair(target_spec)
     else:
-        target = load_pair(str(target_spec))
+        target = pair_from_spec(spec if isinstance(spec, dict) else str(spec))
     return load_morphism(doc, default_source, target)
 
 
-def _run_ce_square_zero(pair, args, emit) -> bool:
-    from . import sampling
-    from .linfty import ce_differential
-
+def _run_ce_square_zero(pair, args):
     rng = sampling.rng_for(args.seed)
-    report = None
-    for _ in range(args.trials):
-        sample = sampling.random_multivector(pair, rng)
-        residual = ce_differential(pair, ce_differential(pair, sample))
-        if not residual.is_zero():
-            report = BracketReport.failure(
-                "ce-square-zero", str(residual), witness=[str(sample)], seed=args.seed
-            )
-            break
-    report = report or BracketReport.success("ce-square-zero", seed=args.seed)
-    emit(report)
-    return report.passed
+    cases = ((sampling.random_multivector(pair, rng),) for _ in range(args.trials))
+    residual = lambda case: ce_differential(pair, ce_differential(pair, case[0]))
+    yield run_identity("ce-square-zero", cases, residual, seed=args.seed)
 
 
-def _run_combinatorial(args, emit) -> bool:
-    all_passed = True
+def _run_combinatorial(pair, args):
     for n in range(2, args.max_n + 1):
-        value = composition_identity_lhs(n)
-        passed = value == Fraction(1, 2)
-        report = (
-            BracketReport.success("combinatorial", n=n)
-            if passed
-            else BracketReport.failure("combinatorial", str(value - Fraction(1, 2)), n=n)
-        )
-        report.residual = str(value - Fraction(1, 2))
-        emit(report)
-        all_passed &= passed
-    return all_passed
+        # One case with no arguments; the residual is a rational number.
+        residual = lambda _: Scalar.const(composition_identity_lhs(n) - Fraction(1, 2), 0)
+        yield run_identity("combinatorial", [()], residual, n=n)
+
+
+# Every suite, in the order the CLI lists them: ``runner(pair, args)`` yields
+# reports, and each is printed as soon as it is made.
+RUNNERS = {
+    "leibniz": _sampled(check_leibniz),
+    "jacobi-antisym": _sampled(check_antisym_jacobi),
+    "jacobi-sym": _sampled(check_sym_jacobi),
+    "poisson": _sampled(check_poisson),
+    "weak-jacobi": _run_weak_jacobi,
+    "morphism-injection": _run_morphism_injection,
+    "morphism-strict": _run_morphism_strict,
+    "ce-square-zero": _run_ce_square_zero,
+    "combinatorial": _run_combinatorial,
+}
+SUITES = tuple(RUNNERS)
 
 
 def _cmd_check(pair, args, parser) -> int:
-    emit = lambda report: _emit(report, args.json)
-    suite = args.suite
     if args.trials < 1:
         parser.error("--trials must be at least 1")
     if args.n is not None and not 2 <= args.n <= 8:
         parser.error("--n must lie in 2..8")
     if not 2 <= args.max_n <= 20:
         parser.error("--max-n must lie in 2..20")
-    if suite == "combinatorial":
-        return EXIT_OK if _run_combinatorial(args, emit) else EXIT_VIOLATION
-    pair = _require_pair(pair, parser)
-    if suite == "leibniz":
-        report = check_leibniz(pair, trials=args.trials, seed=args.seed)
-        emit(report)
-        return EXIT_OK if report.passed else EXIT_VIOLATION
-    if suite == "jacobi-antisym":
-        report = check_antisym_jacobi(pair, trials=args.trials, seed=args.seed)
-        emit(report)
-        return EXIT_OK if report.passed else EXIT_VIOLATION
-    if suite == "jacobi-sym":
-        report = check_sym_jacobi(pair, trials=args.trials, seed=args.seed)
-        emit(report)
-        return EXIT_OK if report.passed else EXIT_VIOLATION
-    if suite == "poisson":
-        report = check_poisson(pair, trials=args.trials, seed=args.seed)
-        emit(report)
-        return EXIT_OK if report.passed else EXIT_VIOLATION
-    if suite == "weak-jacobi":
-        return EXIT_OK if _run_weak_jacobi(pair, args, emit) else EXIT_VIOLATION
-    if suite == "morphism-injection":
-        return EXIT_OK if _run_morphism_injection(pair, args, emit) else EXIT_VIOLATION
-    if suite == "morphism-strict":
-        return EXIT_OK if _run_morphism_strict(pair, args, emit) else EXIT_VIOLATION
-    if suite == "ce-square-zero":
-        if not pair.is_trivial_scalars:
+    if args.suite != "combinatorial":
+        pair = _require_pair(pair, parser)
+        if args.suite == "ce-square-zero" and not pair.is_trivial_scalars:
             parser.error("ce-square-zero is defined only for trivial-scalar pairs")
-        return EXIT_OK if _run_ce_square_zero(pair, args, emit) else EXIT_VIOLATION
-    raise AssertionError(suite)
+    passed = True
+    for report in RUNNERS[args.suite](pair, args):
+        print(report.to_json() if args.json else report.render_text())
+        passed &= report.passed
+    return EXIT_OK if passed else EXIT_VIOLATION
 
 
 def _cmd_info(pair: LieRinehartPair, as_json: bool) -> int:
@@ -376,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        pair = _load_pair_argument(args.pair, validate=not args.no_validate)
+        pair = None if args.pair is None else pair_from_spec(args.pair, validate=not args.no_validate)
     except PairDocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOCUMENT

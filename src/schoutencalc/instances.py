@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .pairs import LieRinehartPair, PairMorphism, Vector, check_pair_morphism
+from .errors import PairDocumentError
+from .pairs import LieRinehartPair, PairMorphism, Vector, check_pair_morphism, load_pair
 
 __all__ = [
     "BUILTIN_PAIRS",
@@ -19,6 +20,7 @@ __all__ = [
     "cartan",
     "gl2",
     "identity_morphism",
+    "pair_from_spec",
     "perturbed_sl2",
     "scaling_morphism",
     "sl2",
@@ -147,3 +149,20 @@ def builtin_pair(name: str) -> LieRinehartPair:
         return BUILTIN_PAIRS[name]()
     except KeyError:
         raise KeyError(f"unknown builtin pair {name!r}; choices: {sorted(BUILTIN_PAIRS)}") from None
+
+
+def pair_from_spec(spec: str | dict, *, validate: bool = True) -> LieRinehartPair:
+    """A pair from ``builtin:<name>`` or a document (path, JSON text or parsed dict).
+
+    An unknown builtin name is a :class:`PairDocumentError`, like a bad
+    document.  ``validate=False`` skips the structure check, for builtins too.
+    """
+    if isinstance(spec, str) and spec.startswith("builtin:"):
+        try:
+            pair = builtin_pair(spec[len("builtin:") :])
+        except KeyError as exc:
+            raise PairDocumentError(str(exc)) from exc
+        if not validate:
+            pair = LieRinehartPair(pair.kind, pair.dim, pair.brackets, name=pair.name, validate=False)
+        return pair
+    return load_pair(spec, validate=validate)

@@ -31,12 +31,11 @@ from fractions import Fraction
 from .errors import UnsupportedPairError
 from .exterior import Multivector, embed, tensor_degree, wedge
 from .graded import Permutation, koszul_sign, parity_sign, set_partitions, shuffles
-from .pairs import GradedPairElement, LieRinehartPair, associated_bracket
-from .report import BracketReport
+from .pairs import GradedPairElement, LieRinehartPair, Vector, associated_bracket
+from .report import BracketReport, run_identity
 
 __all__ = [
     "BracketFamily",
-    "MorphismFamily",
     "aggregated_weak_jacobi_residual",
     "ce_differential",
     "check_linfty_morphism",
@@ -101,14 +100,9 @@ class BracketFamily:
 # -- weak Jacobi ---------------------------------------------------------------
 
 
-def weak_jacobi_residual(
-    pair: LieRinehartPair, p: int, q: int, args: Sequence[Multivector]
-) -> Multivector:
-    """Shuffle sum ``sum_{Sh(q, p-1)} e(s) {{...}_q, ...}_p`` on homogeneous args."""
-    args = list(args)
+def _shuffle_sum(pair: LieRinehartPair, args: list[Multivector], arities) -> Multivector:
+    """``sum_j sum_{Sh(j, n-j)} e(s) {{x_s(1..j)}_j, x_s(j+1..n)}`` over the inner arities."""
     n = len(args)
-    if p + q != n + 1 or p < 2 or q < 2:
-        raise ValueError(f"invalid split p={p}, q={q} for n={n}")
     degrees = []
     for a in args:
         d = tensor_degree(a)
@@ -116,11 +110,23 @@ def weak_jacobi_residual(
             raise ValueError("weak Jacobi arguments must be homogeneous")
         degrees.append(d)
     residual = Multivector.zero(pair)
-    for s in shuffles((q, p - 1)):
-        inner = n_bracket(pair, [args[s(k) - 1] for k in range(1, q + 1)])
-        outer = n_bracket(pair, [inner] + [args[s(k) - 1] for k in range(q + 1, n + 1)])
-        residual = residual + outer.scaled(koszul_sign(s, degrees))
+    for j in arities:
+        parts = (j,) if j == n else (j, n - j)
+        for s in shuffles(parts):
+            inner = n_bracket(pair, [args[s(k) - 1] for k in range(1, j + 1)])
+            outer = n_bracket(pair, [inner] + [args[s(k) - 1] for k in range(j + 1, n + 1)])
+            residual = residual + outer.scaled(koszul_sign(s, degrees))
     return residual
+
+
+def weak_jacobi_residual(
+    pair: LieRinehartPair, p: int, q: int, args: Sequence[Multivector]
+) -> Multivector:
+    """Shuffle sum ``sum_{Sh(q, p-1)} e(s) {{...}_q, ...}_p`` on homogeneous args."""
+    n = len(args)
+    if p + q != n + 1 or p < 2 or q < 2:
+        raise ValueError(f"invalid split p={p}, q={q} for n={n}")
+    return _shuffle_sum(pair, list(args), (q,))
 
 
 def check_weak_jacobi(
@@ -128,34 +134,15 @@ def check_weak_jacobi(
 ) -> BracketReport:
     if len(args) != n:
         raise ValueError(f"expected {n} arguments, got {len(args)}")
-    residual = weak_jacobi_residual(pair, p, q, args)
-    if residual.is_zero():
-        return BracketReport.success("weak-jacobi", n=n, p=p, q=q)
-    return BracketReport.failure(
-        "weak-jacobi", str(residual), witness=[str(a) for a in args], n=n, p=p, q=q
-    )
+    residual = lambda xs: weak_jacobi_residual(pair, p, q, xs)
+    return run_identity("weak-jacobi", [args], residual, n=n, p=p, q=q)
 
 
 def aggregated_weak_jacobi_residual(
     pair: LieRinehartPair, args: Sequence[Multivector]
 ) -> Multivector:
     """Total coherence sum over all inner arities, unary terms included."""
-    args = list(args)
-    n = len(args)
-    degrees = []
-    for a in args:
-        d = tensor_degree(a)
-        if not isinstance(d, int):
-            raise ValueError("arguments must be homogeneous")
-        degrees.append(d)
-    residual = Multivector.zero(pair)
-    for j in range(1, n + 1):
-        parts = (j,) if j == n else (j, n - j)
-        for s in shuffles(parts):
-            inner = n_bracket(pair, [args[s(k) - 1] for k in range(1, j + 1)])
-            outer = n_bracket(pair, [inner] + [args[s(k) - 1] for k in range(j + 1, n + 1)])
-            residual = residual + outer.scaled(koszul_sign(s, degrees))
-    return residual
+    return _shuffle_sum(pair, list(args), range(1, len(args) + 1))
 
 
 # -- coalgebraic differential ---------------------------------------------------
@@ -165,10 +152,11 @@ def ce_differential(pair: LieRinehartPair, x: Multivector) -> Multivector:
     """Degree ``-1`` square-zero operator encoding the bracket; trivial pairs only.
 
     ``d(x_1 ^ ... ^ x_n) = sum_{Sh(2, n-2)} e(s) [x_{s(1)}, x_{s(2)}] ^
-    x_{s(3)} ^ ... ^ x_{s(n)}`` with ``d = 0`` on scalars and vectors.
+    x_{s(3)} ^ ... ^ x_{s(n)}`` with ``d = 0`` on scalars and vectors.  On a
+    monomial of ``n`` generators that is ``(-1)**((n-1)(n-2)/2)`` times the
+    n-bracket of the generators: reversing the ``n - 1`` vector factors of
+    each bracket term gives that sign.
     """
-    from .schouten import sn_antisym
-
     if not pair.is_trivial_scalars:
         raise UnsupportedPairError(
             "the coalgebraic differential exists only for trivial-scalar pairs"
@@ -178,20 +166,9 @@ def ce_differential(pair: LieRinehartPair, x: Multivector) -> Multivector:
         n = len(mono)
         if n < 2:
             continue
-        degrees = [1] * n
-        parts = (2, n - 2) if n > 2 else (2,)
-        for s in shuffles(parts):
-            inner = sn_antisym(
-                pair,
-                Multivector.monomial(pair, (mono[s(1) - 1],)),
-                Multivector.monomial(pair, (mono[s(2) - 1],)),
-            )
-            if inner.is_zero():
-                continue
-            term = inner
-            for k in range(3, n + 1):
-                term = wedge(pair, term, Multivector.monomial(pair, (mono[s(k) - 1],)))
-            out = out + term.scaled(coeff).scaled(koszul_sign(s, degrees))
+        generators = [Multivector.monomial(pair, (g,)) for g in mono]
+        term = _n_bracket_hom(pair, generators, [1] * n)
+        out = out + term.scaled(coeff).scaled(parity_sign((n - 1) * (n - 2) // 2))
     return out
 
 
@@ -215,74 +192,43 @@ def natural_injection(
     return out.scaled(factor)
 
 
-class MorphismFamily:
-    """Arity-indexed components of a weak morphism into an exterior algebra.
+def injection_family(pair: LieRinehartPair) -> Callable:
+    """The natural injection's components: ``k -> i_k``, none of them zero."""
+    return lambda k: lambda elems: natural_injection(pair, elems)
 
-    ``component(k)`` returns the k-linear component or ``None`` for the zero
-    map; components consume lists of source elements and produce multivectors.
-    The structure-equation checker assumes every component is multilinear and
-    graded symmetric in the tensor grading, and maps homogeneous arguments to
-    a multivector whose degree is their total degree; for a family that
-    breaks this, the checker's sum over set partitions is not the equation.
+
+def strict_family(component_one: Callable) -> Callable:
+    """A strict morphism's components: ``f_1`` from ``component_one``, zero above."""
+    return lambda k: (lambda elems: component_one(elems[0])) if k == 1 else None
+
+
+def _source_parts(pair: LieRinehartPair, x) -> list[tuple[object, int]]:
+    """Homogeneous parts of a source argument with their tensor degrees.
+
+    A :class:`GradedPairElement` splits into its degree-0 scalar and degree-1
+    vector parts; a :class:`Multivector` into its homogeneous components.
     """
-
-    def __init__(self, components: dict[int, Callable] | None = None, rule: Callable | None = None):
-        self._components = components or {}
-        self._rule = rule
-
-    def component(self, k: int) -> Callable | None:
-        if self._rule is not None:
-            return self._rule(k)
-        return self._components.get(k)
-
-
-def injection_family(pair: LieRinehartPair) -> MorphismFamily:
-    return MorphismFamily(rule=lambda k: (lambda elems: natural_injection(pair, elems)))
+    if isinstance(x, Multivector):
+        return _hom_parts(x)
+    out: list[tuple[GradedPairElement, int]] = []
+    if not x.scalar.is_zero():
+        out.append((GradedPairElement(x.scalar, Vector.zero()), 0))
+    if not x.vector.is_zero():
+        out.append((GradedPairElement(pair.scalar_zero(), x.vector), 1))
+    return out
 
 
-def strict_family(component_one: Callable) -> MorphismFamily:
-    return MorphismFamily(components={1: lambda elems: component_one(elems[0])})
+def _source_bracket(pair: LieRinehartPair, elems: list):
+    """The source's bracket of arity ``len(elems)``.
 
-
-class _PairSource:
-    """The graded Lie algebra ``A (+) g`` viewed as the source structure.
-
-    Only the binary bracket is nonzero; elements split into a degree-0 scalar
-    part and a degree-1 vector part.
+    On the exterior algebra that is :func:`n_bracket`; on ``A (+) g`` only
+    the binary bracket is nonzero.
     """
-
-    def __init__(self, pair: LieRinehartPair):
-        self.pair = pair
-
-    def components(self, v: GradedPairElement) -> list[tuple[GradedPairElement, int]]:
-        from .pairs import Vector
-
-        out: list[tuple[GradedPairElement, int]] = []
-        if not v.scalar.is_zero():
-            out.append((GradedPairElement(v.scalar, Vector.zero()), 0))
-        if not v.vector.is_zero():
-            out.append((GradedPairElement(self.pair.scalar_zero(), v.vector), 1))
-        return out
-
-    def bracket(self, arity: int, elems: list[GradedPairElement]) -> GradedPairElement:
-        from .pairs import Vector
-
-        if arity == 2:
-            return associated_bracket(self.pair, elems[0], elems[1])
-        return GradedPairElement(self.pair.scalar_zero(), Vector.zero())
-
-
-class _ExteriorSource:
-    """An exterior algebra with its full bracket family as the source."""
-
-    def __init__(self, pair: LieRinehartPair):
-        self.pair = pair
-
-    def components(self, v: Multivector) -> list[tuple[Multivector, int]]:
-        return _hom_parts(v)
-
-    def bracket(self, arity: int, elems: list[Multivector]) -> Multivector:
-        return n_bracket(self.pair, elems)
+    if isinstance(elems[0], Multivector):
+        return n_bracket(pair, elems)
+    if len(elems) == 2:
+        return associated_bracket(pair, elems[0], elems[1])
+    return GradedPairElement(pair.scalar_zero(), Vector.zero())
 
 
 def _compositions(n: int, p: int):
@@ -292,7 +238,7 @@ def _compositions(n: int, p: int):
         yield tuple(bounds[i + 1] - bounds[i] for i in range(p))
 
 
-def _structure_equation_residual(source, f: MorphismFamily, target_pair, args) -> Multivector:
+def _structure_equation_residual(source_pair, f: Callable, target_pair, args) -> Multivector:
     """LHS minus RHS of the weak-morphism structure equation, one term at a time.
 
     Left side: ``sum_{p+q=n+1} sum_{Sh(q,p-1)} e(s) f_p(D_q(...), ...)``,
@@ -310,24 +256,24 @@ def _structure_equation_residual(source, f: MorphismFamily, target_pair, args) -
     n = len(args)
     partitions = []
     for blocks in set_partitions(n):
-        fs = [f.component(len(block)) for block in blocks]
+        fs = [f(len(block)) for block in blocks]
         if len(blocks) > 1 and all(fk is not None for fk in fs):
             s = Permutation([i for block in blocks for i in block])
             partitions.append((blocks, fs, s))
     images: dict[tuple[tuple[int, int], ...], Multivector] = {}
     residual = Multivector.zero(target_pair)
-    for combo in itertools.product(*(source.components(a) for a in args)):
+    for combo in itertools.product(*(_source_parts(source_pair, a) for a in args)):
         elems = [c[0] for c in combo]
         degrees = [c[1] for c in combo]
 
         for q in range(1, n + 1):
             p = n + 1 - q
-            f_p = f.component(p)
+            f_p = f(p)
             if f_p is None:
                 continue
             parts = (q,) if p == 1 else (q, p - 1)
             for s in shuffles(parts):
-                inner = source.bracket(q, [elems[s(k) - 1] for k in range(1, q + 1)])
+                inner = _source_bracket(source_pair, [elems[s(k) - 1] for k in range(1, q + 1)])
                 if inner.is_zero():
                     continue
                 rest = [elems[s(k) - 1] for k in range(q + 1, n + 1)]
@@ -348,20 +294,25 @@ def _structure_equation_residual(source, f: MorphismFamily, target_pair, args) -
 
 def check_linfty_morphism(
     source_pair: LieRinehartPair,
-    f: MorphismFamily,
+    f: Callable,
     target: BracketFamily,
     n: int,
     args: Sequence,
     *,
-    source_kind: str = "pair",
     identity: str = "linfty-morphism",
     max_arity: int = 5,
 ) -> BracketReport:
     """Evaluate the weak-morphism structure equation at arity ``n``.
 
-    ``source_kind`` selects the source structure: ``"pair"`` for ``A (+) g``
-    with only its binary bracket, ``"exterior"`` for the full bracket family
-    on the source exterior algebra.  The shuffle-sum term count grows
+    ``f`` maps an arity ``k`` to the k-linear component, a callable on a list
+    of source elements returning a multivector, or to ``None`` for the zero
+    map.  Every component must be multilinear, graded symmetric in the tensor
+    grading, and map homogeneous arguments to a multivector whose degree is
+    their total degree; for a family that breaks this, the sum over set
+    partitions is not the equation.  The type of ``args`` picks the source:
+    :class:`GradedPairElement` values mean ``A (+) g`` with only its binary
+    bracket, :class:`Multivector` values the source exterior algebra with
+    its full bracket family.  The shuffle-sum term count grows
     super-exponentially in ``n``; raise ``max_arity`` deliberately if you
     need more than the default.
     """
@@ -371,24 +322,15 @@ def check_linfty_morphism(
         raise ValueError(f"arity {n} exceeds the configured cap {max_arity}")
     if len(args) != n:
         raise ValueError(f"expected {n} arguments, got {len(args)}")
-    if source_kind == "pair":
-        source = _PairSource(source_pair)
-    elif source_kind == "exterior":
-        source = _ExteriorSource(source_pair)
-    else:
-        raise ValueError(f"unknown source kind: {source_kind!r}")
-    residual = _structure_equation_residual(source, f, target.pair, list(args))
-    if residual.is_zero():
-        return BracketReport.success(identity, n=n)
-    return BracketReport.failure(identity, str(residual), n=n)
+    residual = lambda xs: _structure_equation_residual(source_pair, f, target.pair, list(xs))
+    return run_identity(identity, [args], residual, n=n)
 
 
 def injection_morphism_residual(
     pair: LieRinehartPair, args: Sequence[GradedPairElement]
 ) -> Multivector:
     """Structure-equation residual of the natural injection at the given args."""
-    source = _PairSource(pair)
-    return _structure_equation_residual(source, injection_family(pair), pair, list(args))
+    return _structure_equation_residual(pair, injection_family(pair), pair, list(args))
 
 
 # -- the composition identity ----------------------------------------------------

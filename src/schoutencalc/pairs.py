@@ -21,6 +21,7 @@ from pathlib import Path
 from types import MappingProxyType
 
 from .errors import PairDocumentError
+from .report import BracketReport, run_identity
 from .scalars import Scalar, parse_fraction
 
 __all__ = [
@@ -104,6 +105,9 @@ class GradedPairElement:
 
     def is_zero(self) -> bool:
         return self.scalar.is_zero() and self.vector.is_zero()
+
+    def __str__(self) -> str:
+        return f"({self.scalar}, {self.vector!r})"
 
 
 class LieRinehartPair:
@@ -352,45 +356,39 @@ class PairMorphism:
 # -- randomized identity checks ---------------------------------------------
 
 
-def check_leibniz(pair: LieRinehartPair, trials: int = 200, seed: int = 0):
+def check_leibniz(pair: LieRinehartPair, trials: int = 200, seed: int = 0) -> BracketReport:
     """Sample ``a, x, y`` and assert ``[x, a y] - D_x(a) y - a [x, y] = 0``."""
     from . import sampling
-    from .report import BracketReport
 
-    rng = sampling.rng_for(seed)
-    for _ in range(trials):
-        a = sampling.random_scalar(pair, rng)
-        x = sampling.random_vector(pair, rng)
-        y = sampling.random_vector(pair, rng)
-        residual = (
+    def residual(case):
+        a, x, y = case
+        return (
             bracket_vectors(pair, x, y.scaled(a))
             - y.scaled(anchor(pair, x, a))
             - bracket_vectors(pair, x, y).scaled(a)
         )
-        if not residual.is_zero():
-            return BracketReport.failure(
-                "leibniz", repr(residual), witness=[repr(a), repr(x), repr(y)], seed=seed
-            )
-    return BracketReport.success("leibniz", seed=seed)
+
+    rng = sampling.rng_for(seed)
+    cases = (
+        (
+            sampling.random_scalar(pair, rng),
+            sampling.random_vector(pair, rng),
+            sampling.random_vector(pair, rng),
+        )
+        for _ in range(trials)
+    )
+    return run_identity("leibniz", cases, residual, show=repr, seed=seed)
 
 
-def check_pair_morphism(
-    m: PairMorphism,
-    source: LieRinehartPair | None = None,
-    target: LieRinehartPair | None = None,
-    trials: int = 50,
-    seed: int = 0,
-):
+def check_pair_morphism(m: PairMorphism, trials: int = 50, seed: int = 0) -> BracketReport:
     """Verify the morphism equations; marks the morphism validated on success.
 
     Bracket compatibility is checked exhaustively on generator pairs, the
     anchor and multiplicativity conditions on seeded random samples.
     """
     from . import sampling
-    from .report import BracketReport
 
-    source = source or m.source
-    target = target or m.target
+    source, target = m.source, m.target
     rng = sampling.rng_for(seed)
 
     def fail(msg: str, witness: list[str]):

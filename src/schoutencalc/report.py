@@ -1,14 +1,15 @@
-"""Result records for identity checks."""
+"""Result records for identity checks and the one loop that produces them."""
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
-__all__ = ["BracketReport"]
+__all__ = ["BracketReport", "run_identity"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class BracketReport:
     """Outcome of one identity check: residual rendering plus verdict."""
 
@@ -59,3 +60,27 @@ class BracketReport:
             if self.witness:
                 line += " witness=" + "; ".join(self.witness)
         return line
+
+
+def run_identity(
+    identity: str,
+    cases: Iterable,
+    residual: Callable,
+    *,
+    show: Callable[[object], str] = str,
+    **meta,
+) -> BracketReport:
+    """Check an identity case by case; the first nonzero residual fails it.
+
+    ``cases`` yields argument sequences and is consumed lazily: nothing is
+    drawn after the first failure, so a seeded generator reproduces the same
+    report.  ``residual(case)`` returns a value with ``is_zero()``.  A
+    failure renders the residual and each argument of its case (the witness)
+    with ``show``; ``meta`` (``n``, ``p``, ``q``, ``seed``) goes into the
+    report either way.
+    """
+    for case in cases:
+        value = residual(case)
+        if not value.is_zero():
+            return BracketReport.failure(identity, show(value), witness=[show(v) for v in case], **meta)
+    return BracketReport.success(identity, **meta)

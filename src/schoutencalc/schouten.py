@@ -32,7 +32,7 @@ from operator import add
 from .exterior import INHOMOGENEOUS, Multivector, tensor_degree, wedge
 from .graded import koszul_sign, parity_sign, shuffles
 from .pairs import LieRinehartPair, PairMorphism, Vector, anchor, bracket_vectors
-from .report import BracketReport
+from .report import BracketReport, run_identity
 from .scalars import Scalar
 
 __all__ = [
@@ -209,85 +209,71 @@ def sn_sym(pair: LieRinehartPair, x: Multivector, y: Multivector) -> Multivector
 # -- identity checks ----------------------------------------------------------
 
 
-def _sample_triple(pair, rng, max_degree):
+def _sample_triples(pair, trials, seed, max_degree):
+    """``trials`` seeded random homogeneous triples, drawn lazily."""
     from . import sampling
 
+    rng = sampling.rng_for(seed)
     # Vectors and bivectors carry the most signal; scalars and top-degree
     # elements stay in the mix but less often.
-    palette = [d for d in (0, 1, 1, 2, 2, 3) if d <= max_degree]
-    return tuple(
-        sampling.random_homogeneous(pair, rng, rng.choice(palette)) for _ in range(3)
-    )
+    palette = [d for d in (0, 1, 1, 2, 2, 3) if d <= min(max_degree, pair.dim)]
+    for _ in range(trials):
+        yield tuple(sampling.random_homogeneous(pair, rng, rng.choice(palette)) for _ in range(3))
 
 
 def check_antisym_jacobi(
     pair: LieRinehartPair, trials: int = 200, seed: int = 0, max_degree: int = 3
 ) -> BracketReport:
     """Graded Jacobi in the antisymmetric grading on random homogeneous triples."""
-    from . import sampling
 
-    rng = sampling.rng_for(seed)
-    max_degree = min(max_degree, pair.dim)
-    for _ in range(trials):
-        x, y, z = _sample_triple(pair, rng, max_degree)
-        dx, dy, dz = (tensor_degree(v) - 1 for v in (x, y, z))
-        residual = (
+    def residual(case):
+        x, y, z = case
+        dx, dy, dz = (tensor_degree(v) - 1 for v in case)
+        return (
             sn_antisym(pair, x, sn_antisym(pair, y, z)).scaled(parity_sign(dx * dz))
             + sn_antisym(pair, y, sn_antisym(pair, z, x)).scaled(parity_sign(dx * dy))
             + sn_antisym(pair, z, sn_antisym(pair, x, y)).scaled(parity_sign(dy * dz))
         )
-        if not residual.is_zero():
-            return BracketReport.failure(
-                "jacobi-antisym", str(residual), witness=[str(x), str(y), str(z)], seed=seed
-            )
-    return BracketReport.success("jacobi-antisym", seed=seed)
+
+    cases = _sample_triples(pair, trials, seed, max_degree)
+    return run_identity("jacobi-antisym", cases, residual, seed=seed)
 
 
 def check_poisson(
     pair: LieRinehartPair, trials: int = 200, seed: int = 0, max_degree: int = 3
 ) -> BracketReport:
     """Graded Leibniz rule of the bracket against the wedge."""
-    from . import sampling
 
-    rng = sampling.rng_for(seed)
-    max_degree = min(max_degree, pair.dim)
-    for _ in range(trials):
-        x, y, z = _sample_triple(pair, rng, max_degree)
+    def residual(case):
+        x, y, z = case
         dx = tensor_degree(x) - 1
         dy = tensor_degree(y) - 1
-        residual = (
+        return (
             sn_antisym(pair, x, wedge(pair, y, z))
             - wedge(pair, sn_antisym(pair, x, y), z)
             - wedge(pair, y, sn_antisym(pair, x, z)).scaled(parity_sign(dx * (dy - 1)))
         )
-        if not residual.is_zero():
-            return BracketReport.failure(
-                "poisson", str(residual), witness=[str(x), str(y), str(z)], seed=seed
-            )
-    return BracketReport.success("poisson", seed=seed)
+
+    cases = _sample_triples(pair, trials, seed, max_degree)
+    return run_identity("poisson", cases, residual, seed=seed)
 
 
 def check_sym_jacobi(
     pair: LieRinehartPair, trials: int = 200, seed: int = 0, max_degree: int = 3
 ) -> BracketReport:
     """Shuffle-sum Jacobi of the symmetric bracket over ``Sh(2, 1)``."""
-    from . import sampling
 
-    rng = sampling.rng_for(seed)
-    max_degree = min(max_degree, pair.dim)
-    for _ in range(trials):
-        args = _sample_triple(pair, rng, max_degree)
+    def residual(args):
         degrees = [tensor_degree(v) for v in args]
-        residual = Multivector.zero(pair)
+        out = Multivector.zero(pair)
         for s in shuffles((2, 1)):
             inner = sn_sym(pair, args[s(1) - 1], args[s(2) - 1])
             term = sn_sym(pair, inner, args[s(3) - 1])
-            residual = residual + term.scaled(koszul_sign(s, degrees))
-        if not residual.is_zero():
-            return BracketReport.failure(
-                "jacobi-sym", str(residual), witness=[str(v) for v in args], seed=seed
-            )
-    return BracketReport.success("jacobi-sym", seed=seed)
+            out = out + term.scaled(koszul_sign(s, degrees))
+        return out
+
+    cases = _sample_triples(pair, trials, seed, max_degree)
+    return run_identity("jacobi-sym", cases, residual, seed=seed)
 
 
 def check_morphism_respects_sn(
@@ -297,23 +283,23 @@ def check_morphism_respects_sn(
     from . import sampling
     from .exterior import associated_exterior_morphism
 
-    rng = sampling.rng_for(seed)
-    max_degree = min(max_degree, m.source.dim)
-    for _ in range(trials):
-        x = sampling.random_homogeneous(m.source, rng, rng.randint(0, max_degree))
-        y = sampling.random_homogeneous(m.source, rng, rng.randint(0, max_degree))
+    def residual(case):
+        x, y = case
         lhs = associated_exterior_morphism(m, sn_antisym(m.source, x, y))
         rhs = sn_antisym(
             m.target,
             associated_exterior_morphism(m, x),
             associated_exterior_morphism(m, y),
         )
-        residual = lhs - rhs
-        if not residual.is_zero():
-            return BracketReport.failure(
-                "morphism-sn", str(residual), witness=[str(x), str(y)], seed=seed
-            )
-    return BracketReport.success("morphism-sn", seed=seed)
+        return lhs - rhs
+
+    rng = sampling.rng_for(seed)
+    max_degree = min(max_degree, m.source.dim)
+    cases = (
+        tuple(sampling.random_homogeneous(m.source, rng, rng.randint(0, max_degree)) for _ in range(2))
+        for _ in range(trials)
+    )
+    return run_identity("morphism-sn", cases, residual, seed=seed)
 
 
 def decalage_relation(pair: LieRinehartPair, x: Multivector, y: Multivector) -> BracketReport:

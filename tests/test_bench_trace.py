@@ -23,6 +23,13 @@ RUN_LEVEL = {"trace.overhead_ratio"}
 LAYER_METRICS = [m["name"] for m in BENCHMARK["per_layer"] if m["name"] not in RUN_LEVEL]
 # About 0.3 s of cases each.
 CASES = {"schouten-cartan3": 40, "weak-jacobi-gl2": 10, "injection-sl2": 2}
+# Counters each workload's code path must reach.  A traced function bound
+# where the tracer cannot rebind it (a stored reference, a partial) reads 0.
+REACHED = {
+    "schouten-cartan3": ["schouten.sn_sym.calls"],
+    "weak-jacobi-gl2": ["linfty.n_bracket.calls"],
+    "injection-sl2": ["linfty.n_bracket.calls", "linfty.natural_injection.calls"],
+}
 
 
 def traced_run(workload: str) -> dict:
@@ -46,3 +53,4 @@ def test_traced_cases_pass_and_report_every_layer(workload):
     metrics = result["metrics"]
     assert [name for name in LAYER_METRICS if name not in metrics] == []
     assert metrics["schouten.sn_antisym.calls"] > 0
+    assert [name for name in REACHED[workload] if not metrics[name] > 0] == []

@@ -145,6 +145,17 @@ class TestCheck:
         assert main(["--pair", str(path), "info"]) == 3
         assert "must be a JSON object" in capsys.readouterr().err
 
+    def test_unknown_builtin_pair_exits_3(self, tmp_path, capsys):
+        # --pair and a morphism's target resolve through the same helper; the
+        # target used to escape as a KeyError traceback with exit code 1.
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"target": "builtin:nope", "vector_map": [[], [], []]}))
+        code = main(["--pair", "builtin:sl2", "check", "morphism-strict", "--morphism", str(path)])
+        assert code == 3
+        assert "unknown builtin pair 'nope'" in capsys.readouterr().err
+        assert main(["--pair", "builtin:nope", "check", "leibniz"]) == 3
+        assert "unknown builtin pair 'nope'" in capsys.readouterr().err
+
     def test_ce_square_zero_on_cartan_exits_2(self):
         result = run_cli("--pair", "builtin:cartan2", "check", "ce-square-zero")
         assert result.returncode == 2
@@ -163,6 +174,32 @@ class TestCheck:
         assert payload["pass"] is True
         assert payload["seed"] == 11
         assert set(payload) == {"identity", "n", "p", "q", "pass", "residual", "witness", "seed"}
+
+
+def test_morphism_injection_failure_names_its_sample(monkeypatch):
+    # The natural injection's equation holds for any antisymmetric bracket,
+    # so a failing report cannot be reached from the command line.
+    from schoutencalc import cli, sampling
+    from schoutencalc.exterior import embed
+    from schoutencalc.instances import sl2
+
+    monkeypatch.setattr(cli, "injection_morphism_residual", lambda pair, sample: embed(pair, sample[0]))
+    args = cli.build_parser().parse_args(["check", "morphism-injection", "--n", "3", "--trials", "4", "--seed", "2"])
+    pair = sl2()
+    reports = list(cli.RUNNERS["morphism-injection"](pair, args))
+    assert [(r.identity, r.passed, r.n, r.seed) for r in reports] == [
+        ("morphism-injection", False, 2, 2),
+        ("morphism-injection", False, 3, 2),
+    ]
+    for report in reports:
+        # Each arity draws afresh from the seed and fails on its first sample.
+        rng = sampling.rng_for(2)
+        sample = [
+            sampling.random_pair_element(pair, rng, ensure_mixed=(rng.random() < 0.5))
+            for _ in range(report.n)
+        ]
+        assert report.witness == [f"({e.scalar}, {e.vector!r})" for e in sample]
+        assert report.residual == str(embed(pair, sample[0]))
 
 
 class TestNegativeControls:

@@ -20,8 +20,8 @@ from schoutencalc.instances import abelian, cartan, perturbed_sl2, sl2, sl2_to_g
 from schoutencalc.linfty import (
     BracketFamily,
     _compositions,
-    _ExteriorSource,
-    _PairSource,
+    _source_bracket,
+    _source_parts,
     aggregated_weak_jacobi_residual,
     ce_differential,
     check_linfty_morphism,
@@ -45,7 +45,7 @@ def all_monomials(pair):
             yield Multivector.monomial(pair, combo)
 
 
-def ordered_structure_equation_residual(source, f, target_pair, args):
+def ordered_structure_equation_residual(source_pair, f, target_pair, args):
     """Oracle: the structure equation with its right side over ordered compositions.
 
     ``sum_p (1/p!) sum_{k_1+...+k_p=n} sum_{Sh(k_1..k_p)} e(s)
@@ -54,18 +54,18 @@ def ordered_structure_equation_residual(source, f, target_pair, args):
     """
     n = len(args)
     residual = Multivector.zero(target_pair)
-    for combo in itertools.product(*(source.components(a) for a in args)):
+    for combo in itertools.product(*(_source_parts(source_pair, a) for a in args)):
         elems = [c[0] for c in combo]
         degrees = [c[1] for c in combo]
 
         for q in range(1, n + 1):
             p = n + 1 - q
-            f_p = f.component(p)
+            f_p = f(p)
             if f_p is None:
                 continue
             parts = (q,) if p == 1 else (q, p - 1)
             for s in shuffles(parts):
-                inner = source.bracket(q, [elems[s(k) - 1] for k in range(1, q + 1)])
+                inner = _source_bracket(source_pair, [elems[s(k) - 1] for k in range(1, q + 1)])
                 rest = [elems[s(k) - 1] for k in range(q + 1, n + 1)]
                 term = f_p([inner] + rest)
                 residual = residual + term.scaled(koszul_sign(s, degrees))
@@ -73,7 +73,7 @@ def ordered_structure_equation_residual(source, f, target_pair, args):
         for p in range(1, n + 1):
             factor = Fraction(1, math.factorial(p))
             for ks in _compositions(n, p):
-                fs = [f.component(k) for k in ks]
+                fs = [f(k) for k in ks]
                 if any(fk is None for fk in fs):
                     continue
                 for s in shuffles(ks):
@@ -401,7 +401,7 @@ class TestStrictMorphism:
                     for _ in range(n)
                 ]
                 report = check_linfty_morphism(
-                    m.source, family, target, n, args, source_kind="exterior"
+                    m.source, family, target, n, args
                 )
                 assert report.passed, report.render_text()
 
@@ -435,7 +435,7 @@ class TestPartitionFormMatchesOrderedOracle:
                 for _ in range(n)
             ]
             expected = ordered_structure_equation_residual(
-                _PairSource(pair), injection_family(pair), pair, args
+                pair, injection_family(pair), pair, args
             )
             assert injection_morphism_residual(pair, args) == expected
 
@@ -450,10 +450,10 @@ class TestPartitionFormMatchesOrderedOracle:
                 for _ in range(n)
             ]
             expected = ordered_structure_equation_residual(
-                _ExteriorSource(m.source), family, m.target, args
+                m.source, family, m.target, args
             )
             report = check_linfty_morphism(
-                m.source, family, BracketFamily(m.target), n, args, source_kind="exterior"
+                m.source, family, BracketFamily(m.target), n, args
             )
             assert (report.passed, report.residual) == (expected.is_zero(), str(expected))
 
@@ -478,7 +478,7 @@ class TestPartitionFormMatchesOrderedOracle:
                 if trial == 0:
                     args[:2] = pinned
                 expected = ordered_structure_equation_residual(
-                    _PairSource(source), family, target, args
+                    source, family, target, args
                 )
                 report = check_linfty_morphism(source, family, BracketFamily(target), n, args)
                 assert (report.passed, report.residual) == (expected.is_zero(), str(expected))
