@@ -161,7 +161,7 @@ def pair_from_spec(spec: str | dict, *, validate: bool = True) -> LieRinehartPai
         try:
             pair = builtin_pair(spec[len("builtin:") :])
         except KeyError as exc:
-            raise PairDocumentError(str(exc)) from exc
+            raise PairDocumentError(exc.args[0]) from exc
         if not validate:
             pair = LieRinehartPair(pair.kind, pair.dim, pair.brackets, name=pair.name, validate=False)
         return pair

@@ -241,8 +241,9 @@ def _compositions(n: int, p: int):
 def _structure_equation_residual(source_pair, f: Callable, target_pair, args) -> Multivector:
     """LHS minus RHS of the weak-morphism structure equation, one term at a time.
 
-    Left side: ``sum_{p+q=n+1} sum_{Sh(q,p-1)} e(s) f_p(D_q(...), ...)``,
-    skipping terms whose source bracket ``D_q`` is zero.
+    Left side: ``sum_{p+q=n+1} sum_{Sh(q,p-1)} e(s) f_p(D_q(...), ...)``
+    over ``q >= 2``, since the arity-one bracket is zero on both sources, and
+    on ``A (+) g`` only ``q = 2``; terms whose ``D_q`` is zero are skipped.
     Right side: ``sum_{B_1 | ... | B_p} e(s) {f_{|B_1|}(x_{B_1}), ...,
     f_{|B_p|}(x_{B_p})}_p`` over the unordered set partitions of ``1..n``
     into ``p >= 2`` blocks (the arity-one bracket is zero), blocks increasing
@@ -262,11 +263,12 @@ def _structure_equation_residual(source_pair, f: Callable, target_pair, args) ->
             partitions.append((blocks, fs, s))
     images: dict[tuple[tuple[int, int], ...], Multivector] = {}
     residual = Multivector.zero(target_pair)
+    top = n if isinstance(args[0], Multivector) else min(n, 2)
     for combo in itertools.product(*(_source_parts(source_pair, a) for a in args)):
         elems = [c[0] for c in combo]
         degrees = [c[1] for c in combo]
 
-        for q in range(1, n + 1):
+        for q in range(2, top + 1):
             p = n + 1 - q
             f_p = f(p)
             if f_p is None:

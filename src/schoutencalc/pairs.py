@@ -119,10 +119,12 @@ class LieRinehartPair:
     ``products`` of ``(monomial, q)`` (the bracket of the unit-coefficient
     monomials) and ``left`` and ``right`` of ``(k, monomial, q)``, so that
     ``[a e_I, b e_J]`` is ``sum q ab e_mono + sum q a d_k(b) e_mono
-    + sum q b d_k(a) e_mono``.  That split requires the anchor of every
-    generator to be a derivation ``sum_k rho_ik d_k`` with constant
-    ``rho_ik``, which both pair kinds satisfy.  Each entry is a pure function
-    of the pair, so a fill is idempotent; there are at most ``4**dim``.
+    + sum q b d_k(a) e_mono``.  An entry is filled in closed form from
+    :meth:`generator_bracket` and the anchor coefficients
+    ``rho_ik = D_(e_i)(x_k)`` read through :meth:`anchor_generator`, which
+    must be constants (both pair kinds satisfy this).  Each entry is a pure
+    function of the pair, so a fill is idempotent; there are at most
+    ``4**dim``.
     """
 
     __slots__ = ("kind", "dim", "nvars", "brackets", "name", "monomial_brackets")

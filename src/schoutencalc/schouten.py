@@ -15,13 +15,12 @@ Sign conventions, fixed once and used everywhere:
 * The decalage twin is ``{x, y} = e(x) [y, x]`` with ``e(x)`` the parity of
   the tensor degree; on vectors it reproduces the Lie bracket.
 
-The term-pair evaluator (``_sn_term_pair``) expands each pair of
-coefficiented monomials through coefficient absorption, the vector bracket
-and the anchor.  :func:`sn_antisym` evaluates it only to fill a per-pair
-table of generator-monomial brackets, split into the parts that multiply
-``ab``, ``a d_k(b)`` and ``b d_k(a)``, and sums every argument through that
-table.  The independent oracles (Poisson-rule recursion and the shuffle
-form) live with the tests, in ``tests/oracles.py``.
+:func:`sn_antisym` sums every argument through a per-pair table of
+generator-monomial brackets, each split into the parts that multiply ``ab``,
+``a d_k(b)`` and ``b d_k(a)`` and filled in closed form from the structure
+constants and the anchor.  The independent oracles (the term-pair double
+sum, Poisson-rule recursion and the shuffle form) live with the tests, in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -29,9 +28,9 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .exterior import INHOMOGENEOUS, Multivector, tensor_degree, wedge
+from .exterior import INHOMOGENEOUS, Multivector, _merge_monomials, tensor_degree, wedge
 from .graded import koszul_sign, parity_sign, shuffles
-from .pairs import LieRinehartPair, PairMorphism, Vector, anchor, bracket_vectors
+from .pairs import LieRinehartPair, PairMorphism
 from .report import BracketReport, run_identity
 from .scalars import Scalar
 
@@ -46,103 +45,71 @@ __all__ = [
 ]
 
 
-def _absorbed_slots(pair: LieRinehartPair, mono: tuple[int, ...], coeff: Scalar) -> list[Vector]:
-    """Slot vectors of a coefficiented monomial, coefficient in slot one."""
-    slots = [Vector({mono[0]: coeff})]
-    slots.extend(Vector({g: pair.scalar_one()}) for g in mono[1:])
-    return slots
+def _add_wedge(total: dict, prefix: tuple, q: Fraction, *monomials: tuple[int, ...]) -> None:
+    """Add ``q e_(m_1) ^ ... ^ e_(m_r) = sign q e_M`` to ``total[prefix + (M,)]``."""
+    mono: tuple[int, ...] = ()
+    for m in monomials:
+        merged = _merge_monomials(mono, m)
+        if merged is None:
+            return
+        sign, mono = merged
+        q = sign * q
+    key = prefix + (mono,)
+    total[key] = total.get(key, 0) + q
 
 
-def _wedge_vectors(pair: LieRinehartPair, head: Multivector, slots: list[Vector]) -> Multivector:
-    out = head
-    for v in slots:
-        out = wedge(pair, out, Multivector.from_vector(pair, v))
-    return out
-
-
-def _scalar_contraction(
-    pair: LieRinehartPair, slots: list[Vector], a: Scalar, *, flip: bool
-) -> Multivector:
-    """``[a, x_1^...^x_n]`` on vector slots, or with ``flip`` the reversed order.
-
-    The Poisson rule plus antisymmetry force
-    ``[a, X] = sum_j (-1)**j D_{x_j}(a) (X without x_j)`` and
-    ``[X, a] = (-1)**n [a, X]``.
-    """
-    n = len(slots)
-    out = Multivector.zero(pair)
-    for j in range(1, n + 1):
-        sign = parity_sign(n + j) if flip else parity_sign(j)
-        derived = anchor(pair, slots[j - 1], a)
-        if derived.is_zero():
-            continue
-        rest = slots[: j - 1] + slots[j:]
-        term = _wedge_vectors(pair, Multivector.from_scalar(pair, derived), rest)
-        out = out + (term if sign > 0 else -term)
-    return out
-
-
-def _sn_term_pair(
-    pair: LieRinehartPair,
-    mx: tuple[int, ...],
-    a: Scalar,
-    my: tuple[int, ...],
-    b: Scalar,
-) -> Multivector:
-    n, m = len(mx), len(my)
-    if n == 0 and m == 0:
-        return Multivector.zero(pair)
-    if n == 0:
-        return _scalar_contraction(pair, _absorbed_slots(pair, my, b), a, flip=False)
-    if m == 0:
-        return _scalar_contraction(pair, _absorbed_slots(pair, mx, a), b, flip=True)
-    xs = _absorbed_slots(pair, mx, a)
-    ys = _absorbed_slots(pair, my, b)
-    out = Multivector.zero(pair)
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            inner = bracket_vectors(pair, xs[i - 1], ys[j - 1])
-            if inner.is_zero():
-                continue
-            rest = xs[: i - 1] + xs[i:] + ys[: j - 1] + ys[j:]
-            term = _wedge_vectors(pair, Multivector.from_vector(pair, inner), rest)
-            if parity_sign(i + j) < 0:
-                term = -term
-            out = out + term
-    return out
-
-
-def _constant_terms(value: Multivector) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    """``(monomial, rational)`` pairs of a multivector with constant coefficients."""
-    if not all(coeff.is_constant() for coeff in value.terms.values()):
-        raise ValueError(
-            f"anchor of {value.pair.name} is not a constant-coefficient derivation: {value}"
-        )
-    return tuple((mono, coeff.constant_value()) for mono, coeff in value.terms.items())
+def _anchor_row(pair: LieRinehartPair, i: int) -> list[tuple[int, Fraction]]:
+    """Nonzero ``(k, rho_ik)`` of ``D_(e_i) = sum_k rho_ik d_k``, ``rho_ik = D_(e_i)(x_k)``."""
+    row = []
+    for k in range(1, pair.nvars + 1):
+        rho = pair.anchor_generator(i, pair.scalar_variable(k))
+        if not rho.is_constant():
+            raise ValueError(
+                f"anchor of {pair.name} is not a constant-coefficient derivation: "
+                f"{pair.generator_name(i)}(x{k}) = {rho}"
+            )
+        if not rho.is_zero():
+            row.append((k, rho.constant_value()))
+    return row
 
 
 def _monomial_bracket(pair: LieRinehartPair, mx: tuple[int, ...], my: tuple[int, ...]) -> tuple:
-    """``(products, left, right)`` of ``[e_mx, e_my]``, memoized in the pair's table.
+    """``(products, left, right)`` of ``[e_I, e_J]``, memoized in the pair's table.
 
-    Probes the general evaluator with the coefficients ``(1, 1)``, ``(1, x_k)``
-    and ``(x_k, 1)``; the latter two, less ``x_k`` times the first, are the
-    parts linear in ``d_k b`` and ``d_k a``.
+    Koszul's closed form on generator monomials, with ``n = len(I)`` and
+    ``r``, ``s`` counted from 1:
+
+    * ``products = sum_(r,s) (-1)**(r+s) [e_(I_r), e_(J_s)] ^ e_(I-r) ^ e_(J-s)``;
+    * ``left_k = sum_r (-1)**(r+n) rho_(I_r k) e_(I-r) ^ e_J``, multiplying ``a d_k(b)``;
+    * ``right_k = sum_s (-1)**s rho_(J_s k) e_I ^ e_(J-s)``, multiplying ``b d_k(a)``.
+
+    It is the double sum over slot pairs with the coefficients absorbed into
+    the first slots, expanded by ``[a e_i, b e_j] = ab [e_i, e_j]
+    + a D_i(b) e_j - b D_j(a) e_i``.
     """
     key = (mx, my)
     entry = pair.monomial_brackets.get(key)
     if entry is None:
-        one = pair.scalar_one()
-        unit = _sn_term_pair(pair, mx, one, my, one)
-        left: list[tuple[int, tuple[int, ...], Fraction]] = []
-        right: list[tuple[int, tuple[int, ...], Fraction]] = []
-        for k in range(1, pair.nvars + 1):
-            xk = pair.scalar_variable(k)
-            shifted = unit.scaled(xk)
-            probe = _sn_term_pair(pair, mx, one, my, xk) - shifted
-            left += [(k, mono, q) for mono, q in _constant_terms(probe)]
-            probe = _sn_term_pair(pair, mx, xk, my, one) - shifted
-            right += [(k, mono, q) for mono, q in _constant_terms(probe)]
-        entry = (_constant_terms(unit), tuple(left), tuple(right))
+        n = len(mx)
+        products: dict = {}
+        left: dict = {}
+        right: dict = {}
+        for r, i in enumerate(mx, 1):
+            rest_x = mx[: r - 1] + mx[r:]
+            for s, j in enumerate(my, 1):
+                rest_y = my[: s - 1] + my[s:]
+                for g, c in pair.generator_bracket(i, j).terms.items():
+                    q = parity_sign(r + s) * c.constant_value()
+                    _add_wedge(products, (), q, (g,), rest_x, rest_y)
+            for k, rho in _anchor_row(pair, i):
+                _add_wedge(left, (k,), parity_sign(r + n) * rho, rest_x, my)
+        for s, j in enumerate(my, 1):
+            rest_y = my[: s - 1] + my[s:]
+            for k, rho in _anchor_row(pair, j):
+                _add_wedge(right, (k,), parity_sign(s) * rho, mx, rest_y)
+        entry = tuple(
+            tuple(head + (q,) for head, q in part.items() if q) for part in (products, left, right)
+        )
         pair.monomial_brackets[key] = entry
     return entry
 
@@ -152,11 +119,13 @@ def sn_antisym(pair: LieRinehartPair, x: Multivector, y: Multivector) -> Multive
 
     Exact when the anchor of every generator is a derivation
     ``sum_k rho_ik d_k`` with constant ``rho_ik`` (zero on ``lie_algebra``
-    pairs, ``d_i`` on ``cartan`` pairs).  Then
+    pairs, ``d_i`` on ``cartan`` pairs); other anchors are refused with a
+    ``ValueError``.  Then
     ``[a e_I, b e_J] = sum q ab e_M + sum q a d_k(b) e_M + sum q b d_k(a) e_M``
     over the ``products``, ``left`` and ``right`` lists of the pair's table
-    entry for ``(I, J)``, summed here in bare ``Fraction`` coefficients keyed
-    by (monomial, exponent tuple).
+    entry for ``(I, J)`` (filled in closed form by ``_monomial_bracket``),
+    summed here in bare ``Fraction`` coefficients keyed by (monomial,
+    exponent tuple).
     """
     x._check(y)
     sums: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}

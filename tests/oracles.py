@@ -1,7 +1,10 @@
 """Independent evaluators of the antisymmetric Schouten-Nijenhuis bracket.
 
-Test-only oracles for :func:`schoutencalc.schouten.sn_antisym`.
-:func:`sn_antisym_poisson` recurses through the graded Leibniz rule
+Test-only oracles for :func:`schoutencalc.schouten.sn_antisym`, none of
+which reads the pair's monomial-bracket table.  :func:`sn_term_pair`
+expands one pair of coefficiented monomials as the double sum over slot
+pairs, with each coefficient absorbed into its first slot, through the
+vector bracket and the anchor.  :func:`sn_antisym_poisson` recurses through the graded Leibniz rule
 ``[x, y^z] = [x,y]^z + (-1)**(deg(x)(deg(y)-1)) y^[x,z]`` and graded
 antisymmetry down to the vector bracket and the anchor, so it shares no
 code path with the table-driven kernel; :func:`sn_antisym_shuffle` is the
@@ -14,7 +17,73 @@ from schoutencalc.exterior import Multivector, wedge
 from schoutencalc.graded import koszul_sign, parity_sign, shuffles
 from schoutencalc.pairs import LieRinehartPair, Vector, anchor, bracket_vectors
 from schoutencalc.scalars import Scalar
-from schoutencalc.schouten import _wedge_vectors
+
+
+def _absorbed_slots(pair: LieRinehartPair, mono: tuple[int, ...], coeff: Scalar) -> list[Vector]:
+    """Slot vectors of a coefficiented monomial, coefficient in slot one."""
+    slots = [Vector({mono[0]: coeff})]
+    slots.extend(Vector({g: pair.scalar_one()}) for g in mono[1:])
+    return slots
+
+
+def _wedge_vectors(pair: LieRinehartPair, head: Multivector, slots: list[Vector]) -> Multivector:
+    out = head
+    for v in slots:
+        out = wedge(pair, out, Multivector.from_vector(pair, v))
+    return out
+
+
+def _scalar_contraction(
+    pair: LieRinehartPair, slots: list[Vector], a: Scalar, *, flip: bool
+) -> Multivector:
+    """``[a, x_1^...^x_n]`` on vector slots, or with ``flip`` the reversed order.
+
+    The Poisson rule plus antisymmetry force
+    ``[a, X] = sum_j (-1)**j D_{x_j}(a) (X without x_j)`` and
+    ``[X, a] = (-1)**n [a, X]``.
+    """
+    n = len(slots)
+    out = Multivector.zero(pair)
+    for j in range(1, n + 1):
+        sign = parity_sign(n + j) if flip else parity_sign(j)
+        derived = anchor(pair, slots[j - 1], a)
+        if derived.is_zero():
+            continue
+        rest = slots[: j - 1] + slots[j:]
+        term = _wedge_vectors(pair, Multivector.from_scalar(pair, derived), rest)
+        out = out + (term if sign > 0 else -term)
+    return out
+
+
+def sn_term_pair(
+    pair: LieRinehartPair,
+    mx: tuple[int, ...],
+    a: Scalar,
+    my: tuple[int, ...],
+    b: Scalar,
+) -> Multivector:
+    """``[a e_mx, b e_my]`` by the double sum over slot pairs."""
+    n, m = len(mx), len(my)
+    if n == 0 and m == 0:
+        return Multivector.zero(pair)
+    if n == 0:
+        return _scalar_contraction(pair, _absorbed_slots(pair, my, b), a, flip=False)
+    if m == 0:
+        return _scalar_contraction(pair, _absorbed_slots(pair, mx, a), b, flip=True)
+    xs = _absorbed_slots(pair, mx, a)
+    ys = _absorbed_slots(pair, my, b)
+    out = Multivector.zero(pair)
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            inner = bracket_vectors(pair, xs[i - 1], ys[j - 1])
+            if inner.is_zero():
+                continue
+            rest = xs[: i - 1] + xs[i:] + ys[: j - 1] + ys[j:]
+            term = _wedge_vectors(pair, Multivector.from_vector(pair, inner), rest)
+            if parity_sign(i + j) < 0:
+                term = -term
+            out = out + term
+    return out
 
 
 def _poisson_pair(

@@ -10,6 +10,7 @@ import pytest
 
 import schoutencalc
 from schoutencalc.cli import main
+from schoutencalc.instances import BUILTIN_PAIRS
 
 # The CLI runs in a child interpreter; point it at the package this test
 # run imported, which pytest may have found through its own pythonpath.
@@ -89,6 +90,14 @@ class TestCheck:
         assert "--max-n must lie in 2..20" in result.stderr
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("p, q", [(1, 4), (3, 3)])
+    def test_invalid_weak_jacobi_split_exits_2(self, p, q, capsys):
+        argv = ["--pair", "builtin:sl2", "check", "weak-jacobi", "--n", "4", "--p", str(p), "--q", str(q)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: invalid split p={p}, q={q} for n=4\n"
+
     def test_weak_jacobi_seeded(self):
         result = run_cli(
             "--pair", "builtin:cartan2", "check", "weak-jacobi",
@@ -150,11 +159,13 @@ class TestCheck:
         # target used to escape as a KeyError traceback with exit code 1.
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"target": "builtin:nope", "vector_map": [[], [], []]}))
+        # The message is the KeyError's text, without the quotes str() adds.
+        line = f"error: unknown builtin pair 'nope'; choices: {sorted(BUILTIN_PAIRS)}\n"
         code = main(["--pair", "builtin:sl2", "check", "morphism-strict", "--morphism", str(path)])
         assert code == 3
-        assert "unknown builtin pair 'nope'" in capsys.readouterr().err
+        assert capsys.readouterr().err == line
         assert main(["--pair", "builtin:nope", "check", "leibniz"]) == 3
-        assert "unknown builtin pair 'nope'" in capsys.readouterr().err
+        assert capsys.readouterr().err == line
 
     def test_ce_square_zero_on_cartan_exits_2(self):
         result = run_cli("--pair", "builtin:cartan2", "check", "ce-square-zero")

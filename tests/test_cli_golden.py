@@ -36,7 +36,7 @@ DOCUMENTS = {"corrupted": CORRUPTED_SL2, "zero": ZERO_MORPHISM}
 
 def _cases() -> dict[str, list[str]]:
     cases = {}
-    for pair in ("sl2", "cartan2"):
+    for pair in ("sl2", "cartan2", "gl2", "cartan3"):
         for suite in ALL_SUITES:
             cases[f"{pair}-{suite}"] = ["--pair", f"builtin:{pair}", "check", suite, *SWEEP]
     for suite in ALL_SUITES:

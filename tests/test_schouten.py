@@ -19,7 +19,6 @@ from schoutencalc.instances import (
 from schoutencalc.pairs import LieRinehartPair, Vector, bracket_vectors
 from schoutencalc.scalars import Scalar
 from schoutencalc.schouten import (
-    _sn_term_pair,
     check_antisym_jacobi,
     check_morphism_respects_sn,
     check_poisson,
@@ -29,7 +28,7 @@ from schoutencalc.schouten import (
     sn_sym,
 )
 
-from oracles import sn_antisym_poisson, sn_antisym_shuffle
+from oracles import sn_antisym_poisson, sn_antisym_shuffle, sn_term_pair
 
 
 class TestAntisymBase:
@@ -168,7 +167,7 @@ def term_sum(pair, x, y):
     out = Multivector.zero(pair)
     for mx, a in x.terms.items():
         for my, b in y.terms.items():
-            out = out + _sn_term_pair(pair, mx, a, my, b)
+            out = out + sn_term_pair(pair, mx, a, my, b)
     return out
 
 
@@ -270,6 +269,24 @@ def polynomial(pair, rng, *, free_of=None):
             return a
 
 
+class SkewedAnchor(LieRinehartPair):
+    """Three variables, zero structure constants, anchor ``D_(e_i) = sum_k R_ik d_k``.
+
+    ``R`` is constant, invertible (determinant 5) and not symmetric, so a
+    kernel that reads ``rho_ki`` for ``rho_ik`` disagrees with the oracles;
+    constant vector fields commute, so this is a Lie-Rinehart pair.
+    """
+
+    __slots__ = ()
+    R = ((2, 1, 0), (0, 1, -1), (1, 0, 3))
+
+    def anchor_generator(self, index, a):
+        out = self.scalar_zero()
+        for k, r in enumerate(self.R[index - 1], 1):
+            out = out + r * a.derivative(k)
+        return out
+
+
 class TestCartanTable:
     """On Cartan pairs a table entry splits ``[e_I, e_J]`` into the parts
     multiplying ``ab``, ``a d_k(b)`` and ``b d_k(a)``; the kernel's sum must
@@ -301,6 +318,21 @@ class TestCartanTable:
         cases += [(mixed(), monomial(my)) for my in monomials]
         nonzero = 0
         for x, y in cases:
+            got = sn_antisym(pair, x, y)
+            assert got == term_sum(pair, x, y)
+            assert got == sn_antisym_poisson(pair, x, y)
+            nonzero += not got.is_zero()
+        assert nonzero
+
+    def test_skewed_constant_anchor(self):
+        pair = SkewedAnchor("cartan", 3)
+        x1, x2 = pair.scalar_variable(1), pair.scalar_variable(2)
+        assert pair.anchor_generator(1, x2) != pair.anchor_generator(2, x1)
+        rng = sampling.rng_for(137)
+        nonzero = 0
+        for mx, my in itertools.product(basis_monomials(pair), repeat=2):
+            x = Multivector.monomial(pair, mx, polynomial(pair, rng))
+            y = Multivector.monomial(pair, my, polynomial(pair, rng))
             got = sn_antisym(pair, x, y)
             assert got == term_sum(pair, x, y)
             assert got == sn_antisym_poisson(pair, x, y)
