@@ -5,6 +5,11 @@ generator-index tuples to nonzero coefficients, with the empty tuple holding
 the scalar component.  Coefficients absorb into the map, so rewriting
 ``a (x ^ y)`` as ``(a x) ^ y`` or ``x ^ (a y)`` lands on the same value and
 equality is plain map comparison.
+
+The public constructor and classmethods validate their input.  Arithmetic
+results (sums, negation, scaling, the wedge, homogeneous components) are
+built by ``Multivector._trusted``, which wraps a map that is already in
+normal form without checking it.
 """
 
 from __future__ import annotations
@@ -63,6 +68,14 @@ class Multivector:
                     clean[key] = coeff
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, pair: LieRinehartPair, terms: dict[tuple[int, ...], Scalar]) -> Multivector:
+        """Wrap ``terms`` unchecked; it must already be in normal form."""
+        out = object.__new__(cls)
+        out.pair = pair
+        out.terms = terms
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -108,7 +121,7 @@ class Multivector:
         buckets: dict[int, dict[tuple[int, ...], Scalar]] = {}
         for mono, coeff in self.terms.items():
             buckets.setdefault(len(mono), {})[mono] = coeff
-        return {deg: Multivector(self.pair, terms) for deg, terms in sorted(buckets.items())}
+        return {deg: Multivector._trusted(self.pair, terms) for deg, terms in sorted(buckets.items())}
 
     # -- arithmetic --------------------------------------------------------
 
@@ -128,18 +141,20 @@ class Multivector:
                     out[mono] = total
             else:
                 out[mono] = coeff
-        return Multivector(self.pair, out)
+        return Multivector._trusted(self.pair, out)
 
     def __neg__(self) -> Multivector:
-        return Multivector(self.pair, {m: -c for m, c in self.terms.items()})
+        return Multivector._trusted(self.pair, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: Multivector) -> Multivector:
         return self + (-other)
 
     def scaled(self, factor: Scalar | Fraction | int) -> Multivector:
-        # The coefficient algebra has no zero divisors, so scaling never
-        # merges or cancels distinct monomials.
-        return Multivector(self.pair, {m: c * factor for m, c in self.terms.items()})
+        # Scaling never merges monomials, so dropping zero products (all of
+        # them when the factor is zero) keeps the normal form.
+        return Multivector._trusted(
+            self.pair, {m: p for m, c in self.terms.items() if (p := c * factor).terms}
+        )
 
     def __rmul__(self, factor: Fraction | int) -> Multivector:
         return self.scaled(factor)
@@ -204,7 +219,7 @@ def wedge(pair: LieRinehartPair, x: Multivector, y: Multivector) -> Multivector:
                     out[mono] = total
             else:
                 out[mono] = coeff
-    return Multivector(pair, out)
+    return Multivector._trusted(pair, out)
 
 
 def tensor_degree(x: Multivector) -> int | str:

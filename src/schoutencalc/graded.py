@@ -31,6 +31,13 @@ class Permutation:
         self.images = imgs
 
     @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> Permutation:
+        """Wrap ``images`` unchecked; it must be a tuple permuting ``1..k``."""
+        out = object.__new__(cls)
+        out.images = images
+        return out
+
+    @classmethod
     def identity(cls, k: int) -> Permutation:
         return cls(tuple(range(1, k + 1)))
 
@@ -136,7 +143,7 @@ def _shuffle_stream(sizes: tuple[int, ...]) -> Iterator[Permutation]:
                 yield chosen + tail
 
     for images in gen(tuple(range(1, sum(sizes) + 1)), sizes):
-        yield Permutation(images)
+        yield Permutation._trusted(images)
 
 
 def set_partitions(n: int) -> list[tuple[tuple[int, ...], ...]]:

@@ -56,20 +56,25 @@ def _hom_parts(x: Multivector) -> list[tuple[Multivector, int]]:
 
 
 def _n_bracket_hom(pair: LieRinehartPair, args: list[Multivector], degrees: list[int]) -> Multivector:
+    """One shuffle sum on homogeneous ``args`` of the given tensor degrees.
+
+    A shuffle whose inner bracket is zero is skipped before its sign is
+    computed; otherwise ``x_{s(n)} ^ ... ^ x_{s(3)} ^ inner`` is built by
+    wedging each ``x_{s(k)}``, k = 3..n, onto the left of ``inner``.
+    """
     from .schouten import sn_antisym
 
     n = len(args)
     out = Multivector.zero(pair)
     parts = (2, n - 2) if n > 2 else (2,)
     for s in shuffles(parts):
-        sign = koszul_sign(s, degrees) * parity_sign(degrees[s(1) - 1])
         inner = sn_antisym(pair, args[s(2) - 1], args[s(1) - 1])
         if inner.is_zero():
             continue
-        term = Multivector.unit(pair)
-        for k in range(n, 2, -1):
-            term = wedge(pair, term, args[s(k) - 1])
-        term = wedge(pair, term, inner)
+        sign = koszul_sign(s, degrees) * parity_sign(degrees[s(1) - 1])
+        term = inner
+        for k in range(3, n + 1):
+            term = wedge(pair, args[s(k) - 1], term)
         out = out + (term if sign > 0 else -term)
     return out
 
@@ -252,7 +257,9 @@ def _structure_equation_residual(source_pair, f: Callable, target_pair, args) ->
     components and the target bracket are multilinear and graded symmetric
     in the tensor grading, so the ``p!`` block orders give equal terms.
     Each block image is computed once per (argument, degree) choice and
-    shared by every homogeneous expansion of the arguments.
+    shared by every homogeneous expansion of the arguments; a partition is
+    skipped as soon as one of its block images is zero (``e1 ^ e1``, say),
+    since the bracket is multilinear.
     """
     n = len(args)
     partitions = []
@@ -288,9 +295,12 @@ def _structure_equation_residual(source_pair, f: Callable, target_pair, args) ->
                 key = tuple((i, degrees[i - 1]) for i in block)
                 if key not in images:
                     images[key] = fk([elems[i - 1] for i in block])
+                if images[key].is_zero():
+                    break
                 block_images.append(images[key])
-            term = n_bracket(target_pair, block_images)
-            residual = residual - term.scaled(koszul_sign(s, degrees))
+            else:
+                term = n_bracket(target_pair, block_images)
+                residual = residual - term.scaled(koszul_sign(s, degrees))
     return residual
 
 

@@ -56,6 +56,13 @@ class Vector:
         self.terms = clean
 
     @classmethod
+    def _trusted(cls, terms: dict[int, Scalar]) -> Vector:
+        """Wrap ``terms`` unchecked: int keys, nonzero ``Scalar`` coefficients."""
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls) -> Vector:
         return cls()
 
@@ -73,16 +80,16 @@ class Vector:
                     out[gen] = total
             else:
                 out[gen] = coeff
-        return Vector(out)
+        return Vector._trusted(out)
 
     def __neg__(self) -> Vector:
-        return Vector({g: -c for g, c in self.terms.items()})
+        return Vector._trusted({g: -c for g, c in self.terms.items()})
 
     def __sub__(self, other: Vector) -> Vector:
         return self + (-other)
 
     def scaled(self, factor: Scalar | Fraction | int) -> Vector:
-        return Vector({g: c * factor for g, c in self.terms.items()})
+        return Vector._trusted({g: p for g, c in self.terms.items() if (p := c * factor).terms})
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Vector) and self.terms == other.terms

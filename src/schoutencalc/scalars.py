@@ -5,12 +5,18 @@ coefficients in a fixed number of variables; ``nvars == 0`` recovers plain
 rationals.  Terms are keyed by exponent tuples, zero coefficients are never
 stored, and the zero element is the empty map, so equality is decidable by
 map comparison.
+
+The public constructor and classmethods validate and normalize their input.
+Arithmetic results are built by ``Scalar._trusted``, which wraps a map that
+is already in normal form without checking it; each operation keeps the form
+itself (sums drop zero totals, products by zero are zero).
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from operator import add
 
 __all__ = ["Scalar", "parse_fraction"]
 
@@ -54,6 +60,14 @@ class Scalar:
                 if c:
                     clean[key] = c
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict[tuple[int, ...], Fraction]) -> Scalar:
+        """Wrap ``terms`` unchecked; it must already be in normal form."""
+        out = object.__new__(cls)
+        out.nvars = nvars
+        out.terms = terms
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -112,25 +126,34 @@ class Scalar:
         self._check(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + coeff
-        return Scalar(self.nvars, out)
+            if exps in out:
+                total = out[exps] + coeff
+                if total:
+                    out[exps] = total
+                else:
+                    del out[exps]
+            else:
+                out[exps] = coeff
+        return Scalar._trusted(self.nvars, out)
 
     def __neg__(self) -> Scalar:
-        return Scalar(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Scalar._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: Scalar) -> Scalar:
         return self + (-other)
 
     def __mul__(self, other: Scalar | RationalLike) -> Scalar:
         if isinstance(other, (int, Fraction)):
-            return Scalar(self.nvars, {e: c * other for e, c in self.terms.items()})
+            if not other:
+                return Scalar._trusted(self.nvars, {})
+            return Scalar._trusted(self.nvars, {e: c * other for e, c in self.terms.items()})
         self._check(other)
         out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return Scalar(self.nvars, out)
+                key = tuple(map(add, e1, e2))
+                out[key] = out.get(key, 0) + c1 * c2
+        return Scalar._trusted(self.nvars, {e: c for e, c in out.items() if c})
 
     def __rmul__(self, other: RationalLike) -> Scalar:
         return self * other
@@ -138,9 +161,15 @@ class Scalar:
     def __pow__(self, exponent: int) -> Scalar:
         if exponent < 0:
             raise ValueError("negative polynomial power")
+        # Square-and-multiply: O(log exponent) products.
         out = Scalar.one(self.nvars)
-        for _ in range(exponent):
-            out = out * self
+        base = self
+        while exponent:
+            if exponent & 1:
+                out = out * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -153,13 +182,12 @@ class Scalar:
         if not 1 <= index <= self.nvars:
             raise ValueError(f"variable index {index} out of range 1..{self.nvars}")
         i = index - 1
+        # Lowering a positive exponent is injective, so no two terms merge.
         out: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in self.terms.items():
-            if exps[i] == 0:
-                continue
-            dropped = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
-            out[dropped] = out.get(dropped, Fraction(0)) + coeff * exps[i]
-        return Scalar(self.nvars, out)
+            if exps[i]:
+                out[exps[:i] + (exps[i] - 1,) + exps[i + 1 :]] = coeff * exps[i]
+        return Scalar._trusted(self.nvars, out)
 
     def substitute(self, images: Sequence[Scalar], nvars_out: int) -> Scalar:
         """Evaluate at ``x_i = images[i-1]``; images live in ``nvars_out`` variables."""

@@ -125,7 +125,8 @@ def sn_antisym(pair: LieRinehartPair, x: Multivector, y: Multivector) -> Multive
     over the ``products``, ``left`` and ``right`` lists of the pair's table
     entry for ``(I, J)`` (filled in closed form by ``_monomial_bracket``),
     summed here in bare ``Fraction`` coefficients keyed by (monomial,
-    exponent tuple).
+    exponent tuple).  Zero sums are dropped, so the result is wrapped in
+    normal form without re-validation.
     """
     x._check(y)
     sums: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
@@ -162,7 +163,9 @@ def sn_antisym(pair: LieRinehartPair, x: Multivector, y: Multivector) -> Multive
     for (mono, e), c in sums.items():
         if c:
             grouped.setdefault(mono, {})[e] = c
-    return Multivector(pair, {mono: Scalar(pair.nvars, terms) for mono, terms in grouped.items()})
+    return Multivector._trusted(
+        pair, {mono: Scalar._trusted(pair.nvars, terms) for mono, terms in grouped.items()}
+    )
 
 
 def sn_sym(pair: LieRinehartPair, x: Multivector, y: Multivector) -> Multivector:

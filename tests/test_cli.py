@@ -73,6 +73,10 @@ class TestEval:
         result = run_cli("eval", "1 + 1")
         assert result.returncode == 2
 
+    def test_huge_exponent_finishes(self, capsys):
+        assert main(["--pair", "builtin:cartan2", "eval", "x1^1000000000*d1"]) == 0
+        assert capsys.readouterr().out.strip() == "x1^1000000000*d1"
+
 
 class TestCheck:
     def test_combinatorial(self):

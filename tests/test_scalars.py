@@ -73,6 +73,13 @@ class TestArithmetic:
         x = Scalar.variable(1, 1)
         assert (x + Scalar.one(1)) ** 2 == x * x + 2 * x + Scalar.one(1)
 
+    @given(polynomials(max_degree=2, max_terms=2), st.integers(min_value=0, max_value=6))
+    def test_power_is_repeated_multiplication(self, a, k):
+        product = Scalar.one(2)
+        for _ in range(k):
+            product = product * a
+        assert a**k == product
+
 
 class TestDerivative:
     def test_monomial(self):
