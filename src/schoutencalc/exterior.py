@@ -6,8 +6,9 @@ the scalar component.  Coefficients absorb into the map, so rewriting
 ``a (x ^ y)`` as ``(a x) ^ y`` or ``x ^ (a y)`` lands on the same value and
 equality is plain map comparison.
 
-The public constructor and classmethods validate their input.  Arithmetic
-results (sums, negation, scaling, the wedge, homogeneous components) are
+The public constructor and classmethods validate their input;
+``Multivector.zero`` has none and wraps an empty map.  Arithmetic results
+(sums, negation, scaling, the wedge, homogeneous components) are
 built by ``Multivector._trusted``, which wraps a map that is already in
 normal form without checking it.
 """
@@ -80,7 +81,7 @@ class Multivector:
 
     @classmethod
     def zero(cls, pair: LieRinehartPair) -> Multivector:
-        return cls(pair)
+        return cls._trusted(pair, {})
 
     @classmethod
     def unit(cls, pair: LieRinehartPair) -> Multivector:

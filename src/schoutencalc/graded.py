@@ -5,7 +5,9 @@ primitives defined here: enumeration of block-monotone (shuffle)
 permutations and of unordered set partitions, and the sign picked up when a
 permutation reorders a word of graded elements.  An adjacent swap of factors
 with degrees ``d`` and ``d'`` costs ``(-1)**(d*d')``; the total sign is
-independent of the chosen decomposition into adjacent swaps.
+independent of the chosen decomposition into adjacent swaps.  Shuffle sums
+read :func:`signed_shuffles`, which enumerates each shuffle family with its
+signs once per pattern of degree parities.
 """
 
 from __future__ import annotations
@@ -13,7 +15,14 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator, Sequence
 
-__all__ = ["Permutation", "koszul_sign", "parity_sign", "set_partitions", "shuffles"]
+__all__ = [
+    "Permutation",
+    "koszul_sign",
+    "parity_sign",
+    "set_partitions",
+    "shuffles",
+    "signed_shuffles",
+]
 
 
 class Permutation:
@@ -91,27 +100,65 @@ def parity_sign(degree: int) -> int:
     return -1 if degree % 2 else 1
 
 
+# Keyed by (image tuple, degree parities) and by (parts, degree parities):
+# both are pure functions of keys that the arity bounds, so they are never
+# evicted.
+_KOSZUL_SIGNS: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+_SIGNED_SHUFFLES: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple] = {}
+
+
 def koszul_sign(s: Permutation, degrees: Sequence[int]) -> int:
     """Sign relating a graded word to its reordering by ``s``.
 
-    Computed by bubble-sorting the image tuple back to the identity and
-    multiplying ``(-1)**(d_a * d_b)`` for each adjacent swap of the elements
-    with (original) degrees ``d_a`` and ``d_b``.  For all-odd degree vectors
-    this is the ordinary permutation sign, for all-even vectors it is ``+1``.
+    The product of ``(-1)**(d_a * d_b)`` over the adjacent swaps of a
+    bubble sort of the image tuple back to the identity, ``d_a`` and
+    ``d_b`` the (original) degrees of the swapped elements.  For all-odd
+    degree vectors this is the ordinary permutation sign, for all-even
+    vectors it is ``+1``.  The sign depends only on the image tuple and the
+    degree parities, so each such pair is sorted once and its sign cached.
     """
     if len(degrees) != len(s):
         raise ValueError(
             f"permutation length {len(s)} does not match degree vector length {len(degrees)}"
         )
-    imgs = list(s.images)
+    key = (s.images, tuple([d % 2 for d in degrees]))
+    sign = _KOSZUL_SIGNS.get(key)
+    if sign is None:
+        sign = _KOSZUL_SIGNS[key] = _bubble_sign(*key)
+    return sign
+
+
+def _bubble_sign(images: tuple[int, ...], parities: tuple[int, ...]) -> int:
+    imgs = list(images)
     sign = 1
     for top in range(len(imgs), 1, -1):
         for j in range(top - 1):
             if imgs[j] > imgs[j + 1]:
-                if (degrees[imgs[j] - 1] * degrees[imgs[j + 1] - 1]) % 2:
+                if parities[imgs[j] - 1] and parities[imgs[j + 1] - 1]:
                     sign = -sign
                 imgs[j], imgs[j + 1] = imgs[j + 1], imgs[j]
     return sign
+
+
+def signed_shuffles(
+    parts: Sequence[int], degrees: Sequence[int]
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The ``parts``-shuffles with their Koszul signs on ``degrees``.
+
+    One ``(order, sign)`` per shuffle ``s``, in the order :func:`shuffles`
+    yields them: ``order`` is the zero-based image tuple (``order[k] ==
+    s(k + 1) - 1``) and ``sign`` is ``koszul_sign(s, degrees)``.  The table
+    depends only on ``parts`` and the degree parities; it is built once per
+    such pair by :func:`shuffles` and :func:`koszul_sign` and then reused,
+    so bad parts and a degree vector of the wrong length raise as they do.
+    """
+    key = (tuple(parts), tuple([d % 2 for d in degrees]))
+    table = _SIGNED_SHUFFLES.get(key)
+    if table is None:
+        table = _SIGNED_SHUFFLES[key] = tuple(
+            (tuple([i - 1 for i in s.images]), koszul_sign(s, degrees)) for s in shuffles(parts)
+        )
+    return table
 
 
 def shuffles(parts: Sequence[int]) -> Iterator[Permutation]:

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UnsupportedPairError
-from .exterior import Multivector, embed, tensor_degree, wedge
-from .graded import Permutation, koszul_sign, parity_sign, set_partitions, shuffles
+from .exterior import INHOMOGENEOUS, Multivector, embed, tensor_degree, wedge
+from .graded import Permutation, koszul_sign, parity_sign, set_partitions, signed_shuffles
 from .pairs import GradedPairElement, LieRinehartPair, Vector, associated_bracket
 from .report import BracketReport, run_identity
 
@@ -52,30 +52,42 @@ __all__ = [
 
 
 def _hom_parts(x: Multivector) -> list[tuple[Multivector, int]]:
+    """``x``'s nonzero homogeneous components with their tensor degrees."""
+    if x.is_zero():
+        return []
+    degree = tensor_degree(x)
+    if degree != INHOMOGENEOUS:
+        return [(x, degree)]
     return [(component, degree) for degree, component in x.homogeneous_components().items()]
 
 
 def _n_bracket_hom(pair: LieRinehartPair, args: list[Multivector], degrees: list[int]) -> Multivector:
     """One shuffle sum on homogeneous ``args`` of the given tensor degrees.
 
-    A shuffle whose inner bracket is zero is skipped before its sign is
-    computed; otherwise ``x_{s(n)} ^ ... ^ x_{s(3)} ^ inner`` is built by
-    wedging each ``x_{s(k)}``, k = 3..n, onto the left of ``inner``.
+    The shuffles of ``Sh(2, n-2)`` and their Koszul signs come from the
+    :func:`signed_shuffles` table.  On a trivial-scalar pair a shuffle whose
+    inner bracket has a degree-0 slot is dropped before ``sn_antisym`` is
+    called: there ``A = Q`` and the anchor is zero, so a scalar is central
+    and that bracket is exactly zero.  A shuffle whose inner bracket is zero
+    is skipped too; otherwise ``x_{s(n)} ^ ... ^ x_{s(3)} ^ inner`` is built
+    by wedging each ``x_{s(k)}``, k = 3..n, onto the left of ``inner``.
     """
     from .schouten import sn_antisym
 
     n = len(args)
+    central_scalars = pair.is_trivial_scalars
     out = Multivector.zero(pair)
-    parts = (2, n - 2) if n > 2 else (2,)
-    for s in shuffles(parts):
-        inner = sn_antisym(pair, args[s(2) - 1], args[s(1) - 1])
+    for order, sign in signed_shuffles((2, n - 2) if n > 2 else (2,), degrees):
+        first, second = order[0], order[1]
+        if central_scalars and not (degrees[first] and degrees[second]):
+            continue
+        inner = sn_antisym(pair, args[second], args[first])
         if inner.is_zero():
             continue
-        sign = koszul_sign(s, degrees) * parity_sign(degrees[s(1) - 1])
         term = inner
-        for k in range(3, n + 1):
-            term = wedge(pair, args[s(k) - 1], term)
-        out = out + (term if sign > 0 else -term)
+        for k in order[2:]:
+            term = wedge(pair, args[k], term)
+        out = out + (term if sign * parity_sign(degrees[first]) > 0 else -term)
     return out
 
 
@@ -106,7 +118,11 @@ class BracketFamily:
 
 
 def _shuffle_sum(pair: LieRinehartPair, args: list[Multivector], arities) -> Multivector:
-    """``sum_j sum_{Sh(j, n-j)} e(s) {{x_s(1..j)}_j, x_s(j+1..n)}`` over the inner arities."""
+    """``sum_j sum_{Sh(j, n-j)} e(s) {{x_s(1..j)}_j, x_s(j+1..n)}`` over the inner arities.
+
+    Each ``Sh(j, n-j)`` and its Koszul signs are read from the
+    :func:`signed_shuffles` table.
+    """
     n = len(args)
     degrees = []
     for a in args:
@@ -117,10 +133,10 @@ def _shuffle_sum(pair: LieRinehartPair, args: list[Multivector], arities) -> Mul
     residual = Multivector.zero(pair)
     for j in arities:
         parts = (j,) if j == n else (j, n - j)
-        for s in shuffles(parts):
-            inner = n_bracket(pair, [args[s(k) - 1] for k in range(1, j + 1)])
-            outer = n_bracket(pair, [inner] + [args[s(k) - 1] for k in range(j + 1, n + 1)])
-            residual = residual + outer.scaled(koszul_sign(s, degrees))
+        for order, sign in signed_shuffles(parts, degrees):
+            inner = n_bracket(pair, [args[i] for i in order[:j]])
+            outer = n_bracket(pair, [inner] + [args[i] for i in order[j:]])
+            residual = residual + (outer if sign > 0 else -outer)
     return residual
 
 
@@ -248,11 +264,14 @@ def _structure_equation_residual(source_pair, f: Callable, target_pair, args) ->
 
     Left side: ``sum_{p+q=n+1} sum_{Sh(q,p-1)} e(s) f_p(D_q(...), ...)``
     over ``q >= 2``, since the arity-one bracket is zero on both sources, and
-    on ``A (+) g`` only ``q = 2``; terms whose ``D_q`` is zero are skipped.
+    on ``A (+) g`` only ``q = 2``; the shuffles and their signs are read from
+    the :func:`signed_shuffles` table, and terms whose ``D_q`` is zero are
+    skipped.
     Right side: ``sum_{B_1 | ... | B_p} e(s) {f_{|B_1|}(x_{B_1}), ...,
     f_{|B_p|}(x_{B_p})}_p`` over the unordered set partitions of ``1..n``
     into ``p >= 2`` blocks (the arity-one bracket is zero), blocks increasing
-    and ordered by least element, ``s`` their concatenation.  Coefficient 1
+    and ordered by least element, ``s`` their concatenation, whose sign
+    comes from the cached :func:`koszul_sign`.  Coefficient 1
     replaces the ``1/p!`` of the ordered-composition form because the
     components and the target bracket are multilinear and graded symmetric
     in the tensor grading, so the ``p!`` block orders give equal terms.
@@ -281,13 +300,12 @@ def _structure_equation_residual(source_pair, f: Callable, target_pair, args) ->
             if f_p is None:
                 continue
             parts = (q,) if p == 1 else (q, p - 1)
-            for s in shuffles(parts):
-                inner = _source_bracket(source_pair, [elems[s(k) - 1] for k in range(1, q + 1)])
+            for order, sign in signed_shuffles(parts, degrees):
+                inner = _source_bracket(source_pair, [elems[i] for i in order[:q]])
                 if inner.is_zero():
                     continue
-                rest = [elems[s(k) - 1] for k in range(q + 1, n + 1)]
-                term = f_p([inner] + rest)
-                residual = residual + term.scaled(koszul_sign(s, degrees))
+                term = f_p([inner] + [elems[i] for i in order[q:]])
+                residual = residual + (term if sign > 0 else -term)
 
         for blocks, fs, s in partitions:
             block_images = []

@@ -6,7 +6,8 @@ rationals.  Terms are keyed by exponent tuples, zero coefficients are never
 stored, and the zero element is the empty map, so equality is decidable by
 map comparison.
 
-The public constructor and classmethods validate and normalize their input.
+The public constructor and classmethods validate and normalize their input;
+``Scalar.zero`` checks its variable count and wraps an empty map.
 Arithmetic results are built by ``Scalar._trusted``, which wraps a map that
 is already in normal form without checking it; each operation keeps the form
 itself (sums drop zero totals, products by zero are zero).
@@ -73,7 +74,9 @@ class Scalar:
 
     @classmethod
     def zero(cls, nvars: int) -> Scalar:
-        return cls(nvars)
+        if nvars < 0:
+            raise ValueError("nvars must be >= 0")
+        return cls._trusted(nvars, {})
 
     @classmethod
     def one(cls, nvars: int) -> Scalar:

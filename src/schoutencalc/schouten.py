@@ -29,7 +29,7 @@ from fractions import Fraction
 from operator import add
 
 from .exterior import INHOMOGENEOUS, Multivector, _merge_monomials, tensor_degree, wedge
-from .graded import koszul_sign, parity_sign, shuffles
+from .graded import parity_sign, signed_shuffles
 from .pairs import LieRinehartPair, PairMorphism
 from .report import BracketReport, run_identity
 from .scalars import Scalar
@@ -238,10 +238,9 @@ def check_sym_jacobi(
     def residual(args):
         degrees = [tensor_degree(v) for v in args]
         out = Multivector.zero(pair)
-        for s in shuffles((2, 1)):
-            inner = sn_sym(pair, args[s(1) - 1], args[s(2) - 1])
-            term = sn_sym(pair, inner, args[s(3) - 1])
-            out = out + term.scaled(koszul_sign(s, degrees))
+        for (i, j, k), sign in signed_shuffles((2, 1), degrees):
+            term = sn_sym(pair, sn_sym(pair, args[i], args[j]), args[k])
+            out = out + (term if sign > 0 else -term)
         return out
 
     cases = _sample_triples(pair, trials, seed, max_degree)

@@ -1,4 +1,4 @@
-"""Independent evaluators of the antisymmetric Schouten-Nijenhuis bracket.
+"""Independent evaluators of the Schouten-Nijenhuis bracket and the n-bracket.
 
 Test-only oracles for :func:`schoutencalc.schouten.sn_antisym`, none of
 which reads the pair's monomial-bracket table.  :func:`sn_term_pair`
@@ -8,15 +8,20 @@ vector bracket and the anchor.  :func:`sn_antisym_poisson` recurses through the 
 ``[x, y^z] = [x,y]^z + (-1)**(deg(x)(deg(y)-1)) y^[x,z]`` and graded
 antisymmetry down to the vector bracket and the anchor, so it shares no
 code path with the table-driven kernel; :func:`sn_antisym_shuffle` is the
-symmetric shuffle form on lists of vector slots.
+symmetric shuffle form on lists of vector slots.  :func:`n_bracket_shuffle`
+is the oracle for :func:`schoutencalc.linfty.n_bracket`: its defining
+shuffle sum, with no signed-shuffle table and no skipped shuffle.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from schoutencalc.exterior import Multivector, wedge
 from schoutencalc.graded import koszul_sign, parity_sign, shuffles
 from schoutencalc.pairs import LieRinehartPair, Vector, anchor, bracket_vectors
 from schoutencalc.scalars import Scalar
+from schoutencalc.schouten import sn_antisym
 
 
 def _absorbed_slots(pair: LieRinehartPair, mono: tuple[int, ...], coeff: Scalar) -> list[Vector]:
@@ -155,4 +160,31 @@ def sn_antisym_shuffle(
             rest += [ys[t(k) - 1] for k in range(2, m + 1)]
             term = _wedge_vectors(pair, Multivector.from_vector(pair, inner), rest)
             out = out + (term if sign > 0 else -term)
+    return out
+
+
+def n_bracket_shuffle(pair: LieRinehartPair, args: list[Multivector]) -> Multivector:
+    """The n-bracket summed from its definition, multilinearly in each argument.
+
+    ``sum_{Sh(2, n-2)} e(s) e(x_{s(1)}) x_{s(n)} ^ ... ^ x_{s(3)} ^
+    [x_{s(2)}, x_{s(1)}]`` on every choice of homogeneous components, each
+    term built in full (zero inner brackets and degree-0 slots included)
+    from :func:`shuffles`, :func:`koszul_sign`, ``sn_antisym`` and
+    :func:`wedge`; arity one is zero.
+    """
+    n = len(args)
+    out = Multivector.zero(pair)
+    if n < 2:
+        return out
+    parts = (2, n - 2) if n > 2 else (2,)
+    for combo in itertools.product(*(x.homogeneous_components().items() for x in args)):
+        degrees = [degree for degree, _ in combo]
+        xs = [component for _, component in combo]
+        for s in shuffles(parts):
+            left = Multivector.unit(pair)
+            for k in range(n, 2, -1):
+                left = wedge(pair, left, xs[s(k) - 1])
+            term = wedge(pair, left, sn_antisym(pair, xs[s(2) - 1], xs[s(1) - 1]))
+            sign = koszul_sign(s, degrees) * parity_sign(degrees[s(1) - 1])
+            out = out + term.scaled(sign)
     return out

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schoutencalc.graded import Permutation, koszul_sign, parity_sign, set_partitions, shuffles
+from schoutencalc.graded import (
+    Permutation,
+    koszul_sign,
+    parity_sign,
+    set_partitions,
+    shuffles,
+    signed_shuffles,
+)
 
 
 def brute_force_shuffles(parts):
@@ -41,6 +48,24 @@ def permutations(draw, max_k=6):
 
 def degree_vectors(k):
     return st.lists(st.integers(min_value=-2, max_value=3), min_size=k, max_size=k)
+
+
+def inversion_sign(s, degrees):
+    """Oracle: ``(-1)**(d_a * d_b)`` over the pairs of elements ``s`` inverts."""
+    sign = 1
+    for i, j in itertools.combinations(range(len(s)), 2):
+        if s.images[i] > s.images[j] and degrees[s.images[i] - 1] * degrees[s.images[j] - 1] % 2:
+            sign = -sign
+    return sign
+
+
+# Every composition of a total of at most 7 into one, two or three blocks.
+SMALL_PARTS = [
+    parts
+    for blocks in (1, 2, 3)
+    for parts in itertools.product(range(1, 8), repeat=blocks)
+    if sum(parts) <= 7
+]
 
 
 class TestPermutation:
@@ -89,6 +114,18 @@ class TestKoszulSign:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             koszul_sign(Permutation((1, 2)), (1,))
+        koszul_sign(Permutation((2, 1)), (1, 1))
+        with pytest.raises(ValueError):
+            koszul_sign(Permutation((2, 1)), (1, 1, 1))
+
+    @given(permutations(), st.data())
+    def test_matches_inversion_product(self, s, data):
+        # Asked twice, with degrees of equal parity: the second answer comes
+        # from the cache the first one filled.
+        degrees = data.draw(degree_vectors(len(s)))
+        shifted = [d + 2 * data.draw(st.integers(min_value=-1, max_value=1)) for d in degrees]
+        assert koszul_sign(s, degrees) == inversion_sign(s, degrees)
+        assert koszul_sign(s, shifted) == inversion_sign(s, degrees)
 
     @given(permutations(), st.data())
     def test_all_odd_degrees_give_ordinary_sign(self, s, data):
@@ -173,6 +210,33 @@ class TestShuffles:
         for parts in [(2, 2), (2, 3), (1, 2, 2)]:
             images = [s.images for s in shuffles(parts)]
             assert images == sorted(images)
+
+
+class TestSignedShuffles:
+    @pytest.mark.parametrize("parts", SMALL_PARTS)
+    def test_matches_shuffles_and_koszul_sign(self, parts):
+        perms = list(shuffles(parts))
+        for degrees in itertools.product((0, 1), repeat=sum(parts)):
+            expected = [(tuple(i - 1 for i in s.images), koszul_sign(s, degrees)) for s in perms]
+            assert list(signed_shuffles(parts, degrees)) == expected
+
+    @pytest.mark.parametrize("parts", [(2,), (2, 1), (2, 3), (3, 2), (1, 2, 2)])
+    def test_only_parities_matter(self, parts):
+        total = sum(parts)
+        for parities in itertools.product((0, 1), repeat=total):
+            table = signed_shuffles(parts, parities)
+            for odd, even in ((-1, 2), (3, -2), (1, 0)):
+                degrees = [odd if p else even for p in parities]
+                assert signed_shuffles(parts, degrees) == table
+                assert signed_shuffles(list(parts), degrees) == table
+
+    def test_rejects_bad_input_at_once(self):
+        signed_shuffles((2, 1), (1, 1, 1))
+        for parts in ((), (2, 0), (-1, 3)):
+            with pytest.raises(ValueError):
+                signed_shuffles(parts, (1, 1))
+        with pytest.raises(ValueError):
+            signed_shuffles((2, 1), (1, 1))
 
 
 class TestSetPartitions:

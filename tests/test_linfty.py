@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from oracles import n_bracket_shuffle
 
 from schoutencalc import sampling
 from schoutencalc.errors import UnsupportedPairError
@@ -16,7 +17,7 @@ from schoutencalc.exterior import (
     wedge,
 )
 from schoutencalc.graded import Permutation, koszul_sign, shuffles
-from schoutencalc.instances import abelian, cartan, perturbed_sl2, sl2, sl2_to_gl2, solvable4
+from schoutencalc.instances import abelian, cartan, gl2, perturbed_sl2, sl2, sl2_to_gl2, solvable4
 from schoutencalc.linfty import (
     BracketFamily,
     _compositions,
@@ -130,6 +131,50 @@ class TestNBracket:
         ) + Multivector.monomial(pair, (2, 3), -pair.scalar_variable(2))
         assert result == expected
         assert str(result) == "x1*d1^d3 - x2*d2^d3"
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_shuffle_oracle_on_every_sl2_monomial_tuple(self, n):
+        # Multilinearity makes this a proof for sl2 at arities 2 and 3; the
+        # monomials include the unit, the degree-0 slot the n-bracket skips.
+        pair = sl2()
+        monomials = list(all_monomials(pair))
+        for args in itertools.product(monomials, repeat=n):
+            assert n_bracket(pair, list(args)) == n_bracket_shuffle(pair, list(args))
+
+    @pytest.mark.parametrize("factory", [sl2, gl2])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_shuffle_oracle_with_degree_zero_and_inhomogeneous_args(self, factory, n):
+        pair = factory()
+        rng = sampling.rng_for(120 + n)
+        for _ in range(12):
+            args = [sampling.random_homogeneous(pair, rng, 0)]
+            for _ in range(n - 1):
+                degrees = rng.choice([(0,), (1,), (2,), (0, 1), (0, 1, 2), (0, 2, 3)])
+                arg = Multivector.zero(pair)
+                for d in degrees:
+                    arg = arg + sampling.random_homogeneous(pair, rng, d)
+                args.append(arg)
+            rng.shuffle(args)
+            assert n_bracket(pair, args) == n_bracket_shuffle(pair, args)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_shuffle_oracle_on_cartan_polynomial_scalars(self, n):
+        # Polynomial scalars are not central, so brackets with a degree-0
+        # slot survive here: skipping them would change the result.
+        pair = cartan(2)
+        x1, x2 = pair.scalar_variable(1), pair.scalar_variable(2)
+        polynomial = Multivector.from_scalar(pair, x1 * x1 * x2 + x2)
+        rng = sampling.rng_for(130 + n)
+        nonzero = 0
+        for _ in range(12):
+            args = [polynomial] + [
+                sampling.random_homogeneous(pair, rng, rng.randint(0, 2)) for _ in range(n - 1)
+            ]
+            rng.shuffle(args)
+            result = n_bracket(pair, args)
+            assert result == n_bracket_shuffle(pair, args)
+            nonzero += not result.is_zero()
+        assert nonzero > 0
 
     def test_abelian_triple_bracket_vanishes(self):
         pair = abelian(3)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from schoutencalc.exterior import Multivector, wedge
 from schoutencalc.instances import builtin_pair
+from schoutencalc.pairs import Vector
 from schoutencalc.scalars import Scalar
 from schoutencalc.schouten import sn_antisym
 
@@ -88,13 +89,35 @@ class TestScalar:
         for q in (0, Fraction(0)):
             assert (a * q).terms == {}
 
+    @pytest.mark.parametrize("nvars", [0, 1, 3])
+    def test_zero(self, nvars):
+        assert_normal_scalar(Scalar.zero(nvars))
+        assert Scalar.zero(nvars).terms == {}
+
+    def test_zero_refuses_a_negative_variable_count(self):
+        with pytest.raises(ValueError):
+            Scalar.zero(-1)
+
     @given(scalars(), st.integers(min_value=1, max_value=2), st.integers(min_value=0, max_value=3))
     def test_derivative_and_power(self, a, index, k):
         assert_normal_scalar(a.derivative(index))
         assert_normal_scalar(a**k)
 
 
+class TestVector:
+    def test_zero(self):
+        zero = Vector.zero()
+        assert zero == Vector(zero.terms)
+        assert zero.terms == {}
+
+
 class TestMultivector:
+    @pytest.mark.parametrize("name", ["cartan2", "gl2", "sl2"])
+    def test_zero(self, name):
+        zero = Multivector.zero(builtin_pair(name))
+        assert_normal_multivector(zero)
+        assert zero.terms == {} and zero.is_zero()
+
     @given(pair_and_multivectors(2))
     def test_sum_and_negation(self, case):
         _, (x, y) = case
