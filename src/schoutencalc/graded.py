@@ -100,41 +100,30 @@ def parity_sign(degree: int) -> int:
     return -1 if degree % 2 else 1
 
 
-# Keyed by (image tuple, degree parities) and by (parts, degree parities):
-# both are pure functions of keys that the arity bounds, so they are never
-# evicted.
-_KOSZUL_SIGNS: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+# Keyed by (parts, degree parities): a pure function of a key that the arity
+# bounds, so it is never evicted.
 _SIGNED_SHUFFLES: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple] = {}
 
 
 def koszul_sign(s: Permutation, degrees: Sequence[int]) -> int:
     """Sign relating a graded word to its reordering by ``s``.
 
-    The product of ``(-1)**(d_a * d_b)`` over the adjacent swaps of a
-    bubble sort of the image tuple back to the identity, ``d_a`` and
-    ``d_b`` the (original) degrees of the swapped elements.  For all-odd
-    degree vectors this is the ordinary permutation sign, for all-even
-    vectors it is ``+1``.  The sign depends only on the image tuple and the
-    degree parities, so each such pair is sorted once and its sign cached.
+    Computed by bubble-sorting the image tuple back to the identity and
+    multiplying ``(-1)**(d_a * d_b)`` for each adjacent swap of the elements
+    with (original) degrees ``d_a`` and ``d_b``.  For all-odd degree vectors
+    this is the ordinary permutation sign, for all-even vectors it is ``+1``.
+    Shuffle sums read the signs from :func:`signed_shuffles` instead.
     """
     if len(degrees) != len(s):
         raise ValueError(
             f"permutation length {len(s)} does not match degree vector length {len(degrees)}"
         )
-    key = (s.images, tuple([d % 2 for d in degrees]))
-    sign = _KOSZUL_SIGNS.get(key)
-    if sign is None:
-        sign = _KOSZUL_SIGNS[key] = _bubble_sign(*key)
-    return sign
-
-
-def _bubble_sign(images: tuple[int, ...], parities: tuple[int, ...]) -> int:
-    imgs = list(images)
+    imgs = list(s.images)
     sign = 1
     for top in range(len(imgs), 1, -1):
         for j in range(top - 1):
             if imgs[j] > imgs[j + 1]:
-                if parities[imgs[j] - 1] and parities[imgs[j + 1] - 1]:
+                if (degrees[imgs[j] - 1] * degrees[imgs[j + 1] - 1]) % 2:
                     sign = -sign
                 imgs[j], imgs[j + 1] = imgs[j + 1], imgs[j]
     return sign

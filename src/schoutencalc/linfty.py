@@ -270,8 +270,8 @@ def _structure_equation_residual(source_pair, f: Callable, target_pair, args) ->
     Right side: ``sum_{B_1 | ... | B_p} e(s) {f_{|B_1|}(x_{B_1}), ...,
     f_{|B_p|}(x_{B_p})}_p`` over the unordered set partitions of ``1..n``
     into ``p >= 2`` blocks (the arity-one bracket is zero), blocks increasing
-    and ordered by least element, ``s`` their concatenation, whose sign
-    comes from the cached :func:`koszul_sign`.  Coefficient 1
+    and ordered by least element, ``s`` their concatenation, signed by
+    :func:`koszul_sign`.  Coefficient 1
     replaces the ``1/p!`` of the ordered-composition form because the
     components and the target bracket are multilinear and graded symmetric
     in the tensor grading, so the ``p!`` block orders give equal terms.

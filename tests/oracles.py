@@ -10,7 +10,10 @@ antisymmetry down to the vector bracket and the anchor, so it shares no
 code path with the table-driven kernel; :func:`sn_antisym_shuffle` is the
 symmetric shuffle form on lists of vector slots.  :func:`n_bracket_shuffle`
 is the oracle for :func:`schoutencalc.linfty.n_bracket`: its defining
-shuffle sum, with no signed-shuffle table and no skipped shuffle.
+shuffle sum, with no signed-shuffle table and no skipped shuffle.  Unlike
+the ``sn_antisym`` oracles it deliberately reuses the kernel ``sn_antisym``
+(and so the table) for its binary brackets; it is independent only of
+:func:`schoutencalc.graded.signed_shuffles` and of the n-bracket's skips.
 """
 
 from __future__ import annotations

@@ -114,14 +114,12 @@ class TestKoszulSign:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             koszul_sign(Permutation((1, 2)), (1,))
-        koszul_sign(Permutation((2, 1)), (1, 1))
         with pytest.raises(ValueError):
             koszul_sign(Permutation((2, 1)), (1, 1, 1))
 
     @given(permutations(), st.data())
     def test_matches_inversion_product(self, s, data):
-        # Asked twice, with degrees of equal parity: the second answer comes
-        # from the cache the first one filled.
+        # Degrees shifted by even amounts give the same sign.
         degrees = data.draw(degree_vectors(len(s)))
         shifted = [d + 2 * data.draw(st.integers(min_value=-1, max_value=1)) for d in degrees]
         assert koszul_sign(s, degrees) == inversion_sign(s, degrees)
