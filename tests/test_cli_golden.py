@@ -1,7 +1,10 @@
 """Golden CLI output: the stdout and exit code of every suite, byte for byte.
 
 Each case runs ``main`` in-process, once with ``--json`` and once in text
-mode, and compares with ``data/cli_golden.json``.  Those outputs are the
+mode, and compares with ``data/cli_golden.json``.  Besides the ``check``
+suites, the cases cover ``eval`` (the README examples, the expressions of
+``test_expr.TestEvaluation`` and the usual error inputs) and ``info`` on
+every builtin pair.  Those outputs are the
 CLI's contract for identical seeds, failing reports included; re-record
 them (``python tests/test_cli_golden.py``) only for a deliberate change of
 output.
@@ -15,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from schoutencalc.cli import main
+from schoutencalc.instances import BUILTIN_PAIRS
 from test_cli import CORRUPTED_SL2, ZERO_MORPHISM
 
 GOLDEN = Path(__file__).with_name("data") / "cli_golden.json"
@@ -30,7 +34,26 @@ ALL_SUITES = (
     "combinatorial",
 )
 SWEEP = ("--trials", "5", "--seed", "3", "--max-n", "8")
-# Written to files for each run; "{corrupted}" and "{zero}" in an argv name them.
+# name -> (builtin pair, expression) for the eval cases.
+EVALS = {
+    "bracket": ("cartan2", "[d1^d2, x1]"),
+    "three-bracket": ("cartan3", "{d1, d2, x1*x2*d3}_3"),
+    "differential": ("sl2", "d(e1^e2)"),
+    "injection": ("cartan2", "i_2(d1, d2)"),
+    "rationals": ("cartan2", "1/2 * d1 + 1/2 * d1"),
+    "negated-wedge": ("cartan2", "-d1 ^ d2"),
+    "scalar-product": ("cartan2", "2 * 3"),
+    "variable-power": ("cartan1", "x1^2"),
+    "variable-wedge": ("cartan1", "x1^d1"),
+    "sym-bracket": ("sl2", "{e1, e2}"),
+    "sym-bracket-suffix": ("sl2", "{e1, e2}_2"),
+    "syntax-error": ("cartan2", "[d1 d2]"),
+    "unknown-symbol": ("cartan2", "q7"),
+    "star-vectors": ("cartan2", "d1 * d2"),
+    "differential-cartan": ("cartan1", "d(d1)"),
+    "injection-degree": ("cartan2", "i_1(d1^d2)"),
+}
+# Written to files for each run; an argv entry "{corrupted}" or "{zero}" names them.
 DOCUMENTS = {"corrupted": CORRUPTED_SL2, "zero": ZERO_MORPHISM}
 
 
@@ -46,6 +69,10 @@ def _cases() -> dict[str, list[str]]:
     cases["cartan2-zero-morphism"] = [
         "--pair", "builtin:cartan2", "check", "morphism-strict", "--morphism", "{zero}", *SWEEP,
     ]
+    for name, (pair, expression) in EVALS.items():
+        cases[f"eval-{name}"] = ["--pair", f"builtin:{pair}", "eval", "--", expression]
+    for pair in BUILTIN_PAIRS:
+        cases[f"{pair}-info"] = ["--pair", f"builtin:{pair}", "info"]
     return {
         f"{name}/{mode}": (["--json"] if mode == "json" else []) + argv
         for name, argv in cases.items()
@@ -60,9 +87,10 @@ def run_main(argv: list[str], directory: Path) -> tuple[int, str]:
     """Exit code and stdout of ``main(argv)``; stderr is not part of the contract."""
     files = {}
     for key, document in DOCUMENTS.items():
-        files[key] = directory / f"{key}.json"
-        files[key].write_text(json.dumps(document))
-    argv = [arg.format(**files) for arg in argv]
+        path = directory / f"{key}.json"
+        path.write_text(json.dumps(document))
+        files["{" + key + "}"] = str(path)
+    argv = [files.get(arg, arg) for arg in argv]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         try:
