@@ -24,7 +24,7 @@ from pathlib import Path
 from . import sampling
 from .errors import PairDocumentError, ParseError, UnsupportedPairError
 from .exterior import associated_exterior_morphism
-from .expr import evaluate, parse
+from .expr import evaluate
 from .instances import pair_from_spec
 from .linfty import (
     ce_differential,
@@ -266,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "eval":
         loaded = _require_pair(pair, parser)
         try:
-            result = evaluate(parse(args.expression, loaded), loaded)
+            result = evaluate(args.expression, loaded)
         except ParseError as exc:
             print(f"parse error: {exc}", file=sys.stderr)
             return EXIT_USAGE

@@ -15,8 +15,15 @@ Grammar summary::
 Rationals are ``p`` or ``p/q``; variables ``x1..xm`` (polynomial pairs
 only); generators ``d1..dm`` or ``e1..ed`` depending on the pair kind.  A
 variable immediately wedged with an integer literal, as in ``x1^2``, parses
-as a monomial power.  Symbols are resolved against the pair at parse time,
-so errors carry source positions.
+as a monomial power.
+
+Each grammar rule returns the multivector it denotes, so an expression is
+evaluated in the same left-to-right pass that parses it, and symbols
+resolve against the pair where they occur, so errors carry source
+positions.  An evaluation error (``d(d1)`` on a polynomial pair, say)
+therefore surfaces before any syntax error further right.  Input nested
+deeper than the interpreter's recursion limit allows is refused with a
+:class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from .linfty import ce_differential, n_bracket, natural_injection
 from .pairs import GradedPairElement, LieRinehartPair
 from .schouten import sn_antisym, sn_sym
 
-__all__ = ["Expression", "evaluate", "parse"]
+__all__ = ["evaluate"]
 
 
 _TOKEN_RE = re.compile(
@@ -65,72 +72,19 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-# -- parse tree ---------------------------------------------------------------
-
-
-class Expression:
-    pass
-
-
-@dataclass
-class Rational(Expression):
-    value: Fraction
-
-
-@dataclass
-class VariablePower(Expression):
-    index: int
-    exponent: int
-
-
-@dataclass
-class Generator(Expression):
-    index: int
-
-
-@dataclass
-class Negate(Expression):
-    child: Expression
-
-
-@dataclass
-class BinaryOp(Expression):
-    op: str  # "+", "-", "*", "^"
-    left: Expression
-    right: Expression
-
-
-@dataclass
-class AntiBracket(Expression):
-    left: Expression
-    right: Expression
-
-
-@dataclass
-class SymBracket(Expression):
-    left: Expression
-    right: Expression
-
-
-@dataclass
-class NBracket(Expression):
-    args: list[Expression]
-    arity: int
-
-
-@dataclass
-class Differential(Expression):
-    child: Expression
-
-
-@dataclass
-class Injection(Expression):
-    args: list[Expression]
-    arity: int
-
-
 _NAME_RE = re.compile(r"^([a-z])(\d+)$")
 _INJ_RE = re.compile(r"^i_(\d+)$")
+
+
+def _is_scalar(value: Multivector) -> bool:
+    return all(len(mono) == 0 for mono in value.terms)
+
+
+def _as_injection_argument(value: Multivector) -> GradedPairElement:
+    for mono in value.terms:
+        if len(mono) > 1:
+            raise ValueError("injection arguments must have tensor degree at most 1")
+    return GradedPairElement(value.scalar_part(), value.vector_part())
 
 
 class _Parser:
@@ -153,115 +107,118 @@ class _Parser:
             raise ParseError(token.pos, f"expected {kind!r}, found {token.text or 'end of input'!r}")
         return self.advance()
 
+    def parse_arguments(self, close: str) -> list[Multivector]:
+        args = [self.parse_expression()]
+        while self.peek().kind == ",":
+            self.advance()
+            args.append(self.parse_expression())
+        self.expect(close)
+        return args
+
     # precedence: +,- < ^ < * < unary minus
 
-    def parse_expression(self) -> Expression:
-        node = self.parse_wedge()
+    def parse_expression(self) -> Multivector:
+        value = self.parse_wedge()
         while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            node = BinaryOp(op, node, self.parse_wedge())
-        return node
+            if self.advance().kind == "+":
+                value = value + self.parse_wedge()
+            else:
+                value = value - self.parse_wedge()
+        return value
 
-    def parse_wedge(self) -> Expression:
-        node = self.parse_product()
+    def parse_wedge(self) -> Multivector:
+        value = self.parse_product()
         while self.peek().kind == "^":
             self.advance()
-            node = BinaryOp("^", node, self.parse_product())
-        return node
+            value = wedge(self.pair, value, self.parse_product())
+        return value
 
-    def parse_product(self) -> Expression:
-        node = self.parse_unary()
+    def parse_product(self) -> Multivector:
+        value = self.parse_unary()
         while self.peek().kind == "*":
             self.advance()
-            node = BinaryOp("*", node, self.parse_unary())
-        return node
+            right = self.parse_unary()
+            if not (_is_scalar(value) or _is_scalar(right)):
+                raise ValueError("'*' expects a scalar operand; use '^' for wedge products")
+            value = wedge(self.pair, value, right)
+        return value
 
-    def parse_unary(self) -> Expression:
+    def parse_unary(self) -> Multivector:
         if self.peek().kind == "-":
             self.advance()
-            return Negate(self.parse_unary())
+            return -self.parse_unary()
         return self.parse_atom()
 
-    def parse_atom(self) -> Expression:
+    def parse_atom(self) -> Multivector:
         token = self.peek()
         if token.kind == "int":
             self.advance()
-            numerator = int(token.text)
+            value = Fraction(int(token.text))
             if self.peek().kind == "/":
                 self.advance()
                 denom = self.expect("int")
                 if int(denom.text) == 0:
                     raise ParseError(denom.pos, "zero denominator")
-                return Rational(Fraction(numerator, int(denom.text)))
-            return Rational(Fraction(numerator))
+                value /= int(denom.text)
+            return Multivector.from_scalar(self.pair, self.pair.scalar_const(value))
         if token.kind == "(":
             self.advance()
-            node = self.parse_expression()
+            value = self.parse_expression()
             self.expect(")")
-            return node
+            return value
         if token.kind == "[":
             self.advance()
             left = self.parse_expression()
             self.expect(",")
             right = self.parse_expression()
             self.expect("]")
-            return AntiBracket(left, right)
+            return sn_antisym(self.pair, left, right)
         if token.kind == "{":
             return self.parse_braces()
         if token.kind == "name":
             return self.parse_name()
         raise ParseError(token.pos, f"unexpected {token.text or 'end of input'!r}")
 
-    def parse_braces(self) -> Expression:
+    def parse_braces(self) -> Multivector:
         open_token = self.advance()
-        args = [self.parse_expression()]
-        while self.peek().kind == ",":
-            self.advance()
-            args.append(self.parse_expression())
-        self.expect("}")
-        arity: int | None = None
+        args = self.parse_arguments("}")
         if self.peek().kind == "name" and self.peek().text.startswith("_"):
             suffix = self.advance()
             body = suffix.text[1:]
             if not body.isdigit():
                 raise ParseError(suffix.pos, f"malformed arity suffix {suffix.text!r}")
             arity = int(body)
-        if arity is not None:
             if arity != len(args):
                 raise ParseError(
                     open_token.pos,
                     f"arity suffix _{arity} does not match {len(args)} arguments",
                 )
-            return NBracket(args, arity)
+            return n_bracket(self.pair, args)
         if len(args) != 2:
             raise ParseError(
                 open_token.pos,
                 f"braces with {len(args)} arguments need an explicit arity suffix",
             )
-        return SymBracket(args[0], args[1])
+        return sn_sym(self.pair, args[0], args[1])
 
-    def parse_name(self) -> Expression:
+    def parse_name(self) -> Multivector:
         token = self.advance()
         text = token.text
         if text == "d" and self.peek().kind == "(":
             self.advance()
-            node = self.parse_expression()
+            value = self.parse_expression()
             self.expect(")")
-            return Differential(node)
+            return ce_differential(self.pair, value)
         injection = _INJ_RE.match(text)
         if injection:
             arity = int(injection.group(1))
             self.expect("(")
-            args = [self.parse_expression()]
-            while self.peek().kind == ",":
-                self.advance()
-                args.append(self.parse_expression())
-            self.expect(")")
+            args = self.parse_arguments(")")
             if arity != len(args):
                 raise ParseError(
                     token.pos, f"injection i_{arity} applied to {len(args)} arguments"
                 )
-            return Injection(args, arity)
+            return natural_injection(self.pair, [_as_injection_argument(arg) for arg in args])
         named = _NAME_RE.match(text)
         if named:
             prefix, index = named.group(1), int(named.group(2))
@@ -277,69 +234,23 @@ class _Parser:
                 ):
                     self.advance()
                     exponent = int(self.advance().text)
-                return VariablePower(index, exponent)
+                return Multivector.from_scalar(self.pair, self.pair.scalar_variable(index) ** exponent)
             expected = "d" if self.pair.kind == "cartan" else "e"
             if prefix == expected:
                 if not 1 <= index <= self.pair.dim:
                     raise ParseError(token.pos, f"unknown generator {text!r}")
-                return Generator(index)
+                return Multivector.monomial(self.pair, (index,))
         raise ParseError(token.pos, f"unknown symbol {text!r}")
 
 
-def parse(text: str, pair: LieRinehartPair) -> Expression:
-    """Parse an expression against a loaded pair; symbols resolve eagerly."""
+def evaluate(text: str, pair: LieRinehartPair) -> Multivector:
+    """The canonical multivector that ``text`` denotes on ``pair``."""
     parser = _Parser(text, pair)
-    node = parser.parse_expression()
+    try:
+        value = parser.parse_expression()
+    except RecursionError:
+        raise ParseError(parser.peek().pos, "expression nested too deeply") from None
     tail = parser.peek()
     if tail.kind != "end":
         raise ParseError(tail.pos, f"unexpected {tail.text!r}")
-    return node
-
-
-def _as_injection_argument(value: Multivector, pair: LieRinehartPair) -> GradedPairElement:
-    for mono in value.terms:
-        if len(mono) > 1:
-            raise ValueError("injection arguments must have tensor degree at most 1")
-    return GradedPairElement(value.scalar_part(), value.vector_part())
-
-
-def evaluate(node: Expression, pair: LieRinehartPair) -> Multivector:
-    """Bottom-up evaluation to a canonical multivector."""
-    if isinstance(node, Rational):
-        return Multivector.from_scalar(pair, pair.scalar_const(node.value))
-    if isinstance(node, VariablePower):
-        return Multivector.from_scalar(pair, pair.scalar_variable(node.index) ** node.exponent)
-    if isinstance(node, Generator):
-        return Multivector.monomial(pair, (node.index,))
-    if isinstance(node, Negate):
-        return -evaluate(node.child, pair)
-    if isinstance(node, BinaryOp):
-        left = evaluate(node.left, pair)
-        right = evaluate(node.right, pair)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "^":
-            return wedge(pair, left, right)
-        if node.op == "*":
-            left_scalar = all(len(mono) == 0 for mono in left.terms)
-            right_scalar = all(len(mono) == 0 for mono in right.terms)
-            if not (left_scalar or right_scalar):
-                raise ValueError("'*' expects a scalar operand; use '^' for wedge products")
-            return wedge(pair, left, right)
-        raise AssertionError(node.op)
-    if isinstance(node, AntiBracket):
-        return sn_antisym(pair, evaluate(node.left, pair), evaluate(node.right, pair))
-    if isinstance(node, SymBracket):
-        return sn_sym(pair, evaluate(node.left, pair), evaluate(node.right, pair))
-    if isinstance(node, NBracket):
-        return n_bracket(pair, [evaluate(arg, pair) for arg in node.args])
-    if isinstance(node, Differential):
-        return ce_differential(pair, evaluate(node.child, pair))
-    if isinstance(node, Injection):
-        args = [
-            _as_injection_argument(evaluate(arg, pair), pair) for arg in node.args
-        ]
-        return natural_injection(pair, args)
-    raise AssertionError(f"unhandled node {node!r}")
+    return value

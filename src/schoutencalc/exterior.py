@@ -157,12 +157,6 @@ class Multivector:
             self.pair, {m: p for m, c in self.terms.items() if (p := c * factor).terms}
         )
 
-    def __rmul__(self, factor: Fraction | int) -> Multivector:
-        return self.scaled(factor)
-
-    def wedge(self, other: Multivector) -> Multivector:
-        return wedge(self.pair, self, other)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Multivector)

@@ -106,12 +106,9 @@ def n_bracket(pair: LieRinehartPair, args: Sequence[Multivector]) -> Multivector
 
 @dataclass(frozen=True)
 class BracketFamily:
-    """Arity-indexed bracket evaluator over a fixed pair; arity one is zero."""
+    """The n-brackets of a fixed pair, as the target of a weak morphism."""
 
     pair: LieRinehartPair
-
-    def bracket(self, args: Sequence[Multivector]) -> Multivector:
-        return n_bracket(self.pair, args)
 
 
 # -- weak Jacobi ---------------------------------------------------------------
@@ -322,15 +319,16 @@ def _structure_equation_residual(source_pair, f: Callable, target_pair, args) ->
     return residual
 
 
+# Largest arity check_linfty_morphism evaluates.
+_MAX_ARITY = 5
+
+
 def check_linfty_morphism(
     source_pair: LieRinehartPair,
     f: Callable,
     target: BracketFamily,
     n: int,
     args: Sequence,
-    *,
-    identity: str = "linfty-morphism",
-    max_arity: int = 5,
 ) -> BracketReport:
     """Evaluate the weak-morphism structure equation at arity ``n``.
 
@@ -343,17 +341,16 @@ def check_linfty_morphism(
     :class:`GradedPairElement` values mean ``A (+) g`` with only its binary
     bracket, :class:`Multivector` values the source exterior algebra with
     its full bracket family.  The shuffle-sum term count grows
-    super-exponentially in ``n``; raise ``max_arity`` deliberately if you
-    need more than the default.
+    super-exponentially in ``n``, so ``n`` above 5 is refused.
     """
     if n < 1:
         raise ValueError("arity must be at least 1")
-    if n > max_arity:
-        raise ValueError(f"arity {n} exceeds the configured cap {max_arity}")
+    if n > _MAX_ARITY:
+        raise ValueError(f"arity {n} exceeds the cap {_MAX_ARITY}")
     if len(args) != n:
         raise ValueError(f"expected {n} arguments, got {len(args)}")
     residual = lambda xs: _structure_equation_residual(source_pair, f, target.pair, list(xs))
-    return run_identity(identity, [args], residual, n=n)
+    return run_identity("linfty-morphism", [args], residual, n=n)
 
 
 def injection_morphism_residual(

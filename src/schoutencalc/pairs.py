@@ -431,13 +431,20 @@ def check_pair_morphism(m: PairMorphism, trials: int = 50, seed: int = 0) -> Bra
 # -- documents ---------------------------------------------------------------
 
 
+def _int_from_json(value, field: str) -> int:
+    """A JSON integer; floats, strings and booleans are refused, not truncated."""
+    if type(value) is not int:
+        raise PairDocumentError(f"{field} must be an integer, not {value!r}")
+    return value
+
+
 def _coeff_from_json(value, nvars: int) -> Scalar:
     if isinstance(value, str):
         return Scalar.const(parse_fraction(value), nvars)
     if isinstance(value, list):
         out = Scalar.zero(nvars)
         for term in value:
-            exps = term["exponents"]
+            exps = [_int_from_json(e, "exponent") for e in term["exponents"]]
             if len(exps) != nvars:
                 raise PairDocumentError(f"exponent vector {exps!r} has wrong length")
             out = out + Scalar.monomial(exps, parse_fraction(term["coeff"]), nvars)
@@ -448,7 +455,7 @@ def _coeff_from_json(value, nvars: int) -> Scalar:
 def _vector_from_json(entries, pair_dim: int, nvars: int) -> Vector:
     out = Vector.zero()
     for entry in entries:
-        gen = int(entry["gen"])
+        gen = _int_from_json(entry["gen"], "gen")
         if not 1 <= gen <= pair_dim:
             raise PairDocumentError(f"generator index {gen} out of range")
         out = out + Vector({gen: _coeff_from_json(entry["coeff"], nvars)})
@@ -481,11 +488,11 @@ def load_pair(document: str | Path | dict, *, validate: bool = True) -> LieRineh
     try:
         doc = read_document(document)
         kind = doc["kind"]
-        dim = int(doc["dimension"])
+        dim = _int_from_json(doc["dimension"], "dimension")
         nvars = dim if kind == "cartan" else 0
         table: dict[tuple[int, int], Vector] = {}
         for entry in doc.get("brackets", []):
-            i, j = int(entry["i"]), int(entry["j"])
+            i, j = _int_from_json(entry["i"], "i"), _int_from_json(entry["j"], "j")
             table[(i, j)] = _vector_from_json(entry["value"], dim, nvars)
         return LieRinehartPair(kind, dim, table, name=doc.get("name", ""), validate=validate)
     except PairDocumentError:

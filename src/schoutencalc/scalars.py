@@ -113,12 +113,6 @@ class Scalar:
             raise ValueError(f"not a constant: {self}")
         return next(iter(self.terms.values()))
 
-    def total_degree(self) -> int:
-        """Largest term degree; the zero polynomial reports -1."""
-        if not self.terms:
-            return -1
-        return max(sum(exps) for exps in self.terms)
-
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: Scalar) -> None:

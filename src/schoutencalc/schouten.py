@@ -181,20 +181,24 @@ def sn_sym(pair: LieRinehartPair, x: Multivector, y: Multivector) -> Multivector
 # -- identity checks ----------------------------------------------------------
 
 
-def _sample_triples(pair, trials, seed, max_degree):
+# Highest tensor degree of a sampled argument in the checks below.
+_MAX_DEGREE = 3
+
+
+def _sample_triples(pair, trials, seed):
     """``trials`` seeded random homogeneous triples, drawn lazily."""
     from . import sampling
 
     rng = sampling.rng_for(seed)
     # Vectors and bivectors carry the most signal; scalars and top-degree
     # elements stay in the mix but less often.
-    palette = [d for d in (0, 1, 1, 2, 2, 3) if d <= min(max_degree, pair.dim)]
+    palette = [d for d in (0, 1, 1, 2, 2, _MAX_DEGREE) if d <= pair.dim]
     for _ in range(trials):
         yield tuple(sampling.random_homogeneous(pair, rng, rng.choice(palette)) for _ in range(3))
 
 
 def check_antisym_jacobi(
-    pair: LieRinehartPair, trials: int = 200, seed: int = 0, max_degree: int = 3
+    pair: LieRinehartPair, trials: int = 200, seed: int = 0
 ) -> BracketReport:
     """Graded Jacobi in the antisymmetric grading on random homogeneous triples."""
 
@@ -207,12 +211,12 @@ def check_antisym_jacobi(
             + sn_antisym(pair, z, sn_antisym(pair, x, y)).scaled(parity_sign(dy * dz))
         )
 
-    cases = _sample_triples(pair, trials, seed, max_degree)
+    cases = _sample_triples(pair, trials, seed)
     return run_identity("jacobi-antisym", cases, residual, seed=seed)
 
 
 def check_poisson(
-    pair: LieRinehartPair, trials: int = 200, seed: int = 0, max_degree: int = 3
+    pair: LieRinehartPair, trials: int = 200, seed: int = 0
 ) -> BracketReport:
     """Graded Leibniz rule of the bracket against the wedge."""
 
@@ -226,12 +230,12 @@ def check_poisson(
             - wedge(pair, y, sn_antisym(pair, x, z)).scaled(parity_sign(dx * (dy - 1)))
         )
 
-    cases = _sample_triples(pair, trials, seed, max_degree)
+    cases = _sample_triples(pair, trials, seed)
     return run_identity("poisson", cases, residual, seed=seed)
 
 
 def check_sym_jacobi(
-    pair: LieRinehartPair, trials: int = 200, seed: int = 0, max_degree: int = 3
+    pair: LieRinehartPair, trials: int = 200, seed: int = 0
 ) -> BracketReport:
     """Shuffle-sum Jacobi of the symmetric bracket over ``Sh(2, 1)``."""
 
@@ -243,12 +247,12 @@ def check_sym_jacobi(
             out = out + (term if sign > 0 else -term)
         return out
 
-    cases = _sample_triples(pair, trials, seed, max_degree)
+    cases = _sample_triples(pair, trials, seed)
     return run_identity("jacobi-sym", cases, residual, seed=seed)
 
 
 def check_morphism_respects_sn(
-    m: PairMorphism, trials: int = 100, seed: int = 0, max_degree: int = 3
+    m: PairMorphism, trials: int = 100, seed: int = 0
 ) -> BracketReport:
     """Prolonged morphisms are bracket morphisms: ``F([x,y]) = [F(x), F(y)]``."""
     from . import sampling
@@ -265,7 +269,7 @@ def check_morphism_respects_sn(
         return lhs - rhs
 
     rng = sampling.rng_for(seed)
-    max_degree = min(max_degree, m.source.dim)
+    max_degree = min(_MAX_DEGREE, m.source.dim)
     cases = (
         tuple(sampling.random_homogeneous(m.source, rng, rng.randint(0, max_degree)) for _ in range(2))
         for _ in range(trials)

@@ -77,6 +77,26 @@ class TestEval:
         assert main(["--pair", "builtin:cartan2", "eval", "x1^1000000000*d1"]) == 0
         assert capsys.readouterr().out.strip() == "x1^1000000000*d1"
 
+    def test_long_sum_finishes(self, capsys):
+        assert main(["--pair", "builtin:sl2", "eval", " + ".join(["e1"] * 1500)]) == 0
+        assert capsys.readouterr().out.strip() == "1500*e1"
+
+    @pytest.mark.parametrize(
+        "expression",
+        [
+            "(" * 400 + "e1" + ")" * 400,
+            "-" * 1200 + "e1",
+            "[e1, " * 300 + "e2" + "]" * 300,
+        ],
+        ids=["parentheses", "unary-minus", "brackets"],
+    )
+    def test_deep_nesting_is_refused(self, expression, capsys):
+        assert main(["--pair", "builtin:sl2", "eval", "--", expression]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: at position ")
+        assert "nested too deeply" in captured.err
+
 
 class TestCheck:
     def test_combinatorial(self):
@@ -157,6 +177,17 @@ class TestCheck:
         assert "must be a JSON object" in capsys.readouterr().err
         assert main(["--pair", str(path), "info"]) == 3
         assert "must be a JSON object" in capsys.readouterr().err
+
+    def test_non_integer_pair_document_exits_3(self, capsys):
+        document = json.dumps({
+            "kind": "lie_algebra",
+            "dimension": 3.9,
+            "brackets": [{"i": 1.2, "j": 2.7, "value": [{"gen": 3.5, "coeff": "1"}]}],
+        })
+        assert main(["--pair", document, "info"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: dimension must be an integer, not 3.9\n"
 
     def test_unknown_builtin_pair_exits_3(self, tmp_path, capsys):
         # --pair and a morphism's target resolve through the same helper; the

@@ -341,3 +341,52 @@ class TestDocuments:
         }
         m = load_morphism(doc, source, target)
         assert check_pair_morphism(m, trials=20, seed=5).passed
+
+    @pytest.mark.parametrize("value", [3.9, 3.0, "3", True, None])
+    def test_dimension_must_be_an_integer(self, value):
+        doc = dict(self.sl2_doc(), dimension=value)
+        with pytest.raises(PairDocumentError, match="dimension must be an integer"):
+            load_pair(doc)
+        with pytest.raises(PairDocumentError, match="dimension must be an integer"):
+            load_pair({"kind": "cartan", "dimension": value})
+
+    @pytest.mark.parametrize("field", ["i", "j", "gen"])
+    @pytest.mark.parametrize("value", [1.2, 2.0, "2", True])
+    def test_bracket_indices_must_be_integers(self, field, value):
+        doc = self.sl2_doc()
+        entry = doc["brackets"][0]
+        if field == "gen":
+            entry = entry["value"][0]
+        entry[field] = value
+        with pytest.raises(PairDocumentError, match=f"{field} must be an integer"):
+            load_pair(doc, validate=False)
+
+    def test_truncating_document_is_refused(self):
+        # Every number here used to be truncated by int(), loading [e1, e2] = e3.
+        doc = {
+            "kind": "lie_algebra",
+            "dimension": 3.9,
+            "brackets": [{"i": 1.2, "j": 2.7, "value": [{"gen": 3.5, "coeff": "1"}]}],
+        }
+        with pytest.raises(PairDocumentError):
+            load_pair(doc)
+
+    @pytest.mark.parametrize("value", [1.0, 1.5, "1", True])
+    def test_exponents_must_be_integers(self, value):
+        morphism = {
+            "scalar_map": [
+                [{"exponents": [value, 0], "coeff": "1"}],
+                [{"exponents": [0, 1], "coeff": "1"}],
+            ],
+            "vector_map": [[{"gen": 1, "coeff": "1"}], [{"gen": 2, "coeff": "1"}]],
+        }
+        with pytest.raises(PairDocumentError, match="exponent must be an integer"):
+            load_morphism(morphism, cartan(2), cartan(2))
+        morphism["scalar_map"][0][0]["exponents"][0] = 1
+        load_morphism(morphism, cartan(2), cartan(2))
+
+    @pytest.mark.parametrize("value", [2.0, "2", False])
+    def test_morphism_gen_must_be_an_integer(self, value):
+        doc = {"vector_map": [[{"gen": value, "coeff": "1"}], [], []]}
+        with pytest.raises(PairDocumentError, match="gen must be an integer"):
+            load_morphism(doc, sl2(), gl2())
