@@ -35,7 +35,6 @@ from .linfty import (
     injection_morphism_residual,
     n_bracket,
     natural_injection,
-    strict_family,
     weak_jacobi_residual,
 )
 from .pairs import (

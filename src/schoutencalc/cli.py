@@ -72,12 +72,13 @@ def _sampled(check):
 
 
 def _run_weak_jacobi(pair, args):
-    if (args.p or args.q) and not args.n:
+    split_given = args.p is not None or args.q is not None
+    if split_given and args.n is None:
         raise ValueError("--p/--q need an explicit --n")
-    for n in [args.n] if args.n else [3, 4]:
-        if args.p or args.q:
-            p = args.p or (n + 1 - args.q)
-            q = args.q or (n + 1 - args.p)
+    for n in [3, 4] if args.n is None else [args.n]:
+        if split_given:
+            p = n + 1 - args.q if args.p is None else args.p
+            q = n + 1 - args.p if args.q is None else args.q
             splits = [(p, q)]
         else:
             splits = [(p, n + 1 - p) for p in range(2, n) if n + 1 - p >= 2]

@@ -46,7 +46,6 @@ __all__ = [
     "injection_morphism_residual",
     "n_bracket",
     "natural_injection",
-    "strict_family",
     "weak_jacobi_residual",
 ]
 
@@ -215,38 +214,14 @@ def injection_family(pair: LieRinehartPair) -> Callable:
     return lambda k: lambda elems: natural_injection(pair, elems)
 
 
-def strict_family(component_one: Callable) -> Callable:
-    """A strict morphism's components: ``f_1`` from ``component_one``, zero above."""
-    return lambda k: (lambda elems: component_one(elems[0])) if k == 1 else None
-
-
-def _source_parts(pair: LieRinehartPair, x) -> list[tuple[object, int]]:
-    """Homogeneous parts of a source argument with their tensor degrees.
-
-    A :class:`GradedPairElement` splits into its degree-0 scalar and degree-1
-    vector parts; a :class:`Multivector` into its homogeneous components.
-    """
-    if isinstance(x, Multivector):
-        return _hom_parts(x)
+def _source_parts(pair: LieRinehartPair, x: GradedPairElement) -> list[tuple[GradedPairElement, int]]:
+    """``x``'s nonzero degree-0 scalar and degree-1 vector parts with their degrees."""
     out: list[tuple[GradedPairElement, int]] = []
     if not x.scalar.is_zero():
         out.append((GradedPairElement(x.scalar, Vector.zero()), 0))
     if not x.vector.is_zero():
         out.append((GradedPairElement(pair.scalar_zero(), x.vector), 1))
     return out
-
-
-def _source_bracket(pair: LieRinehartPair, elems: list):
-    """The source's bracket of arity ``len(elems)``.
-
-    On the exterior algebra that is :func:`n_bracket`; on ``A (+) g`` only
-    the binary bracket is nonzero.
-    """
-    if isinstance(elems[0], Multivector):
-        return n_bracket(pair, elems)
-    if len(elems) == 2:
-        return associated_bracket(pair, elems[0], elems[1])
-    return GradedPairElement(pair.scalar_zero(), Vector.zero())
 
 
 def _compositions(n: int, p: int):
@@ -259,11 +234,10 @@ def _compositions(n: int, p: int):
 def _structure_equation_residual(source_pair, f: Callable, target_pair, args) -> Multivector:
     """LHS minus RHS of the weak-morphism structure equation, one term at a time.
 
-    Left side: ``sum_{p+q=n+1} sum_{Sh(q,p-1)} e(s) f_p(D_q(...), ...)``
-    over ``q >= 2``, since the arity-one bracket is zero on both sources, and
-    on ``A (+) g`` only ``q = 2``; the shuffles and their signs are read from
-    the :func:`signed_shuffles` table, and terms whose ``D_q`` is zero are
-    skipped.
+    Left side: ``sum_{Sh(2,n-2)} e(s) f_{n-1}([x_s(1), x_s(2)], x_s(3), ...)``,
+    since ``A (+) g`` has only its binary bracket; the shuffles and their
+    signs are read from the :func:`signed_shuffles` table, and terms whose
+    bracket is zero are skipped.
     Right side: ``sum_{B_1 | ... | B_p} e(s) {f_{|B_1|}(x_{B_1}), ...,
     f_{|B_p|}(x_{B_p})}_p`` over the unordered set partitions of ``1..n``
     into ``p >= 2`` blocks (the arity-one bracket is zero), blocks increasing
@@ -286,22 +260,17 @@ def _structure_equation_residual(source_pair, f: Callable, target_pair, args) ->
             partitions.append((blocks, fs, s))
     images: dict[tuple[tuple[int, int], ...], Multivector] = {}
     residual = Multivector.zero(target_pair)
-    top = n if isinstance(args[0], Multivector) else min(n, 2)
+    f_left = f(n - 1) if n > 1 else None
     for combo in itertools.product(*(_source_parts(source_pair, a) for a in args)):
         elems = [c[0] for c in combo]
         degrees = [c[1] for c in combo]
 
-        for q in range(2, top + 1):
-            p = n + 1 - q
-            f_p = f(p)
-            if f_p is None:
-                continue
-            parts = (q,) if p == 1 else (q, p - 1)
-            for order, sign in signed_shuffles(parts, degrees):
-                inner = _source_bracket(source_pair, [elems[i] for i in order[:q]])
+        if f_left is not None:
+            for order, sign in signed_shuffles((2,) if n == 2 else (2, n - 2), degrees):
+                inner = associated_bracket(source_pair, elems[order[0]], elems[order[1]])
                 if inner.is_zero():
                     continue
-                term = f_p([inner] + [elems[i] for i in order[q:]])
+                term = f_left([inner] + [elems[i] for i in order[2:]])
                 residual = residual + (term if sign > 0 else -term)
 
         for blocks, fs, s in partitions:
@@ -328,7 +297,7 @@ def check_linfty_morphism(
     f: Callable,
     target: BracketFamily,
     n: int,
-    args: Sequence,
+    args: Sequence[GradedPairElement],
 ) -> BracketReport:
     """Evaluate the weak-morphism structure equation at arity ``n``.
 
@@ -337,11 +306,10 @@ def check_linfty_morphism(
     map.  Every component must be multilinear, graded symmetric in the tensor
     grading, and map homogeneous arguments to a multivector whose degree is
     their total degree; for a family that breaks this, the sum over set
-    partitions is not the equation.  The type of ``args`` picks the source:
-    :class:`GradedPairElement` values mean ``A (+) g`` with only its binary
-    bracket, :class:`Multivector` values the source exterior algebra with
-    its full bracket family.  The shuffle-sum term count grows
-    super-exponentially in ``n``, so ``n`` above 5 is refused.
+    partitions is not the equation.  The source is ``A (+) g`` with only its
+    binary bracket, so ``args`` must be :class:`GradedPairElement` values.
+    The shuffle-sum term count grows super-exponentially in ``n``, so ``n``
+    above 5 is refused.
     """
     if n < 1:
         raise ValueError("arity must be at least 1")
@@ -349,6 +317,8 @@ def check_linfty_morphism(
         raise ValueError(f"arity {n} exceeds the cap {_MAX_ARITY}")
     if len(args) != n:
         raise ValueError(f"expected {n} arguments, got {len(args)}")
+    if not all(isinstance(a, GradedPairElement) for a in args):
+        raise TypeError("structure-equation arguments must be GradedPairElement values")
     residual = lambda xs: _structure_equation_residual(source_pair, f, target.pair, list(xs))
     return run_identity("linfty-morphism", [args], residual, n=n)
 

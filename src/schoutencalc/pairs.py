@@ -438,18 +438,22 @@ def _int_from_json(value, field: str) -> int:
     return value
 
 
+def _fraction_from_json(value) -> Fraction:
+    if not isinstance(value, str):
+        raise PairDocumentError(f"malformed coefficient: {value!r}")
+    return parse_fraction(value)
+
+
 def _coeff_from_json(value, nvars: int) -> Scalar:
-    if isinstance(value, str):
-        return Scalar.const(parse_fraction(value), nvars)
     if isinstance(value, list):
         out = Scalar.zero(nvars)
         for term in value:
             exps = [_int_from_json(e, "exponent") for e in term["exponents"]]
             if len(exps) != nvars:
                 raise PairDocumentError(f"exponent vector {exps!r} has wrong length")
-            out = out + Scalar.monomial(exps, parse_fraction(term["coeff"]), nvars)
+            out = out + Scalar.monomial(exps, _fraction_from_json(term["coeff"]), nvars)
         return out
-    raise PairDocumentError(f"malformed coefficient: {value!r}")
+    return Scalar.const(_fraction_from_json(value), nvars)
 
 
 def _vector_from_json(entries, pair_dim: int, nvars: int) -> Vector:

@@ -62,31 +62,24 @@ def random_vector(
     pair: LieRinehartPair,
     rng: random.Random,
     *,
-    max_terms: int = 2,
     nonzero: bool = False,
 ) -> Vector:
     while True:
         out = Vector.zero()
-        for _ in range(rng.randint(1, max_terms)):
+        for _ in range(rng.randint(1, 2)):
             gen = rng.randint(1, pair.dim)
             out = out + Vector({gen: random_scalar(pair, rng, max_degree=1)})
         if not out.is_zero() or not nonzero:
             return out
 
 
-def random_homogeneous(
-    pair: LieRinehartPair,
-    rng: random.Random,
-    degree: int,
-    *,
-    max_terms: int = 2,
-) -> Multivector:
-    """Nonzero homogeneous multivector of the given tensor degree."""
+def random_homogeneous(pair: LieRinehartPair, rng: random.Random, degree: int) -> Multivector:
+    """Nonzero homogeneous multivector of the given tensor degree, one or two terms."""
     if degree > pair.dim:
         raise ValueError(f"degree {degree} exceeds the generator count {pair.dim}")
     while True:
         out = Multivector.zero(pair)
-        for _ in range(rng.randint(1, max_terms)):
+        for _ in range(rng.randint(1, 2)):
             indices = tuple(sorted(rng.sample(range(1, pair.dim + 1), degree)))
             coeff = random_scalar(pair, rng, nonzero=True)
             out = out + Multivector.monomial(pair, indices, coeff)
@@ -99,12 +92,11 @@ def random_multivector(
     rng: random.Random,
     *,
     max_degree: int | None = None,
-    max_terms: int = 3,
 ) -> Multivector:
-    """Possibly inhomogeneous multivector with degrees up to ``max_degree``."""
+    """Possibly inhomogeneous multivector of one to three terms, degrees up to ``max_degree``."""
     top = pair.dim if max_degree is None else min(max_degree, pair.dim)
     out = Multivector.zero(pair)
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 3)):
         degree = rng.randint(0, top)
         indices = tuple(sorted(rng.sample(range(1, pair.dim + 1), degree)))
         out = out + Multivector.monomial(pair, indices, random_scalar(pair, rng))

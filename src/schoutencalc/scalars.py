@@ -30,7 +30,10 @@ def parse_fraction(text: str) -> Fraction:
     if len(parts) == 1:
         return Fraction(int(parts[0]))
     if len(parts) == 2:
-        return Fraction(int(parts[0]), int(parts[1]))
+        denominator = int(parts[1])
+        if denominator == 0:
+            raise ValueError(f"zero denominator in rational literal: {text!r}")
+        return Fraction(int(parts[0]), denominator)
     raise ValueError(f"malformed rational literal: {text!r}")
 
 

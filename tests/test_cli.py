@@ -122,6 +122,15 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err == f"error: invalid split p={p}, q={q} for n=4\n"
 
+    @pytest.mark.parametrize("flag, p, q", [("--p", 0, 4), ("--q", 4, 0)])
+    def test_zero_weak_jacobi_split_exits_2(self, flag, p, q, capsys):
+        # A zero --p or --q used to be read as absent: every split ran and the exit was 0.
+        argv = ["--pair", "builtin:sl2", "check", "weak-jacobi", "--n", "3", flag, "0"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: invalid split p={p}, q={q} for n=3\n"
+
     def test_weak_jacobi_seeded(self):
         result = run_cli(
             "--pair", "builtin:cartan2", "check", "weak-jacobi",
@@ -188,6 +197,37 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: dimension must be an integer, not 3.9\n"
+
+    def test_zero_denominator_documents_exit_3(self, tmp_path, capsys):
+        # "1/0" used to escape as a ZeroDivisionError traceback with exit 1.
+        pair = tmp_path / "pair.json"
+        pair.write_text(json.dumps({
+            "kind": "lie_algebra",
+            "dimension": 2,
+            "brackets": [{"i": 1, "j": 2, "value": [{"gen": 2, "coeff": "1/0"}]}],
+        }))
+        assert main(["--pair", str(pair), "info"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "zero denominator" in captured.err
+        morphism = tmp_path / "morphism.json"
+        morphism.write_text(json.dumps({"vector_map": [[{"gen": 1, "coeff": "1/0"}], [], []]}))
+        code = main(["--pair", "builtin:sl2", "check", "morphism-strict", "--morphism", str(morphism)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "zero denominator" in captured.err
+
+    def test_non_string_term_coefficient_exits_3(self, tmp_path, capsys):
+        # A non-string coeff inside a term list used to escape as an AttributeError.
+        morphism = tmp_path / "morphism.json"
+        morphism.write_text(json.dumps(dict(ZERO_MORPHISM, scalar_map=[
+            [{"exponents": [1, 0], "coeff": 1}],
+            [{"exponents": [0, 1], "coeff": "1"}],
+        ])))
+        code = main(["--pair", "builtin:cartan2", "check", "morphism-strict", "--morphism", str(morphism)])
+        assert code == 3
+        assert capsys.readouterr().err == "error: malformed coefficient: 1\n"
 
     def test_unknown_builtin_pair_exits_3(self, tmp_path, capsys):
         # --pair and a morphism's target resolve through the same helper; the

@@ -385,6 +385,18 @@ class TestDocuments:
         morphism["scalar_map"][0][0]["exponents"][0] = 1
         load_morphism(morphism, cartan(2), cartan(2))
 
+    @pytest.mark.parametrize("value", [1, 1.5, None, ["1"]], ids=["int", "float", "null", "list"])
+    def test_term_coefficient_must_be_a_string(self, value):
+        morphism = {
+            "scalar_map": [
+                [{"exponents": [1, 0], "coeff": value}],
+                [{"exponents": [0, 1], "coeff": "1"}],
+            ],
+            "vector_map": [[{"gen": 1, "coeff": "1"}], [{"gen": 2, "coeff": "1"}]],
+        }
+        with pytest.raises(PairDocumentError, match="malformed coefficient"):
+            load_morphism(morphism, cartan(2), cartan(2))
+
     @pytest.mark.parametrize("value", [2.0, "2", False])
     def test_morphism_gen_must_be_an_integer(self, value):
         doc = {"vector_map": [[{"gen": value, "coeff": "1"}], [], []]}

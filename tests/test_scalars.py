@@ -147,3 +147,7 @@ class TestParseFraction:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_fraction("1/2/3")
+
+    def test_rejects_zero_denominator(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_fraction("1/0")
