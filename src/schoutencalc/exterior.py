@@ -7,10 +7,12 @@ the scalar component.  Coefficients absorb into the map, so rewriting
 equality is plain map comparison.
 
 The public constructor and classmethods validate their input;
-``Multivector.zero`` has none and wraps an empty map.  Arithmetic results
-(sums, negation, scaling, the wedge, homogeneous components) are
-built by ``Multivector._trusted``, which wraps a map that is already in
-normal form without checking it.
+``Multivector.zero`` has none and wraps an empty map, and :func:`embed`
+makes the constructor's checks itself.  Arithmetic results (sums, negation,
+scaling, the wedge, homogeneous components) are built by
+``Multivector._trusted``, which wraps a map that is already in normal form
+without checking it.  Every sum of multivectors adds into a fresh map
+through ``_accumulate``.
 """
 
 from __future__ import annotations
@@ -42,6 +44,25 @@ def _merge_monomials(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int
     inversions = sum(1 for a in left for b in right if a > b)
     merged = tuple(sorted(left + right))
     return (-1 if inversions % 2 else 1), merged
+
+
+def _accumulate(terms: dict[tuple[int, ...], Scalar], x: Multivector, sign: int) -> None:
+    """Add ``sign * x``, ``sign`` being 1 or -1, into ``terms`` in place.
+
+    ``terms`` must be a normal-form map that the caller built itself, never
+    the ``.terms`` of a value: only its entries are replaced, and the
+    coefficients it held are left as they were.  Zero sums are dropped.
+    """
+    for mono, coeff in x.terms.items():
+        prev = terms.get(mono)
+        if prev is None:
+            terms[mono] = coeff if sign > 0 else -coeff
+            continue
+        total = prev + coeff if sign > 0 else prev - coeff
+        if total.is_zero():
+            del terms[mono]
+        else:
+            terms[mono] = total
 
 
 class Multivector:
@@ -133,15 +154,7 @@ class Multivector:
     def __add__(self, other: Multivector) -> Multivector:
         self._check(other)
         out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            if mono in out:
-                total = out[mono] + coeff
-                if total.is_zero():
-                    del out[mono]
-                else:
-                    out[mono] = total
-            else:
-                out[mono] = coeff
+        _accumulate(out, other, 1)
         return Multivector._trusted(self.pair, out)
 
     def __neg__(self) -> Multivector:
@@ -236,13 +249,22 @@ def antisym_degree(x: Multivector) -> int | str:
 
 
 def embed(pair: LieRinehartPair, u: GradedPairElement) -> Multivector:
-    """Natural inclusion of ``A (+) g`` as the degree <= 1 part."""
+    """Natural inclusion of ``A (+) g`` as the degree <= 1 part.
+
+    Checks what the constructor would (generators in ``1..dim``, each
+    coefficient in the pair's scalars, zeros dropped) with its messages.
+    """
+    parts = [] if u.scalar.is_zero() else [((), u.scalar)]
+    parts += [((gen,), coeff) for gen, coeff in u.vector.terms.items()]
     terms: dict[tuple[int, ...], Scalar] = {}
-    if not u.scalar.is_zero():
-        terms[()] = u.scalar
-    for gen, coeff in u.vector.terms.items():
-        terms[(gen,)] = coeff
-    return Multivector(pair, terms)
+    for mono, coeff in parts:
+        if mono and not 1 <= mono[0] <= pair.dim:
+            raise ValueError(f"monomial {mono!r} has indices outside 1..{pair.dim}")
+        if coeff.nvars != pair.nvars:
+            raise ValueError("coefficient does not belong to this pair")
+        if not coeff.is_zero():
+            terms[mono] = coeff
+    return Multivector._trusted(pair, terms)
 
 
 def associated_exterior_morphism(m: PairMorphism, x: Multivector) -> Multivector:

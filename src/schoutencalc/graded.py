@@ -7,7 +7,9 @@ permutation reorders a word of graded elements.  An adjacent swap of factors
 with degrees ``d`` and ``d'`` costs ``(-1)**(d*d')``; the total sign is
 independent of the chosen decomposition into adjacent swaps.  Shuffle sums
 read :func:`signed_shuffles`, which enumerates each shuffle family with its
-signs once per pattern of degree parities.
+signs once per pattern of degree parities; sums over set partitions read
+:func:`partition_table`, which enumerates the partitions of one arity with
+the inversions that sign them, once per arity.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ __all__ = [
     "Permutation",
     "koszul_sign",
     "parity_sign",
+    "partition_table",
     "set_partitions",
     "shuffles",
     "signed_shuffles",
@@ -103,6 +106,9 @@ def parity_sign(degree: int) -> int:
 # Keyed by (parts, degree parities): a pure function of a key that the arity
 # bounds, so it is never evicted.
 _SIGNED_SHUFFLES: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple] = {}
+# Keyed by the arity alone, so it holds Bell(n) - 1 rows per arity used
+# whatever the degrees; never evicted either.
+_PARTITION_TABLES: dict[int, tuple] = {}
 
 
 def koszul_sign(s: Permutation, degrees: Sequence[int]) -> int:
@@ -147,6 +153,44 @@ def signed_shuffles(
         table = _SIGNED_SHUFFLES[key] = tuple(
             (tuple([i - 1 for i in s.images]), koszul_sign(s, degrees)) for s in shuffles(parts)
         )
+    return table
+
+
+def partition_table(
+    n: int,
+) -> tuple[tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]], ...]:
+    """The set partitions of ``{1, ..., n}`` into two or more blocks, signed by inversions.
+
+    One ``(blocks, inversions)`` row per partition, in :func:`set_partitions`
+    order without the single block: ``blocks`` holds the blocks zero-based,
+    and ``inversions`` the pairs ``(a, b)`` of zero-based arguments with
+    ``a > b`` that the blocks' concatenation ``s`` lists in that order.  The
+    Koszul sign of ``s`` on a degree vector ``d`` is ``(-1)**sum(d[a] * d[b]
+    for a, b in inversions)``: those are exactly the swaps that
+    :func:`koszul_sign` makes.  The table depends only on ``n``, so it is
+    built once per arity; a bad ``n`` raises as in :func:`set_partitions`.
+    Equal blocks and equal pairs are shared between rows.
+    """
+    table = _PARTITION_TABLES.get(n)
+    if table is None:
+        pairs: dict[tuple[int, int], tuple[int, int]] = {}
+        zero_based: dict[tuple[int, ...], tuple[int, ...]] = {}
+        rows = []
+        for blocks in set_partitions(n):
+            if len(blocks) < 2:
+                continue
+            order = [i - 1 for block in blocks for i in block]
+            inversions = tuple(
+                pairs.setdefault((a, b), (a, b))
+                for k, a in enumerate(order)
+                for b in order[k + 1 :]
+                if a > b
+            )
+            rows.append((
+                tuple(zero_based.setdefault(b, tuple([i - 1 for i in b])) for b in blocks),
+                inversions,
+            ))
+        table = _PARTITION_TABLES[n] = tuple(rows)
     return table
 
 

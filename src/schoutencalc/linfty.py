@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UnsupportedPairError
-from .exterior import INHOMOGENEOUS, Multivector, embed, tensor_degree, wedge
-from .graded import Permutation, koszul_sign, parity_sign, set_partitions, signed_shuffles
+from .exterior import INHOMOGENEOUS, Multivector, _accumulate, embed, tensor_degree, wedge
+from .graded import parity_sign, partition_table, signed_shuffles
 from .pairs import GradedPairElement, LieRinehartPair, Vector, associated_bracket
 from .report import BracketReport, run_identity
 
@@ -75,7 +75,7 @@ def _n_bracket_hom(pair: LieRinehartPair, args: list[Multivector], degrees: list
 
     n = len(args)
     central_scalars = pair.is_trivial_scalars
-    out = Multivector.zero(pair)
+    out: dict = {}
     for order, sign in signed_shuffles((2, n - 2) if n > 2 else (2,), degrees):
         first, second = order[0], order[1]
         if central_scalars and not (degrees[first] and degrees[second]):
@@ -86,8 +86,8 @@ def _n_bracket_hom(pair: LieRinehartPair, args: list[Multivector], degrees: list
         term = inner
         for k in order[2:]:
             term = wedge(pair, args[k], term)
-        out = out + (term if sign * parity_sign(degrees[first]) > 0 else -term)
-    return out
+        _accumulate(out, term, sign * parity_sign(degrees[first]))
+    return Multivector._trusted(pair, out)
 
 
 def n_bracket(pair: LieRinehartPair, args: Sequence[Multivector]) -> Multivector:
@@ -97,10 +97,10 @@ def n_bracket(pair: LieRinehartPair, args: Sequence[Multivector]) -> Multivector
         raise ValueError("n_bracket needs at least one argument")
     if len(args) == 1:
         return Multivector.zero(pair)
-    out = Multivector.zero(pair)
+    out: dict = {}
     for combo in itertools.product(*(_hom_parts(a) for a in args)):
-        out = out + _n_bracket_hom(pair, [c[0] for c in combo], [c[1] for c in combo])
-    return out
+        _accumulate(out, _n_bracket_hom(pair, [c[0] for c in combo], [c[1] for c in combo]), 1)
+    return Multivector._trusted(pair, out)
 
 
 @dataclass(frozen=True)
@@ -126,14 +126,14 @@ def _shuffle_sum(pair: LieRinehartPair, args: list[Multivector], arities) -> Mul
         if not isinstance(d, int):
             raise ValueError("weak Jacobi arguments must be homogeneous")
         degrees.append(d)
-    residual = Multivector.zero(pair)
+    residual: dict = {}
     for j in arities:
         parts = (j,) if j == n else (j, n - j)
         for order, sign in signed_shuffles(parts, degrees):
             inner = n_bracket(pair, [args[i] for i in order[:j]])
             outer = n_bracket(pair, [inner] + [args[i] for i in order[j:]])
-            residual = residual + (outer if sign > 0 else -outer)
-    return residual
+            _accumulate(residual, outer, sign)
+    return Multivector._trusted(pair, residual)
 
 
 def weak_jacobi_residual(
@@ -241,51 +241,62 @@ def _structure_equation_residual(source_pair, f: Callable, target_pair, args) ->
     Right side: ``sum_{B_1 | ... | B_p} e(s) {f_{|B_1|}(x_{B_1}), ...,
     f_{|B_p|}(x_{B_p})}_p`` over the unordered set partitions of ``1..n``
     into ``p >= 2`` blocks (the arity-one bracket is zero), blocks increasing
-    and ordered by least element, ``s`` their concatenation, signed by
-    :func:`koszul_sign`.  Coefficient 1
+    and ordered by least element, ``s`` their concatenation.  The blocks and
+    the inversions of ``s``, which give its Koszul sign, are read from the
+    :func:`partition_table` row of the partition.  Coefficient 1
     replaces the ``1/p!`` of the ordered-composition form because the
     components and the target bracket are multilinear and graded symmetric
     in the tensor grading, so the ``p!`` block orders give equal terms.
-    Each block image is computed once per (argument, degree) choice and
-    shared by every homogeneous expansion of the arguments; a partition is
-    skipped as soon as one of its block images is zero (``e1 ^ e1``, say),
-    since the bracket is multilinear.
+
+    The arguments are expanded into their homogeneous parts, and each choice
+    of parts is one term of that expansion.  ``f(k)`` is evaluated once per
+    arity.  Each source bracket is computed once per pair of positions and
+    degrees, and each block image once per block and degrees of its
+    arguments; both are shared by every choice of parts that agrees there.
+    A partition is skipped as soon as one of its block images is zero
+    (``e1 ^ e1``, say), since the bracket is multilinear.  The residual is
+    summed in place into one fresh map.
     """
     n = len(args)
-    partitions = []
-    for blocks in set_partitions(n):
-        fs = [f(len(block)) for block in blocks]
-        if len(blocks) > 1 and all(fk is not None for fk in fs):
-            s = Permutation([i for block in blocks for i in block])
-            partitions.append((blocks, fs, s))
-    images: dict[tuple[tuple[int, int], ...], Multivector] = {}
-    residual = Multivector.zero(target_pair)
-    f_left = f(n - 1) if n > 1 else None
+    components = {k: f(k) for k in range(1, n)}
+    rows = [
+        (blocks, inversions)
+        for blocks, inversions in partition_table(n)
+        if all(components[len(block)] is not None for block in blocks)
+    ]
+    f_left = components.get(n - 1)
+    brackets: dict[tuple[int, int, int, int], GradedPairElement] = {}
+    images: dict[tuple[tuple[int, ...], tuple[int, ...]], Multivector] = {}
+    residual: dict = {}
     for combo in itertools.product(*(_source_parts(source_pair, a) for a in args)):
         elems = [c[0] for c in combo]
         degrees = [c[1] for c in combo]
 
         if f_left is not None:
             for order, sign in signed_shuffles((2,) if n == 2 else (2, n - 2), degrees):
-                inner = associated_bracket(source_pair, elems[order[0]], elems[order[1]])
+                i, j = order[0], order[1]
+                key = (i, degrees[i], j, degrees[j])
+                inner = brackets.get(key)
+                if inner is None:
+                    inner = brackets[key] = associated_bracket(source_pair, elems[i], elems[j])
                 if inner.is_zero():
                     continue
-                term = f_left([inner] + [elems[i] for i in order[2:]])
-                residual = residual + (term if sign > 0 else -term)
+                _accumulate(residual, f_left([inner] + [elems[k] for k in order[2:]]), sign)
 
-        for blocks, fs, s in partitions:
+        for blocks, inversions in rows:
             block_images = []
-            for fk, block in zip(fs, blocks):
-                key = tuple((i, degrees[i - 1]) for i in block)
-                if key not in images:
-                    images[key] = fk([elems[i - 1] for i in block])
-                if images[key].is_zero():
+            for block in blocks:
+                key = (block, tuple([degrees[i] for i in block]))
+                image = images.get(key)
+                if image is None:
+                    image = images[key] = components[len(block)]([elems[i] for i in block])
+                if image.is_zero():
                     break
-                block_images.append(images[key])
+                block_images.append(image)
             else:
-                term = n_bracket(target_pair, block_images)
-                residual = residual - term.scaled(koszul_sign(s, degrees))
-    return residual
+                odd = sum(degrees[a] * degrees[b] for a, b in inversions) % 2
+                _accumulate(residual, n_bracket(target_pair, block_images), 1 if odd else -1)
+    return Multivector._trusted(target_pair, residual)
 
 
 # Largest arity check_linfty_morphism evaluates.

@@ -8,7 +8,7 @@ anchor of ``d_i`` is the partial derivative by ``x_i``.
 
 Structure tables are validated at construction: antisymmetry is enforced by
 the (i, j), i < j keying, and the Jacobi identity is checked by brute force
-over generator triples.
+over the generator triples that hold a nonzero bracket.
 """
 
 from __future__ import annotations
@@ -241,25 +241,35 @@ class LieRinehartPair:
         return self.scalar_zero()
 
     def validate_structure(self) -> None:
-        """Brute-force Jacobi on all generator triples; coefficient sanity."""
+        """Jacobi on generator triples, by brute force; coefficient sanity.
+
+        A triple ``i < j < k`` whose brackets ``[e_j, e_k]``, ``[e_k, e_i]``
+        and ``[e_i, e_j]`` are all zero satisfies Jacobi trivially, so only
+        triples holding a key of the bracket table are visited, in
+        lexicographic order: the first failure is the least failing triple.
+        """
         for value in self.brackets.values():
             for gen, coeff in value.terms.items():
                 if not 1 <= gen <= self.dim:
                     raise ValueError(f"bracket value refers to unknown generator {gen}")
                 if coeff.nvars != self.nvars:
                     raise ValueError("bracket coefficient has wrong variable count")
-        for i in range(1, self.dim + 1):
-            for j in range(i + 1, self.dim + 1):
-                for k in range(j + 1, self.dim + 1):
-                    residual = (
-                        bracket_vectors(self, self.generator(i), self.generator_bracket(j, k))
-                        + bracket_vectors(self, self.generator(j), self.generator_bracket(k, i))
-                        + bracket_vectors(self, self.generator(k), self.generator_bracket(i, j))
-                    )
-                    if not residual.is_zero():
-                        raise ValueError(
-                            f"Jacobi identity fails on generators ({i}, {j}, {k}): {residual!r}"
-                        )
+        triples = {
+            tuple(sorted((i, j, k)))
+            for i, j in self.brackets
+            for k in range(1, self.dim + 1)
+            if k != i and k != j
+        }
+        for i, j, k in sorted(triples):
+            residual = (
+                bracket_vectors(self, self.generator(i), self.generator_bracket(j, k))
+                + bracket_vectors(self, self.generator(j), self.generator_bracket(k, i))
+                + bracket_vectors(self, self.generator(k), self.generator_bracket(i, j))
+            )
+            if not residual.is_zero():
+                raise ValueError(
+                    f"Jacobi identity fails on generators ({i}, {j}, {k}): {residual!r}"
+                )
 
     def __repr__(self) -> str:
         return f"LieRinehartPair({self.name!r}, kind={self.kind}, dim={self.dim})"

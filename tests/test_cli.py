@@ -27,6 +27,18 @@ CORRUPTED_SL2 = {
     ],
 }
 
+# sl2 with [f, h] = 3f instead of 2f (f = e2, h = e3): a Jacobi defect.
+FH3_SL2 = {
+    "kind": "lie_algebra",
+    "dimension": 3,
+    "name": "sl2-fh3",
+    "brackets": [
+        {"i": 1, "j": 2, "value": [{"gen": 3, "coeff": "1"}]},
+        {"i": 1, "j": 3, "value": [{"gen": 1, "coeff": "-2"}]},
+        {"i": 2, "j": 3, "value": [{"gen": 2, "coeff": "3"}]},
+    ],
+}
+
 ZERO_MORPHISM = {
     "scalar_map": [
         [{"exponents": [1, 0], "coeff": "1"}],
@@ -312,6 +324,25 @@ class TestNegativeControls:
         )
         assert result.returncode == 1
         assert "residual=" in result.stdout
+
+    @pytest.mark.parametrize(
+        "suite, code",
+        [
+            # These identities do not use Jacobi, so they hold on any table.
+            ("poisson", 0),
+            ("leibniz", 0),
+            ("morphism-injection", 0),
+            ("jacobi-antisym", 1),
+            ("jacobi-sym", 1),
+            ("weak-jacobi", 1),
+            ("ce-square-zero", 1),
+        ],
+    )
+    def test_which_suites_detect_a_jacobi_defect(self, suite, code, capsys):
+        assert main(["--pair", json.dumps(FH3_SL2), "check", suite]) == 3
+        argv = ["--pair", json.dumps(FH3_SL2), "--no-validate", "check", suite]
+        assert main(argv) == code
+        assert ("FAIL" in capsys.readouterr().out) == (code == 1)
 
     def test_zero_vector_map_detected_by_morphism_suite(self, tmp_path):
         doc = tmp_path / "zero.json"

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schoutencalc import graded
 from schoutencalc.graded import (
     Permutation,
     koszul_sign,
     parity_sign,
+    partition_table,
     set_partitions,
     shuffles,
     signed_shuffles,
@@ -262,6 +264,47 @@ class TestSetPartitions:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             set_partitions(0)
+
+
+def table_sign(inversions, degrees):
+    """The documented sign of a partition-table row on ``degrees``."""
+    return -1 if sum(degrees[a] * degrees[b] for a, b in inversions) % 2 else 1
+
+
+class TestPartitionTable:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rows_are_the_partitions_with_their_koszul_signs(self, n):
+        partitions = [blocks for blocks in set_partitions(n) if len(blocks) > 1]
+        table = partition_table(n)
+        for degrees in itertools.product((0, 1), repeat=n):
+            rows = [
+                (tuple(tuple(i + 1 for i in block) for block in blocks), table_sign(inv, degrees))
+                for blocks, inv in table
+            ]
+            expected = [
+                (blocks, koszul_sign(Permutation([i for b in blocks for i in b]), degrees))
+                for blocks in partitions
+            ]
+            assert rows == expected
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_signs_match_koszul_sign_on_integer_degrees(self, n):
+        for degrees in itertools.product((-1, 0, 2, 3), repeat=n):
+            for blocks, inversions in partition_table(n):
+                s = Permutation([i + 1 for block in blocks for i in block])
+                assert table_sign(inversions, degrees) == koszul_sign(s, degrees)
+
+    def test_one_table_per_arity(self):
+        graded._PARTITION_TABLES.clear()
+        for n in range(2, 7):
+            for _ in range(3):
+                partition_table(n)
+        assert sorted(graded._PARTITION_TABLES) == [2, 3, 4, 5, 6]
+        assert [len(graded._PARTITION_TABLES[n]) for n in range(2, 7)] == [1, 4, 14, 51, 202]
+
+    def test_rejects_nonpositive_n(self):
+        with pytest.raises(ValueError):
+            partition_table(0)
 
 
 class TestParitySign:

@@ -505,6 +505,46 @@ class TestPartitionFormMatchesOrderedOracle:
         assert nonzero > 0
 
 
+def snapshot(value):
+    """Copies of a value's term maps and of the term maps of its ``Scalar``s."""
+    if isinstance(value, GradedPairElement):
+        return dict(value.scalar.terms), snapshot(value.vector)
+    return {key: dict(c.terms) for key, c in value.terms.items()}
+
+
+class TestArgumentsAreNotMutated:
+    """The in-place sums add only into maps they built, never into an argument's."""
+
+    @pytest.mark.parametrize("factory", [sl2, lambda: cartan(2)])
+    def test_injection_residual(self, factory):
+        pair = factory()
+        rng = sampling.rng_for(193)
+        for n in (2, 3, 4):
+            args = [sampling.random_pair_element(pair, rng, ensure_mixed=True) for _ in range(n)]
+            args[-1] = args[0]
+            before = [snapshot(a) for a in args]
+            first = injection_morphism_residual(pair, args)
+            assert [snapshot(a) for a in args] == before
+            assert injection_morphism_residual(pair, args) == first
+
+    @pytest.mark.parametrize("factory", [gl2, lambda: cartan(2)])
+    def test_n_bracket_weak_jacobi_and_add(self, factory):
+        pair = factory()
+        rng = sampling.rng_for(197)
+        for n in (2, 3, 4):
+            args = [sampling.random_homogeneous(pair, rng, rng.randint(0, 2)) for _ in range(n)]
+            args[-1] = args[0]
+            before = [snapshot(a) for a in args]
+            bracket = n_bracket(pair, args)
+            if n > 2:
+                weak_jacobi_residual(pair, 2, n - 1, args)
+            total = args[0] + args[1]
+            total = total + args[0]
+            assert [snapshot(a) for a in args] == before
+            assert n_bracket(pair, args) == bracket
+            assert total == args[0].scaled(2) + args[1]
+
+
 class TestCompositionIdentity:
     def test_n2(self):
         assert composition_identity_lhs(2) == Fraction(1, 2)

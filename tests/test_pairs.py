@@ -1,6 +1,9 @@
 """Pair instances, the anchor, vector brackets and pair morphisms."""
 
+import itertools
 import json
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -215,6 +218,56 @@ class TestValidation:
         rebuilt = LieRinehartPair(pair.kind, pair.dim, pair.brackets, validate=False)
         assert rebuilt.compatible(pair)
         assert not rebuilt.compatible(perturbed_sl2())
+
+
+def least_jacobi_failure(pair):
+    """Oracle: the message for the least generator triple failing Jacobi, or None."""
+    for i, j, k in itertools.combinations(range(1, pair.dim + 1), 3):
+        residual = (
+            bracket_vectors(pair, pair.generator(i), pair.generator_bracket(j, k))
+            + bracket_vectors(pair, pair.generator(j), pair.generator_bracket(k, i))
+            + bracket_vectors(pair, pair.generator(k), pair.generator_bracket(i, j))
+        )
+        if not residual.is_zero():
+            return f"Jacobi identity fails on generators ({i}, {j}, {k}): {residual!r}"
+    return None
+
+
+class TestJacobiValidation:
+    def test_reports_the_least_failing_triple(self):
+        rng = random.Random(191)
+        failures = 0
+        for _ in range(80):
+            dim = rng.randint(3, 6)
+            keys = list(itertools.combinations(range(1, dim + 1), 2))
+            table = {
+                key: {rng.randint(1, dim): rng.choice((-2, -1, 1, 2))}
+                for key in rng.sample(keys, rng.randint(0, min(4, len(keys))))
+            }
+            pair = LieRinehartPair.lie_algebra(dim, table, validate=False)
+            expected = least_jacobi_failure(pair)
+            if expected is None:
+                pair.validate_structure()
+                continue
+            failures += 1
+            with pytest.raises(ValueError) as excinfo:
+                pair.validate_structure()
+            assert str(excinfo.value) == expected
+        assert 10 < failures < 70
+
+    def test_large_abelian_document_loads_quickly(self):
+        start = time.perf_counter()
+        pair = load_pair({"kind": "lie_algebra", "dimension": 400})
+        assert time.perf_counter() - start < 1.0
+        assert pair.dim == 400
+
+    def test_one_bracket_in_a_large_pair_is_still_checked(self):
+        # [e1, e2] = e3 alone is a Lie algebra; [e1, e2] = e1 + e3 with
+        # [e1, e3] = e1 is not, and the failure involves generator 3 only
+        # through the table.
+        assert LieRinehartPair.lie_algebra(200, {(1, 2): {3: 1}}).dim == 200
+        with pytest.raises(ValueError, match=r"Jacobi identity fails on generators \(1, 2, 3\)"):
+            LieRinehartPair.lie_algebra(200, {(1, 2): {1: 1, 3: 1}, (1, 3): {1: 1}})
 
 
 class TestCheckLeibniz:
