@@ -33,6 +33,7 @@ from .exterior import INHOMOGENEOUS, Multivector, _accumulate, embed, tensor_deg
 from .graded import parity_sign, partition_table, signed_shuffles
 from .pairs import GradedPairElement, LieRinehartPair, Vector, associated_bracket
 from .report import BracketReport, run_identity
+from .scalars import Scalar
 
 __all__ = [
     "BracketFamily",
@@ -64,22 +65,16 @@ def _n_bracket_hom(pair: LieRinehartPair, args: list[Multivector], degrees: list
     """One shuffle sum on homogeneous ``args`` of the given tensor degrees.
 
     The shuffles of ``Sh(2, n-2)`` and their Koszul signs come from the
-    :func:`signed_shuffles` table.  On a trivial-scalar pair a shuffle whose
-    inner bracket has a degree-0 slot is dropped before ``sn_antisym`` is
-    called: there ``A = Q`` and the anchor is zero, so a scalar is central
-    and that bracket is exactly zero.  A shuffle whose inner bracket is zero
-    is skipped too; otherwise ``x_{s(n)} ^ ... ^ x_{s(3)} ^ inner`` is built
-    by wedging each ``x_{s(k)}``, k = 3..n, onto the left of ``inner``.
+    :func:`signed_shuffles` table.  A shuffle whose inner bracket is zero is
+    skipped; otherwise ``x_{s(n)} ^ ... ^ x_{s(3)} ^ inner`` is built by
+    wedging each ``x_{s(k)}``, k = 3..n, onto the left of ``inner``.
     """
     from .schouten import sn_antisym
 
     n = len(args)
-    central_scalars = pair.is_trivial_scalars
     out: dict = {}
     for order, sign in signed_shuffles((2, n - 2) if n > 2 else (2,), degrees):
         first, second = order[0], order[1]
-        if central_scalars and not (degrees[first] and degrees[second]):
-            continue
         inner = sn_antisym(pair, args[second], args[first])
         if inner.is_zero():
             continue
@@ -91,16 +86,43 @@ def _n_bracket_hom(pair: LieRinehartPair, args: list[Multivector], degrees: list
 
 
 def n_bracket(pair: LieRinehartPair, args: Sequence[Multivector]) -> Multivector:
-    """The arity-``len(args)`` bracket, extended multilinearly to mixed degrees."""
+    """The arity-``len(args)`` bracket, extended multilinearly to mixed degrees.
+
+    On trivial scalars, ``sum +-c_1...c_p n_brackets[sorted (m_1..m_p)]`` over
+    one term ``c_k e_(m_k)`` per argument (sign: see :class:`LieRinehartPair`);
+    other pairs sum :func:`_n_bracket_hom` over the homogeneous parts.
+    """
     args = list(args)
     if not args:
         raise ValueError("n_bracket needs at least one argument")
+    if any(a.pair is not pair and not a.pair.compatible(pair) for a in args):
+        raise ValueError("multivector does not belong to the given pair")
     if len(args) == 1:
         return Multivector.zero(pair)
     out: dict = {}
-    for combo in itertools.product(*(_hom_parts(a) for a in args)):
-        _accumulate(out, _n_bracket_hom(pair, [c[0] for c in combo], [c[1] for c in combo]), 1)
-    return Multivector._trusted(pair, out)
+    if not pair.is_trivial_scalars:
+        for combo in itertools.product(*(_hom_parts(a) for a in args)):
+            _accumulate(out, _n_bracket_hom(pair, [c[0] for c in combo], [c[1] for c in combo]), 1)
+        return Multivector._trusted(pair, out)
+    for combo in itertools.product(*(a.terms.items() for a in args)):
+        monos = [mono for mono, _ in combo]
+        key = tuple(sorted(monos))
+        entry = pair.n_brackets.get(key)
+        if entry is None:
+            if sum(map(len, key)) > pair.dim + 1:  # of degree above dim, so zero
+                continue
+            units = [Multivector._trusted(pair, {m: Scalar._trusted(0, {(): Fraction(1)})}) for m in key]
+            value = _n_bracket_hom(pair, units, [len(mono) for mono in key])
+            entry = pair.n_brackets[key] = tuple((mono, c.terms[()]) for mono, c in value.terms.items())
+        if not entry:
+            continue
+        odd = [mono for mono in monos if len(mono) % 2]
+        c = -1 if sum(a > b for i, a in enumerate(odd) for b in odd[i + 1 :]) % 2 else 1
+        for _, coeff in combo:
+            c *= coeff.terms[()]
+        for mono, q in entry:
+            out[mono] = out.get(mono, 0) + q * c
+    return Multivector._trusted(pair, {m: Scalar._trusted(0, {(): c}) for m, c in out.items() if c})
 
 
 @dataclass(frozen=True)
@@ -178,15 +200,15 @@ def ce_differential(pair: LieRinehartPair, x: Multivector) -> Multivector:
         raise UnsupportedPairError(
             "the coalgebraic differential exists only for trivial-scalar pairs"
         )
-    out = Multivector.zero(pair)
+    out: dict = {}
     for mono, coeff in x.terms.items():
         n = len(mono)
         if n < 2:
             continue
         generators = [Multivector.monomial(pair, (g,)) for g in mono]
-        term = _n_bracket_hom(pair, generators, [1] * n)
-        out = out + term.scaled(coeff).scaled(parity_sign((n - 1) * (n - 2) // 2))
-    return out
+        term = n_bracket(pair, generators).scaled(coeff)
+        _accumulate(out, term, parity_sign((n - 1) * (n - 2) // 2))
+    return Multivector._trusted(pair, out)
 
 
 # -- the natural injection -------------------------------------------------------

@@ -131,10 +131,14 @@ class LieRinehartPair:
     ``rho_ik = D_(e_i)(x_k)`` read through :meth:`anchor_generator`, which
     must be constants (both pair kinds satisfy this).  Each entry is a pure
     function of the pair, so a fill is idempotent; there are at most
-    ``4**dim``.
+    ``4**dim``.  ``n_brackets``, filled by ``linfty.n_bracket`` on trivial
+    scalars, has one entry per sorted tuple of monomials met of total length
+    at most ``dim + 1``: the ``(monomial, Fraction)`` terms of their unit
+    n-bracket.  Another order reads it times ``(-1)**(pairs of odd-length
+    monomials the sort swaps)``, by graded symmetry (any antisymmetric table).
     """
 
-    __slots__ = ("kind", "dim", "nvars", "brackets", "name", "monomial_brackets")
+    __slots__ = ("kind", "dim", "nvars", "brackets", "name", "monomial_brackets", "n_brackets")
 
     def __init__(
         self,
@@ -163,6 +167,7 @@ class LieRinehartPair:
         self.brackets = MappingProxyType(table)
         self.name = name or kind
         self.monomial_brackets: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple] = {}
+        self.n_brackets: dict[tuple[tuple[int, ...], ...], tuple] = {}
         if validate:
             self.validate_structure()
 

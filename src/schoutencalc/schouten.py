@@ -129,6 +129,8 @@ def sn_antisym(pair: LieRinehartPair, x: Multivector, y: Multivector) -> Multive
     normal form without re-validation.
     """
     x._check(y)
+    if x.pair is not pair and not x.pair.compatible(pair):
+        raise ValueError("multivector does not belong to the given pair")
     sums: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
     for mx, a in x.terms.items():
         a_terms = a.terms.items()

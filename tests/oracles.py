@@ -14,6 +14,10 @@ shuffle sum, with no signed-shuffle table and no skipped shuffle.  Unlike
 the ``sn_antisym`` oracles it deliberately reuses the kernel ``sn_antisym``
 (and so the table) for its binary brackets; it is independent only of
 :func:`schoutencalc.graded.signed_shuffles` and of the n-bracket's skips.
+:func:`n_bracket_hom_parts` is the oracle for the n-bracket's per-pair table
+on trivial-scalar pairs: it expands each argument into its homogeneous parts
+and sums the kernel's shuffle sum on every choice of parts, reading no
+``n_brackets`` entry and no sort sign.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import itertools
 
 from schoutencalc.exterior import Multivector, wedge
 from schoutencalc.graded import koszul_sign, parity_sign, shuffles
+from schoutencalc.linfty import _n_bracket_hom
 from schoutencalc.pairs import LieRinehartPair, Vector, anchor, bracket_vectors
 from schoutencalc.scalars import Scalar
 from schoutencalc.schouten import sn_antisym
@@ -190,4 +195,19 @@ def n_bracket_shuffle(pair: LieRinehartPair, args: list[Multivector]) -> Multive
             term = wedge(pair, left, sn_antisym(pair, xs[s(2) - 1], xs[s(1) - 1]))
             sign = koszul_sign(s, degrees) * parity_sign(degrees[s(1) - 1])
             out = out + term.scaled(sign)
+    return out
+
+
+def n_bracket_hom_parts(pair: LieRinehartPair, args: list[Multivector]) -> Multivector:
+    """The n-bracket summed over every choice of homogeneous parts of ``args``.
+
+    Each choice is one shuffle sum of ``_n_bracket_hom`` on whole
+    homogeneous parts, coefficients included, so no monomial-tuple table is
+    read; arity one is zero.
+    """
+    out = Multivector.zero(pair)
+    if len(args) < 2:
+        return out
+    for combo in itertools.product(*(x.homogeneous_components().items() for x in args)):
+        out = out + _n_bracket_hom(pair, [part for _, part in combo], [d for d, _ in combo])
     return out

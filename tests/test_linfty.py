@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from oracles import n_bracket_shuffle
+from oracles import n_bracket_hom_parts, n_bracket_shuffle
 
 from schoutencalc import sampling
 from schoutencalc.errors import UnsupportedPairError
@@ -135,7 +135,7 @@ class TestNBracket:
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_shuffle_oracle_on_every_sl2_monomial_tuple(self, n):
         # Multilinearity makes this a proof for sl2 at arities 2 and 3; the
-        # monomials include the unit, the degree-0 slot the n-bracket skips.
+        # monomials include the unit, a degree-0 slot with zero inner brackets.
         pair = sl2()
         monomials = list(all_monomials(pair))
         for args in itertools.product(monomials, repeat=n):
@@ -228,6 +228,108 @@ class TestNBracket:
             seen += 1
             assert tensor_degree(result) == sum(degrees) - 1
         assert seen > 10
+
+
+def random_argument(pair, rng, degrees):
+    """Sum of random homogeneous parts of the given degrees, rational coefficients."""
+    out = Multivector.zero(pair)
+    while out.is_zero():
+        for d in degrees:
+            out = out + sampling.random_homogeneous(pair, rng, d)
+    return out
+
+
+TRIVIAL_SCALAR_PAIRS = [sl2, gl2, solvable4, lambda: abelian(3), perturbed_sl2]
+
+
+class TestNBracketTable:
+    """On trivial-scalar pairs ``n_bracket`` sums, over one term per argument,
+    the product of the coefficients times the ``n_brackets`` entry of the
+    sorted monomials, with the sort's Koszul sign; it must agree with the
+    expansion into homogeneous parts at every arity."""
+
+    @pytest.mark.parametrize("factory", TRIVIAL_SCALAR_PAIRS)
+    def test_matches_homogeneous_part_expansion(self, factory):
+        pair = factory()
+        rng = sampling.rng_for(140)
+        palette = [(0,), (0,), (1,), (1,), (2,), (3,), (0, 1), (1, 2), (0, 2, 3)]
+        for n in range(2, 7):
+            nonzero = 0
+            for trial in range(16 if n < 6 else 8):
+                if trial % 2:
+                    args = [random_argument(pair, rng, rng.choice(palette)) for _ in range(n)]
+                else:
+                    args = [random_argument(pair, rng, rng.choice(palette[:6])) for _ in range(n)]
+                got = n_bracket(pair, args)
+                assert got == n_bracket_hom_parts(pair, args)
+                nonzero += not got.is_zero()
+            # Only the abelian brackets vanish identically.
+            assert (nonzero > 0) == bool(pair.brackets), n
+
+    @pytest.mark.parametrize("factory", [sl2, gl2, solvable4])
+    def test_permuted_arguments_add_no_entry_and_give_koszul_sign(self, factory):
+        pair = factory()
+        rng = sampling.rng_for(150)
+        nonzero = 0
+        for n in (3, 4, 5):
+            for _ in range(6):
+                degrees = [rng.choice((0, 1, 1, 2, 3)) for _ in range(n)]
+                args = [sampling.random_homogeneous(pair, rng, d) for d in degrees]
+                reference = n_bracket(pair, args)
+                nonzero += not reference.is_zero()
+                filled = len(pair.n_brackets)
+                for _ in range(6):
+                    images = list(range(1, n + 1))
+                    rng.shuffle(images)
+                    s = Permutation(images)
+                    permuted = [args[s(i) - 1] for i in range(1, n + 1)]
+                    assert n_bracket(pair, permuted) == reference.scaled(koszul_sign(s, degrees))
+                assert len(pair.n_brackets) == filled
+        assert nonzero > 0
+
+    def test_interleaved_pairs_keep_their_own_tables(self):
+        # Same dimension, different structure constants: a table shared
+        # between the two would hand one pair the other's brackets.
+        true, bent = sl2(), perturbed_sl2()
+        generator_monomials = [m for k in (1, 2) for m in itertools.combinations((1, 2, 3), k)]
+        differ = 0
+        for monos in itertools.product(generator_monomials, repeat=3):
+            got = []
+            for pair in (true, bent):
+                args = [Multivector.monomial(pair, m) for m in monos]
+                value = n_bracket(pair, args)
+                assert value == n_bracket_hom_parts(pair, args)
+                got.append(value.terms)
+            differ += got[0] != got[1]
+        assert differ
+
+    def test_fresh_pair_starts_empty_and_cartan_pair_never_fills(self):
+        pair = sl2()
+        assert pair.n_brackets == {}
+        e, f, ef = (Multivector.monomial(pair, m) for m in ((1,), (2,), (1, 2)))
+        assert n_bracket(pair, [e, ef, f]) == -Multivector.monomial(pair, (1, 2, 3))
+        assert n_bracket(pair, [f, e, ef]) == Multivector.monomial(pair, (1, 2, 3))
+        assert set(pair.n_brackets) == {((1,), (1, 2), (2,))}
+        # Total length 5 > dim + 1: the bracket would have degree 4 > dim.
+        assert n_bracket(pair, [ef, ef, Multivector.monomial(pair, (3,))]).is_zero()
+        assert set(pair.n_brackets) == {((1,), (1, 2), (2,))}
+        assert sl2().n_brackets == {}
+        two = cartan(2)
+        rng = sampling.rng_for(151)
+        for n in (2, 3, 4):
+            n_bracket(two, [sampling.random_multivector(two, rng) for _ in range(n)])
+        assert two.n_brackets == {}
+
+    def test_arguments_of_another_pair_are_refused(self):
+        pair = sl2()
+        for other in (gl2(), cartan(2)):
+            x, y = Multivector.monomial(other, (1,)), Multivector.monomial(other, (2,))
+            with pytest.raises(ValueError, match="does not belong to the given pair"):
+                n_bracket(pair, [x, y])
+        assert pair.n_brackets == {}
+        twin = sl2()
+        e, f = Multivector.monomial(twin, (1,)), Multivector.monomial(twin, (2,))
+        assert n_bracket(pair, [e, f]) == Multivector.monomial(pair, (3,))
 
 
 class TestWeakJacobi:

@@ -232,6 +232,17 @@ class TestMonomialTable:
         assert set(pair.monomial_brackets) == {((1,), (2,))}
         assert sl2().monomial_brackets == {}
 
+    def test_arguments_of_another_pair_are_refused(self):
+        pair = sl2()
+        for other in (gl2(), cartan(2)):
+            x, y = Multivector.monomial(other, (1,)), Multivector.monomial(other, (2,))
+            with pytest.raises(ValueError, match="does not belong to the given pair"):
+                sn_antisym(pair, x, y)
+        assert pair.monomial_brackets == {}
+        twin = sl2()
+        e, f = Multivector.monomial(twin, (1,)), Multivector.monomial(twin, (2,))
+        assert sn_antisym(pair, e, f) == Multivector.monomial(pair, (3,))
+
     def test_cartan_pair_fills_bounded_table(self):
         two = cartan(2)
         assert two.monomial_brackets == {}
