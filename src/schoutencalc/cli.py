@@ -8,9 +8,10 @@ Commands::
     schoutencalc --pair PATH info
 
 ``--pair`` accepts a JSON document path or a ``builtin:<name>`` shortcut
-(sl2, gl2, solvable4, abelian2, abelian3, cartan1..3).  Exit codes: 0 all
-checks pass, 1 an identity violation was found, 2 usage or expression
-error, 3 bad pair or morphism document.
+(sl2, gl2, solvable4, abelian2, abelian3, cartan1..3).  ``--n``, ``--p``,
+``--q`` and ``--morphism`` given to a suite that does not read them are
+usage errors.  Exit codes: 0 all checks pass, 1 an identity violation was
+found, 2 usage or expression error, 3 bad pair or morphism document.
 """
 
 from __future__ import annotations
@@ -165,9 +166,21 @@ RUNNERS = {
     "combinatorial": _run_combinatorial,
 }
 SUITES = tuple(RUNNERS)
+# The suites that read each optional flag; a flag given to any other suite
+# is refused.  ``--max-n`` is read by combinatorial alone but has a default,
+# so every suite accepts it.
+FLAG_SUITES = {
+    "n": ("weak-jacobi", "morphism-injection", "morphism-strict"),
+    "p": ("weak-jacobi",),
+    "q": ("weak-jacobi",),
+    "morphism": ("morphism-strict",),
+}
 
 
 def _cmd_check(pair, args, parser) -> int:
+    for flag, suites in FLAG_SUITES.items():
+        if getattr(args, flag) is not None and args.suite not in suites:
+            parser.error(f"--{flag} does not apply to {args.suite}")
     if args.trials < 1:
         parser.error("--trials must be at least 1")
     if args.n is not None and not 2 <= args.n <= 8:

@@ -7,23 +7,35 @@ signs throughout use the tensor grading.
 
 This module also provides the coalgebraic differential available on
 trivial-scalar pairs, the weak natural injection ``i_n = (-1)**(n-1) (n-1)!
-x_n ^ ... ^ x_1`` together with a full structure-equation checker for weak
-morphisms, and the exact combinatorial sum over ordered compositions whose
+x_n ^ ... ^ x_1`` together with the checker of its weak-morphism structure
+equation, and the exact combinatorial sum over ordered compositions whose
 value ``1/2`` closes the injection argument.
 
 The checker sums the right side of the structure equation over unordered
 set partitions of the arguments with coefficient 1 (the unshuffle form of
 Lada-Markl).  That equals the ``1/p!``-weighted sum over ordered
-compositions because the components are multilinear and graded symmetric in
-the tensor grading, with a component's image carrying the total degree of
+compositions because the injection's components are multilinear and graded
+symmetric in the tensor grading, with an image carrying the total degree of
 its arguments, and the target bracket is graded symmetric too: the ``p!``
-block orders of one partition give equal terms.
+block orders of one partition give equal terms.  Each argument splits into
+a scalar part of degree 0 and a vector part of degree 1.  For each
+partition the checker enumerates the parts only of the arguments outside
+its largest block ``B*`` and sums ``B*``'s exactly: no inversion lies inside
+an increasing block, so the Koszul sign factors over ``B*``'s elements, and
+by multilinearity each ``k`` in ``B*`` enters as ``x_k^0 + (-1)**t_k
+x_k^1``, ``t_k`` the parity of the outside degrees that inversions join to
+``k`` (the proof is in ``_structure_equation_residual``).  The left side is
+twisted the same way, one injection per pair ``i < j`` and choice of their
+parts.  Block images are wedge words built once per call, one wedge each
+onto a shorter word, with bare ``Fraction`` coefficients on trivial-scalar
+pairs and ``Scalar`` ones otherwise; the residual is summed bare as well.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -231,9 +243,19 @@ def natural_injection(
     return out.scaled(factor)
 
 
-def injection_family(pair: LieRinehartPair) -> Callable:
-    """The natural injection's components: ``k -> i_k``, none of them zero."""
-    return lambda k: lambda elems: natural_injection(pair, elems)
+@dataclass(frozen=True)
+class _InjectionFamily:
+    """The natural injection's components ``k -> i_k`` into one pair's exterior algebra."""
+
+    pair: LieRinehartPair
+
+    def __call__(self, k: int) -> Callable:
+        return lambda elems: natural_injection(self.pair, elems)
+
+
+def injection_family(pair: LieRinehartPair) -> _InjectionFamily:
+    """The natural injection's components: ``f(k)(elems) == i_k(elems)``, none of them zero."""
+    return _InjectionFamily(pair)
 
 
 def _source_parts(pair: LieRinehartPair, x: GradedPairElement) -> list[tuple[GradedPairElement, int]]:
@@ -253,72 +275,202 @@ def _compositions(n: int, p: int):
         yield tuple(bounds[i + 1] - bounds[i] for i in range(p))
 
 
-def _structure_equation_residual(source_pair, f: Callable, target_pair, args) -> Multivector:
-    """LHS minus RHS of the weak-morphism structure equation, one term at a time.
+# Keyed by the arity alone, like graded.partition_table; never evicted.
+_TWIST_TABLES: dict[int, tuple] = {}
 
-    Left side: ``sum_{Sh(2,n-2)} e(s) f_{n-1}([x_s(1), x_s(2)], x_s(3), ...)``,
-    since ``A (+) g`` has only its binary bracket; the shuffles and their
-    signs are read from the :func:`signed_shuffles` table, and terms whose
-    bracket is zero are skipped.
-    Right side: ``sum_{B_1 | ... | B_p} e(s) {f_{|B_1|}(x_{B_1}), ...,
-    f_{|B_p|}(x_{B_p})}_p`` over the unordered set partitions of ``1..n``
-    into ``p >= 2`` blocks (the arity-one bracket is zero), blocks increasing
-    and ordered by least element, ``s`` their concatenation.  The blocks and
-    the inversions of ``s``, which give its Koszul sign, are read from the
-    :func:`partition_table` row of the partition.  Coefficient 1
-    replaces the ``1/p!`` of the ordered-composition form because the
-    components and the target bracket are multilinear and graded symmetric
-    in the tensor grading, so the ``p!`` block orders give equal terms.
 
-    The arguments are expanded into their homogeneous parts, and each choice
-    of parts is one term of that expansion.  ``f(k)`` is evaluated once per
-    arity.  Each source bracket is computed once per pair of positions and
-    degrees, and each block image once per block and degrees of its
-    arguments; both are shared by every choice of parts that agrees there.
-    A partition is skipped as soon as one of its block images is zero
-    (``e1 ^ e1``, say), since the bracket is multilinear.  The residual is
-    summed in place into one fresh map.
+def _twist_table(n: int) -> tuple:
+    """The rows of ``partition_table(n)`` with their largest block summed out.
+
+    One ``(blocks, star, outside, partners, inversions)`` row per partition,
+    in the same order: ``blocks[star]`` is the first largest block B*,
+    ``outside`` the arguments not in B*, ``partners[r]`` the outside
+    arguments that an inversion joins to B*'s ``r``-th argument, and
+    ``inversions`` the partition's inversions that touch no argument of B*.
+    Equal tuples are shared between rows, and the blocks are the partition
+    table's own.
+    """
+    table = _TWIST_TABLES.get(n)
+    if table is None:
+        shared: dict[tuple, tuple] = {}
+        rows = []
+        for blocks, inversions in partition_table(n):
+            star = max(range(len(blocks)), key=lambda b: len(blocks[b]))
+            inside = blocks[star]
+            outside = tuple(k for k in range(n) if k not in inside)
+            # No inversion lies inside B*, so a + b - k is k's outside partner.
+            partners = [tuple(sorted(a + b - k for a, b in inversions if k in (a, b))) for k in inside]
+            rest = tuple(ab for ab in inversions if ab[0] not in inside and ab[1] not in inside)
+            rows.append((
+                blocks,
+                star,
+                shared.setdefault(outside, outside),
+                tuple(shared.setdefault(t, t) for t in partners),
+                shared.setdefault(rest, rest),
+            ))
+        table = _TWIST_TABLES[n] = tuple(rows)
+    return table
+
+
+def _wedge_unit(unit: dict, word: dict) -> dict:
+    """``u ^ W`` on bare words, ``u`` of degree at most one; zero sums are kept."""
+    out: dict = {}
+    for um, uc in unit.items():
+        g = um[0] if um else None
+        for wm, wc in word.items():
+            if g is None:
+                mono, c = wm, uc * wc
+            elif g in wm:
+                continue
+            else:
+                # e_g moves past the pos generators of wm below g.
+                pos = bisect_left(wm, g)
+                mono, c = wm[:pos] + um + wm[pos:], (-uc if pos % 2 else uc) * wc
+            prev = out.get(mono)
+            out[mono] = c if prev is None else prev + c
+    return out
+
+
+def _word(words: dict, units: list, block: tuple[int, ...], choice: tuple[int, ...]) -> dict:
+    """``x_{b_m} ^ ... ^ x_{b_1}`` on the chosen units, one wedge onto the cached shorter word."""
+    key = (block, choice)
+    word = words.get(key)
+    if word is None:
+        head = units[block[-1]][choice[-1]]
+        word = words[key] = (
+            head if len(block) == 1 else _wedge_unit(head, _word(words, units, block[:-1], choice[:-1]))
+        )
+    return word
+
+
+def _wrap(pair: LieRinehartPair, word: dict, factor: int = 1) -> Multivector:
+    """``factor`` times a bare word as a multivector, zero coefficients dropped."""
+    if factor != 1:
+        word = {m: c * factor for m, c in word.items()}
+    if pair.is_trivial_scalars:
+        return Multivector._trusted(pair, {m: Scalar._trusted(0, {(): c}) for m, c in word.items() if c})
+    return Multivector._trusted(pair, {m: c for m, c in word.items() if c.terms})
+
+
+def _add_bare(out: dict, x: Multivector, sign: int) -> None:
+    """Add ``sign * x`` into the bare map ``out``; zero sums are kept."""
+    trivial = x.pair.is_trivial_scalars
+    for mono, coeff in x.terms.items():
+        c = coeff.terms[()] if trivial else coeff
+        if sign < 0:
+            c = -c
+        prev = out.get(mono)
+        out[mono] = c if prev is None else prev + c
+
+
+def _structure_equation_residual(source_pair, target_pair, args) -> Multivector:
+    """LHS minus RHS of the natural injection's weak-morphism structure equation.
+
+    Split each argument ``x_k = x_k^0 + x_k^1`` into its scalar part, of
+    tensor degree 0, and its vector part, of degree 1.  Over those parts the
+    equation reads
+
+        sum_{i<j} sum_d e(i, j, R; d) i_{n-1}([x_i^d_i, x_j^d_j], x_R^d)
+            = sum_{B_1 | ... | B_p} sum_d e(s; d) {i_|B_1|(x_B_1^d), ..., i_|B_p|(x_B_p^d)}_p.
+
+    The left side is the ``Sh(2, n-2)`` sum, ``R`` the rest in increasing
+    order, since ``A (+) g`` has only its binary bracket.  The right side
+    runs over the unordered set partitions of ``1..n`` into ``p >= 2``
+    blocks (the arity-one bracket is zero), blocks increasing and ordered by
+    least element, ``s`` their concatenation: the unshuffle form of
+    Lada-Markl.  Coefficient 1 replaces the ``1/p!`` of the
+    ordered-composition form because the components and the target bracket
+    are multilinear and graded symmetric in the tensor grading, so the
+    ``p!`` block orders give equal terms.  ``e(s; d)`` is ``(-1)**sum(d_a
+    d_b)`` over the inversions ``(a, b)`` of ``s``, from :func:`partition_table`.
+
+    Summing out one block.  Fix a partition and its first largest block
+    ``B*``.  Blocks are increasing, so no inversion lies inside ``B*``, and
+    each inversion touching ``B*`` joins one ``k`` in ``B*`` to one outside
+    argument.  So the Koszul sign factors over ``B*``'s elements:
+
+        e(s; d) = e'(d) prod_{k in B*} (-1)**(d_k t_k),
+
+    where ``e'`` counts only the inversions that touch no argument of
+    ``B*`` and ``t_k`` is the parity of the degrees of the outside arguments
+    that the inversions join to ``k``.  Neither depends on the degrees on
+    ``B*``, nor do the other blocks' images.  ``i_|B*|`` and the bracket
+    are multilinear, so for fixed outside degrees the ``2**|B*|`` terms of
+    the degrees on ``B*`` sum to one bracket with ``y_k = x_k^0 +
+    (-1)**t_k x_k^1`` in place of ``x_k`` in ``B*``, signed ``e'(d)``.  The
+    left side is the same with ``B* = R``: the inversions of ``(i, j, R)``
+    are ``(i, k)`` for ``k < i`` and ``(j, k)`` for ``k < j``, ``R`` being
+    increasing, so ``t_k = d_i [k < i] + d_j [k < j]``, and there is one
+    :func:`natural_injection` per pair ``i < j`` and choice of ``d_i``,
+    ``d_j``.  The rows' ``B*``, partners and remaining inversions come from
+    :func:`_twist_table`.
+
+    Words.  Each argument is embedded once and split into four bare words
+    (maps from monomials to ``Fraction`` coefficients on trivial-scalar
+    pairs and to ``Scalar`` coefficients otherwise): its scalar part, its
+    vector part, and their sum and difference.  The word of a block ``b_1 <
+    ... < b_m`` on chosen words ``u`` is ``u_(b_m) ^ W(b_1, ..., b_(m-1))``,
+    one wedge onto the cached shorter word, and the block's image is
+    ``(-1)**(m-1) (m-1)!`` times it; each is built once per call.  A
+    partition is skipped as soon as one of its images is zero, since the
+    bracket is multilinear.  Every bracket of images goes through
+    :func:`n_bracket`.  The residual is summed bare in one fresh map and
+    wrapped once.
     """
     n = len(args)
-    components = {k: f(k) for k in range(1, n)}
-    rows = [
-        (blocks, inversions)
-        for blocks, inversions in partition_table(n)
-        if all(components[len(block)] is not None for block in blocks)
-    ]
-    f_left = components.get(n - 1)
-    brackets: dict[tuple[int, int, int, int], GradedPairElement] = {}
-    images: dict[tuple[tuple[int, ...], tuple[int, ...]], Multivector] = {}
     residual: dict = {}
-    for combo in itertools.product(*(_source_parts(source_pair, a) for a in args)):
-        elems = [c[0] for c in combo]
-        degrees = [c[1] for c in combo]
 
-        if f_left is not None:
-            for order, sign in signed_shuffles((2,) if n == 2 else (2, n - 2), degrees):
-                i, j = order[0], order[1]
-                key = (i, degrees[i], j, degrees[j])
-                inner = brackets.get(key)
-                if inner is None:
-                    inner = brackets[key] = associated_bracket(source_pair, elems[i], elems[j])
+    parts = [_source_parts(source_pair, x) for x in args]
+    flipped = [GradedPairElement(x.scalar, -x.vector) for x in args]
+    for i, j in itertools.combinations(range(n), 2):
+        for u, di in parts[i]:
+            for v, dj in parts[j]:
+                inner = associated_bracket(source_pair, u, v)
                 if inner.is_zero():
                     continue
-                _accumulate(residual, f_left([inner] + [elems[k] for k in order[2:]]), sign)
+                rest = [
+                    flipped[k] if (di * (k < i) + dj * (k < j)) % 2 else args[k]
+                    for k in range(n)
+                    if k != i and k != j
+                ]
+                _add_bare(residual, natural_injection(target_pair, [inner] + rest), 1)
 
-        for blocks, inversions in rows:
+    trivial = target_pair.is_trivial_scalars
+    units = []
+    for x in args:
+        terms = embed(target_pair, x).terms
+        if trivial:
+            terms = {m: c.terms[()] for m, c in terms.items()}
+        scalar = {m: c for m, c in terms.items() if not m}
+        vector = {m: c for m, c in terms.items() if m}
+        # Units 0 and 1 are the parts of degree 0 and 1; unit 2 + t is x^0 + (-1)**t x^1.
+        units.append((scalar, vector, terms, {**scalar, **{m: -c for m, c in vector.items()}}))
+    degrees = [tuple(d for d in (0, 1) if unit[d]) for unit in units]
+    words: dict = {}
+    images: dict = {}
+    d = [0] * n
+    for blocks, star, outside, partners, inversions in _twist_table(n):
+        for choice in itertools.product(*[degrees[m] for m in outside]):
+            for m, dm in zip(outside, choice):
+                d[m] = dm
             block_images = []
-            for block in blocks:
-                key = (block, tuple([degrees[i] for i in block]))
+            for b, block in enumerate(blocks):
+                if b == star:
+                    key = (block, tuple([2 + sum([d[m] for m in p]) % 2 for p in partners]))
+                else:
+                    key = (block, tuple([d[k] for k in block]))
                 image = images.get(key)
                 if image is None:
-                    image = images[key] = components[len(block)]([elems[i] for i in block])
+                    k = len(block)
+                    factor = -math.factorial(k - 1) if k % 2 == 0 else math.factorial(k - 1)
+                    image = images[key] = _wrap(target_pair, _word(words, units, *key), factor)
                 if image.is_zero():
                     break
                 block_images.append(image)
             else:
-                odd = sum(degrees[a] * degrees[b] for a, b in inversions) % 2
-                _accumulate(residual, n_bracket(target_pair, block_images), 1 if odd else -1)
-    return Multivector._trusted(target_pair, residual)
+                odd = sum([d[a] & d[b] for a, b in inversions]) % 2
+                _add_bare(residual, n_bracket(target_pair, block_images), 1 if odd else -1)
+    return _wrap(target_pair, residual)
 
 
 # Largest arity check_linfty_morphism evaluates.
@@ -327,23 +479,22 @@ _MAX_ARITY = 5
 
 def check_linfty_morphism(
     source_pair: LieRinehartPair,
-    f: Callable,
+    f: _InjectionFamily,
     target: BracketFamily,
     n: int,
     args: Sequence[GradedPairElement],
 ) -> BracketReport:
-    """Evaluate the weak-morphism structure equation at arity ``n``.
+    """Evaluate the natural injection's weak-morphism structure equation at arity ``n``.
 
-    ``f`` maps an arity ``k`` to the k-linear component, a callable on a list
-    of source elements returning a multivector, or to ``None`` for the zero
-    map.  Every component must be multilinear, graded symmetric in the tensor
-    grading, and map homogeneous arguments to a multivector whose degree is
-    their total degree; for a family that breaks this, the sum over set
-    partitions is not the equation.  The source is ``A (+) g`` with only its
-    binary bracket, so ``args`` must be :class:`GradedPairElement` values.
-    The shuffle-sum term count grows super-exponentially in ``n``, so ``n``
-    above 5 is refused.
+    ``f`` must be ``injection_family(target.pair)``: the evaluator sums out
+    one block per partition by the injection's multilinearity and graded
+    symmetry, so any other family raises ``TypeError``.  The source is
+    ``A (+) g`` with only its binary bracket, so ``args`` must be
+    :class:`GradedPairElement` values.  The term count grows
+    super-exponentially in ``n``, so ``n`` above 5 is refused.
     """
+    if f != injection_family(target.pair):
+        raise TypeError("check_linfty_morphism evaluates injection_family(target.pair) only")
     if n < 1:
         raise ValueError("arity must be at least 1")
     if n > _MAX_ARITY:
@@ -352,7 +503,7 @@ def check_linfty_morphism(
         raise ValueError(f"expected {n} arguments, got {len(args)}")
     if not all(isinstance(a, GradedPairElement) for a in args):
         raise TypeError("structure-equation arguments must be GradedPairElement values")
-    residual = lambda xs: _structure_equation_residual(source_pair, f, target.pair, list(xs))
+    residual = lambda xs: _structure_equation_residual(source_pair, target.pair, list(xs))
     return run_identity("linfty-morphism", [args], residual, n=n)
 
 
@@ -360,7 +511,7 @@ def injection_morphism_residual(
     pair: LieRinehartPair, args: Sequence[GradedPairElement]
 ) -> Multivector:
     """Structure-equation residual of the natural injection at the given args."""
-    return _structure_equation_residual(pair, injection_family(pair), pair, list(args))
+    return _structure_equation_residual(pair, pair, list(args))
 
 
 # -- the composition identity ----------------------------------------------------

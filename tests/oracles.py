@@ -17,17 +17,21 @@ the ``sn_antisym`` oracles it deliberately reuses the kernel ``sn_antisym``
 :func:`n_bracket_hom_parts` is the oracle for the n-bracket's per-pair table
 on trivial-scalar pairs: it expands each argument into its homogeneous parts
 and sums the kernel's shuffle sum on every choice of parts, reading no
-``n_brackets`` entry and no sort sign.
+``n_brackets`` entry and no sort sign.  :func:`structure_equation_by_parts`
+is the oracle for the natural injection's structure equation
+(:func:`schoutencalc.linfty.injection_morphism_residual`): one term per
+choice of homogeneous part of every argument and per set partition, with no
+block summed out and no twisted argument.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from schoutencalc.exterior import Multivector, wedge
-from schoutencalc.graded import koszul_sign, parity_sign, shuffles
-from schoutencalc.linfty import _n_bracket_hom
-from schoutencalc.pairs import LieRinehartPair, Vector, anchor, bracket_vectors
+from schoutencalc.exterior import Multivector, _accumulate, wedge
+from schoutencalc.graded import koszul_sign, parity_sign, partition_table, shuffles, signed_shuffles
+from schoutencalc.linfty import _n_bracket_hom, _source_parts, n_bracket, natural_injection
+from schoutencalc.pairs import GradedPairElement, LieRinehartPair, Vector, anchor, associated_bracket, bracket_vectors
 from schoutencalc.scalars import Scalar
 from schoutencalc.schouten import sn_antisym
 
@@ -211,3 +215,51 @@ def n_bracket_hom_parts(pair: LieRinehartPair, args: list[Multivector]) -> Multi
     for combo in itertools.product(*(x.homogeneous_components().items() for x in args)):
         out = out + _n_bracket_hom(pair, [part for _, part in combo], [d for d, _ in combo])
     return out
+
+
+def structure_equation_by_parts(
+    source_pair: LieRinehartPair, target_pair: LieRinehartPair, args: list[GradedPairElement]
+) -> Multivector:
+    """LHS minus RHS of the natural injection's structure equation, one term at a time.
+
+    Left side: ``sum_{Sh(2,n-2)} e(s) i_{n-1}([x_s(1), x_s(2)], x_s(3), ...)``
+    from the :func:`signed_shuffles` table, terms whose bracket is zero
+    skipped.  Right side: ``sum_{B_1 | ... | B_p} e(s) {i_|B_1|(x_B_1), ...,
+    i_|B_p|(x_B_p)}_p`` over the :func:`partition_table` rows.  The
+    arguments are expanded into their homogeneous parts and each choice of
+    parts is one term of that expansion; each source bracket is computed once
+    per pair of positions and degrees, and each block image once per block and
+    degrees of its arguments.
+    """
+    n = len(args)
+    brackets: dict = {}
+    images: dict = {}
+    residual: dict = {}
+    for combo in itertools.product(*(_source_parts(source_pair, a) for a in args)):
+        elems = [c[0] for c in combo]
+        degrees = [c[1] for c in combo]
+        if n > 1:
+            for order, sign in signed_shuffles((2,) if n == 2 else (2, n - 2), degrees):
+                i, j = order[0], order[1]
+                key = (i, degrees[i], j, degrees[j])
+                inner = brackets.get(key)
+                if inner is None:
+                    inner = brackets[key] = associated_bracket(source_pair, elems[i], elems[j])
+                if inner.is_zero():
+                    continue
+                rest = [elems[k] for k in order[2:]]
+                _accumulate(residual, natural_injection(target_pair, [inner] + rest), sign)
+        for blocks, inversions in partition_table(n):
+            block_images = []
+            for block in blocks:
+                key = (block, tuple([degrees[i] for i in block]))
+                image = images.get(key)
+                if image is None:
+                    image = images[key] = natural_injection(target_pair, [elems[i] for i in block])
+                if image.is_zero():
+                    break
+                block_images.append(image)
+            else:
+                odd = sum(degrees[a] * degrees[b] for a, b in inversions) % 2
+                _accumulate(residual, n_bracket(target_pair, block_images), 1 if odd else -1)
+    return Multivector._trusted(target_pair, residual)

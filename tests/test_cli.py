@@ -174,6 +174,36 @@ class TestCheck:
         assert result.returncode == 0, result.stdout + result.stderr
         assert "FAIL" not in result.stdout
 
+    @pytest.mark.parametrize(
+        "suite, extra, flag",
+        [
+            (suite, ["--n", "5"], "--n")
+            for suite in ("leibniz", "jacobi-antisym", "jacobi-sym", "poisson", "ce-square-zero", "combinatorial")
+        ]
+        + [
+            ("morphism-injection", ["--n", "2", "--p", "3"], "--p"),
+            ("morphism-strict", ["--q", "2"], "--q"),
+            ("leibniz", ["--p", "2"], "--p"),
+        ]
+        + [
+            (suite, ["--morphism", "morphism.json"], "--morphism")
+            for suite in ("weak-jacobi", "morphism-injection", "poisson")
+        ],
+    )
+    def test_flags_the_suite_ignores_exit_2(self, suite, extra, flag, capsys):
+        # These used to be dropped silently: the suite ran and could print PASS.
+        with pytest.raises(SystemExit) as exc:
+            main(["--pair", "builtin:sl2", "check", suite, *extra, "--trials", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {flag} does not apply to {suite}" in captured.err
+
+    @pytest.mark.parametrize("suite", ["leibniz", "morphism-injection", "combinatorial"])
+    def test_max_n_is_accepted_by_every_suite(self, suite, capsys):
+        assert main(["--pair", "builtin:sl2", "check", suite, "--max-n", "3", "--trials", "2"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
     def test_missing_pair_document_exits_3(self):
         result = run_cli("--pair", "/nonexistent/pair.json", "check", "leibniz")
         assert result.returncode == 3

@@ -1,13 +1,16 @@
 """Higher brackets, weak Jacobi sums, the differential and the injection."""
 
+import dataclasses
+import gc
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from oracles import n_bracket_hom_parts, n_bracket_shuffle
+from oracles import n_bracket_hom_parts, n_bracket_shuffle, structure_equation_by_parts
 
-from schoutencalc import sampling
+from schoutencalc import linfty, sampling
 from schoutencalc.errors import UnsupportedPairError
 from schoutencalc.exterior import (
     Multivector,
@@ -22,6 +25,7 @@ from schoutencalc.linfty import (
     BracketFamily,
     _compositions,
     _source_parts,
+    _twist_table,
     aggregated_weak_jacobi_residual,
     ce_differential,
     check_linfty_morphism,
@@ -542,6 +546,66 @@ class TestInjectionMorphismEquation:
                 pair, injection_family(pair), BracketFamily(pair), 6, args
             )
 
+    def test_other_families_are_refused(self):
+        pair = sl2()
+        args = [GradedPairElement(pair.scalar_const(1), pair.generator(g)) for g in (1, 2)]
+        others = [
+            lambda k: lambda elems: natural_injection(pair, elems),
+            injection_family(sl2()),
+            injection_family(gl2()),
+        ]
+        for f in others:
+            with pytest.raises(TypeError, match="injection_family"):
+                check_linfty_morphism(pair, f, BracketFamily(pair), 2, args)
+        assert check_linfty_morphism(pair, injection_family(pair), BracketFamily(pair), 2, args).passed
+
+    def test_injection_family_is_a_frozen_callable(self):
+        pair = sl2()
+        family = injection_family(pair)
+        assert family == injection_family(pair)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            family.pair = gl2()
+        elems = [GradedPairElement(pair.scalar_const(2), pair.generator(g)) for g in (1, 2, 3)]
+        assert family(3)(elems) == natural_injection(pair, elems)
+
+    def test_call_counts_at_arity_four(self, monkeypatch):
+        # One bracket per partition and choice of degrees outside its largest
+        # block, one injection per pair i < j and choice of their degrees:
+        # 52 and 24 here, against 208 and 84 with one term per choice of parts.
+        pair = sl2()
+        args = [
+            GradedPairElement(pair.scalar_const(c), pair.generator(g))
+            for c, g in ((2, 1), (-1, 2), (3, 3), (1, 1))
+        ]
+        assert sum(2 ** (4 - len(blocks[star])) for blocks, star, *_ in _twist_table(4)) == 52
+        counts = Counter()
+        for name in ("n_bracket", "natural_injection"):
+            original = getattr(linfty, name)
+
+            def counted(*call, name=name, original=original):
+                counts[name] += 1
+                return original(*call)
+
+            monkeypatch.setattr(linfty, name, counted)
+        assert injection_morphism_residual(pair, args).is_zero()
+        assert 0 < counts["n_bracket"] <= 52
+        assert 0 < counts["natural_injection"] <= 24
+
+    @pytest.mark.parametrize("factory", [sl2, lambda: cartan(2)])
+    def test_a_call_leaves_no_reference_cycles(self, factory):
+        # Words kept alive by a cycle would wait for the cyclic collector and
+        # raise the peak memory of long runs.
+        pair = factory()
+        rng = sampling.rng_for(199)
+        args = [sampling.random_pair_element(pair, rng, ensure_mixed=True) for _ in range(4)]
+        gc.collect()
+        gc.disable()
+        try:
+            injection_morphism_residual(pair, args)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestStrictMorphism:
     def test_commutes_with_n_brackets(self):
@@ -605,6 +669,47 @@ class TestPartitionFormMatchesOrderedOracle:
                 assert (report.passed, report.residual) == (expected.is_zero(), str(expected))
                 nonzero += not expected.is_zero()
         assert nonzero > 0
+
+
+class TestStructureEquationMatchesPartsOracle:
+    """Summing out the largest block with twisted arguments equals the sum
+    with one term per choice of homogeneous parts, rendered residual for
+    rendered residual."""
+
+    @pytest.mark.parametrize(
+        "source, target, arities",
+        [
+            (sl2, None, range(2, 7)),
+            (gl2, None, range(2, 7)),
+            (solvable4, None, range(2, 7)),
+            (perturbed_sl2, sl2, range(2, 7)),
+            (lambda: cartan(2), None, range(2, 6)),
+        ],
+        ids=["sl2", "gl2", "solvable4", "perturbed-sl2-into-sl2", "cartan2"],
+    )
+    def test_equal_residuals(self, source, target, arities):
+        source_pair = source()
+        target_pair = target() if target else source_pair
+        # Perturbed sl2 differs from sl2 in [e1, e2]: start with e1 and e2.
+        pinned = [
+            GradedPairElement(source_pair.scalar_const(1), source_pair.generator(1)),
+            GradedPairElement(source_pair.scalar_zero(), source_pair.generator(2)),
+        ]
+        rng = sampling.rng_for(211)
+        nonzero = 0
+        for n in arities:
+            for trial in range(2):
+                args = [
+                    sampling.random_pair_element(source_pair, rng, ensure_mixed=(trial == 0))
+                    for _ in range(n)
+                ]
+                if trial == 0:
+                    args[:2] = pinned
+                expected = structure_equation_by_parts(source_pair, target_pair, args)
+                got = linfty._structure_equation_residual(source_pair, target_pair, args)
+                assert str(got) == str(expected), (n, trial)
+                nonzero += not expected.is_zero()
+        assert (nonzero > 0) == (target is not None)
 
 
 def snapshot(value):
