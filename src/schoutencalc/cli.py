@@ -178,19 +178,21 @@ FLAG_SUITES = {
 
 
 def _cmd_check(pair, args, parser) -> int:
+    # Refusals of check's own arguments print check's usage line, not the top-level one.
+    check_parser = args.check_parser
     for flag, suites in FLAG_SUITES.items():
         if getattr(args, flag) is not None and args.suite not in suites:
-            parser.error(f"--{flag} does not apply to {args.suite}")
+            check_parser.error(f"--{flag} does not apply to {args.suite}")
     if args.trials < 1:
-        parser.error("--trials must be at least 1")
+        check_parser.error("--trials must be at least 1")
     if args.n is not None and not 2 <= args.n <= 8:
-        parser.error("--n must lie in 2..8")
+        check_parser.error("--n must lie in 2..8")
     if not 2 <= args.max_n <= 20:
-        parser.error("--max-n must lie in 2..20")
+        check_parser.error("--max-n must lie in 2..20")
     if args.suite != "combinatorial":
         pair = _require_pair(pair, parser)
         if args.suite == "ce-square-zero" and not pair.is_trivial_scalars:
-            parser.error("ce-square-zero is defined only for trivial-scalar pairs")
+            check_parser.error("ce-square-zero is defined only for trivial-scalar pairs")
     passed = True
     for report in RUNNERS[args.suite](pair, args):
         print(report.to_json() if args.json else report.render_text())
@@ -258,6 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     check_parser.add_argument("--seed", type=int, default=0)
     check_parser.add_argument("--max-n", type=int, default=10, dest="max_n")
     check_parser.add_argument("--morphism", help="morphism document (morphism-strict)")
+    check_parser.set_defaults(check_parser=check_parser)
 
     sub.add_parser("info", help="summarize the loaded pair")
     return parser

@@ -13,12 +13,20 @@ scaling, the wedge, homogeneous components) are built by
 ``Multivector._trusted``, which wraps a map that is already in normal form
 without checking it.  Every sum of multivectors adds into a fresh map
 through ``_accumulate``.
+
+The bilinear kernels (:func:`wedge`, ``schouten.sn_antisym``) clear
+denominators once per argument: ``_cleared`` writes it as ``1/D`` times
+``int`` numerators, ``D`` the lcm of its denominators; the kernels sum
+``int`` products keyed by (monomial, exponent tuple), and ``_from_cleared``
+divides each nonzero sum by ``D_x D_y``, one ``Fraction`` per coefficient.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 from .errors import DegreeUndefinedError, MorphismValidationError
 from .pairs import GradedPairElement, LieRinehartPair, PairMorphism, Vector
@@ -44,6 +52,26 @@ def _merge_monomials(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int
     inversions = sum(1 for a in left for b in right if a > b)
     merged = tuple(sorted(left + right))
     return (-1 if inversions % 2 else 1), merged
+
+
+def _cleared(x: Multivector) -> tuple[int, list]:
+    """``(D, [(mono, [(exps, n)])])`` with ``x = sum n/D x^exps e_mono``, ``D`` the lcm of its denominators."""
+    d = lcm(*(c.denominator for coeff in x.terms.values() for c in coeff.terms.values()))
+    return d, [
+        (mono, [(e, c.numerator * (d // c.denominator)) for e, c in coeff.terms.items()])
+        for mono, coeff in x.terms.items()
+    ]
+
+
+def _from_cleared(pair: LieRinehartPair, sums: dict, denominator: int) -> Multivector:
+    """The multivector ``sum sums[mono, exps]/denominator x^exps e_mono``, zero sums dropped."""
+    grouped: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+    for (mono, e), c in sums.items():
+        if c:
+            grouped.setdefault(mono, {})[e] = Fraction(c, denominator)
+    return Multivector._trusted(
+        pair, {mono: Scalar._trusted(pair.nvars, terms) for mono, terms in grouped.items()}
+    )
 
 
 def _accumulate(terms: dict[tuple[int, ...], Scalar], x: Multivector, sign: int) -> None:
@@ -164,6 +192,11 @@ class Multivector:
         return self + (-other)
 
     def scaled(self, factor: Scalar | Fraction | int) -> Multivector:
+        # A unit factor needs no coefficient products.
+        if factor == 1:
+            return self
+        if factor == -1:
+            return -self
         # Scaling never merges monomials, so dropping zero products (all of
         # them when the factor is zero) keeps the normal form.
         return Multivector._trusted(
@@ -207,27 +240,27 @@ class Multivector:
 
 
 def wedge(pair: LieRinehartPair, x: Multivector, y: Multivector) -> Multivector:
-    """Exterior product: bilinear over ``A``, graded symmetric in tensor degree."""
+    """Exterior product: bilinear over ``A``, graded symmetric in tensor degree.
+
+    Sums ``int`` products of the cleared arguments; one ``Fraction`` per output coefficient.
+    """
     x._check(y)
     if x.pair is not pair and not x.pair.compatible(pair):
         raise ValueError("multivector does not belong to the given pair")
-    out: dict[tuple[int, ...], Scalar] = {}
-    for mx, cx in x.terms.items():
-        for my, cy in y.terms.items():
+    dx, xs = _cleared(x)
+    dy, ys = _cleared(y)
+    sums: dict = {}
+    for mx, a in xs:
+        for my, b in ys:
             merged = _merge_monomials(mx, my)
             if merged is None:
                 continue
             sign, mono = merged
-            coeff = cx * cy if sign > 0 else -(cx * cy)
-            if mono in out:
-                total = out[mono] + coeff
-                if total.is_zero():
-                    del out[mono]
-                else:
-                    out[mono] = total
-            else:
-                out[mono] = coeff
-    return Multivector._trusted(pair, out)
+            for ea, ca in a:
+                for eb, cb in b:
+                    key = (mono, tuple(map(add, ea, eb)))
+                    sums[key] = sums.get(key, 0) + sign * ca * cb
+    return _from_cleared(pair, sums, dx * dy)
 
 
 def tensor_degree(x: Multivector) -> int | str:

@@ -18,9 +18,12 @@ Sign conventions, fixed once and used everywhere:
 :func:`sn_antisym` sums every argument through a per-pair table of
 generator-monomial brackets, each split into the parts that multiply ``ab``,
 ``a d_k(b)`` and ``b d_k(a)`` and filled in closed form from the structure
-constants and the anchor.  The independent oracles (the term-pair double
-sum, Poisson-rule recursion and the shuffle form) live with the tests, in
-``tests/oracles.py``.
+constants and the anchor.  Like ``wedge``, it clears each argument's
+denominators to their lcm, sums ``int`` products (table entries are ``int``
+when integral) and builds one ``Fraction`` per output coefficient;
+:func:`sn_sym` is one :func:`sn_antisym` call.  The independent oracles
+(the term-pair double sum, Poisson-rule recursion and the shuffle form) live
+with the tests, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -28,11 +31,10 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .exterior import INHOMOGENEOUS, Multivector, _merge_monomials, tensor_degree, wedge
+from .exterior import INHOMOGENEOUS, Multivector, _cleared, _from_cleared, _merge_monomials, tensor_degree, wedge
 from .graded import parity_sign, signed_shuffles
 from .pairs import LieRinehartPair, PairMorphism
 from .report import BracketReport, run_identity
-from .scalars import Scalar
 
 __all__ = [
     "check_antisym_jacobi",
@@ -107,8 +109,10 @@ def _monomial_bracket(pair: LieRinehartPair, mx: tuple[int, ...], my: tuple[int,
             rest_y = my[: s - 1] + my[s:]
             for k, rho in _anchor_row(pair, j):
                 _add_wedge(right, (k,), parity_sign(s) * rho, mx, rest_y)
+        # Integral entries are stored as ints, so the kernel's sums stay ints.
         entry = tuple(
-            tuple(head + (q,) for head, q in part.items() if q) for part in (products, left, right)
+            tuple(head + (q.numerator if q.denominator == 1 else q,) for head, q in part.items() if q)
+            for part in (products, left, right)
         )
         pair.monomial_brackets[key] = entry
     return entry
@@ -123,19 +127,21 @@ def sn_antisym(pair: LieRinehartPair, x: Multivector, y: Multivector) -> Multive
     ``ValueError``.  Then
     ``[a e_I, b e_J] = sum q ab e_M + sum q a d_k(b) e_M + sum q b d_k(a) e_M``
     over the ``products``, ``left`` and ``right`` lists of the pair's table
-    entry for ``(I, J)`` (filled in closed form by ``_monomial_bracket``),
-    summed here in bare ``Fraction`` coefficients keyed by (monomial,
-    exponent tuple).  Zero sums are dropped, so the result is wrapped in
+    entry for ``(I, J)`` (filled in closed form by ``_monomial_bracket``).
+    Both arguments are cleared of denominators first (``exterior._cleared``),
+    so the sums keyed by (monomial, exponent tuple) stay ``int`` unless a
+    table entry is fractional, and each nonzero sum becomes one ``Fraction``
+    over ``D_x D_y``.  Zero sums are dropped, so the result is wrapped in
     normal form without re-validation.
     """
     x._check(y)
     if x.pair is not pair and not x.pair.compatible(pair):
         raise ValueError("multivector does not belong to the given pair")
-    sums: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
-    for mx, a in x.terms.items():
-        a_terms = a.terms.items()
-        for my, b in y.terms.items():
-            b_terms = b.terms.items()
+    dx, xs = _cleared(x)
+    dy, ys = _cleared(y)
+    sums: dict = {}
+    for mx, a_terms in xs:
+        for my, b_terms in ys:
             products, left, right = _monomial_bracket(pair, mx, my)
             if products:
                 for ea, ca in a_terms:
@@ -161,23 +167,20 @@ def sn_antisym(pair: LieRinehartPair, x: Multivector, y: Multivector) -> Multive
                         for eb, cb in b_terms:
                             key = (mono, tuple(map(add, da, eb)))
                             sums[key] = sums.get(key, 0) + q * n * ca * cb
-    grouped: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
-    for (mono, e), c in sums.items():
-        if c:
-            grouped.setdefault(mono, {})[e] = c
-    return Multivector._trusted(
-        pair, {mono: Scalar._trusted(pair.nvars, terms) for mono, terms in grouped.items()}
-    )
+    return _from_cleared(pair, sums, dx * dy)
 
 
 def sn_sym(pair: LieRinehartPair, x: Multivector, y: Multivector) -> Multivector:
-    """Symmetric bracket ``{x, y} = e(x) [y, x]``; bilinear over components."""
+    """Symmetric bracket ``{x, y} = e(x) [y, x]``, bilinear over components.
+
+    One :func:`sn_antisym` call ``[y, x']``, ``x'`` being ``x`` with its
+    odd tensor-degree terms negated; a zero ``x`` gives zero with no call.
+    """
     x._check(y)
-    out = Multivector.zero(pair)
-    for degree, component in x.homogeneous_components().items():
-        term = sn_antisym(pair, y, component)
-        out = out + (term if parity_sign(degree) > 0 else -term)
-    return out
+    if x.is_zero():
+        return Multivector.zero(pair)
+    twisted = {mono: -c if len(mono) % 2 else c for mono, c in x.terms.items()}
+    return sn_antisym(pair, y, Multivector._trusted(x.pair, twisted))
 
 
 # -- identity checks ----------------------------------------------------------

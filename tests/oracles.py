@@ -22,18 +22,45 @@ is the oracle for the natural injection's structure equation
 (:func:`schoutencalc.linfty.injection_morphism_residual`): one term per
 choice of homogeneous part of every argument and per set partition, with no
 block summed out and no twisted argument.
+:func:`wedge_by_scalars` is the oracle for
+:func:`schoutencalc.exterior.wedge`: the term-pair product in ``Scalar``
+arithmetic, with no cleared denominators.  :func:`sn_term_pair`,
+:func:`sn_antisym_poisson` and :func:`sn_antisym_shuffle` wedge through it,
+so none of them runs the library's cleared-denominator kernels.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from schoutencalc.exterior import Multivector, _accumulate, wedge
+from schoutencalc.exterior import Multivector, _accumulate, _merge_monomials, wedge
 from schoutencalc.graded import koszul_sign, parity_sign, partition_table, shuffles, signed_shuffles
 from schoutencalc.linfty import _n_bracket_hom, _source_parts, n_bracket, natural_injection
 from schoutencalc.pairs import GradedPairElement, LieRinehartPair, Vector, anchor, associated_bracket, bracket_vectors
 from schoutencalc.scalars import Scalar
 from schoutencalc.schouten import sn_antisym
+
+
+def wedge_by_scalars(pair: LieRinehartPair, x: Multivector, y: Multivector) -> Multivector:
+    """The exterior product summed term pair by term pair in ``Scalar`` arithmetic."""
+    x._check(y)
+    out: dict[tuple[int, ...], Scalar] = {}
+    for mx, cx in x.terms.items():
+        for my, cy in y.terms.items():
+            merged = _merge_monomials(mx, my)
+            if merged is None:
+                continue
+            sign, mono = merged
+            coeff = cx * cy if sign > 0 else -(cx * cy)
+            if mono in out:
+                total = out[mono] + coeff
+                if total.is_zero():
+                    del out[mono]
+                else:
+                    out[mono] = total
+            else:
+                out[mono] = coeff
+    return Multivector._trusted(pair, out)
 
 
 def _absorbed_slots(pair: LieRinehartPair, mono: tuple[int, ...], coeff: Scalar) -> list[Vector]:
@@ -46,7 +73,7 @@ def _absorbed_slots(pair: LieRinehartPair, mono: tuple[int, ...], coeff: Scalar)
 def _wedge_vectors(pair: LieRinehartPair, head: Multivector, slots: list[Vector]) -> Multivector:
     out = head
     for v in slots:
-        out = wedge(pair, out, Multivector.from_vector(pair, v))
+        out = wedge_by_scalars(pair, out, Multivector.from_vector(pair, v))
     return out
 
 
@@ -115,9 +142,9 @@ def _poisson_pair(
         # [X, Y'^z] = [X, Y']^z + (-1)**(deg(X)(deg(Y')-1)) Y'^[X, z]
         head_mono, last = my[:-1], my[-1]
         left = _poisson_pair(pair, mx, a, head_mono, b)
-        left = wedge(pair, left, Multivector.monomial(pair, (last,)))
+        left = wedge_by_scalars(pair, left, Multivector.monomial(pair, (last,)))
         right = _poisson_pair(pair, mx, a, (last,), pair.scalar_one())
-        right = wedge(pair, Multivector.monomial(pair, head_mono, b), right)
+        right = wedge_by_scalars(pair, Multivector.monomial(pair, head_mono, b), right)
         if parity_sign((n - 1) * (m - 3)) < 0:
             right = -right
         return left + right

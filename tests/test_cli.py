@@ -199,6 +199,36 @@ class TestCheck:
         assert captured.out == ""
         assert f"error: {flag} does not apply to {suite}" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "leibniz", "--n", "5"],
+            ["check", "weak-jacobi", "--trials", "0"],
+            ["check", "morphism-injection", "--n", "9"],
+            ["check", "combinatorial", "--max-n", "1"],
+            ["check", "ce-square-zero"],
+        ],
+        ids=["flag", "trials", "n-range", "max-n-range", "ce-square-zero-on-cartan"],
+    )
+    def test_check_refusals_print_the_check_usage_line(self, argv, capsys):
+        pair = "builtin:cartan2" if "ce-square-zero" in argv else "builtin:sl2"
+        with pytest.raises(SystemExit) as exc:
+            main(["--pair", pair, *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: schoutencalc check ")
+        assert "[--n N]" in captured.err
+        assert "\nschoutencalc check: error: " in captured.err
+
+    def test_missing_pair_prints_the_top_level_usage_line(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "leibniz"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: schoutencalc [-h] [--pair PAIR]")
+        assert err.endswith("schoutencalc: error: this command needs --pair\n")
+
     @pytest.mark.parametrize("suite", ["leibniz", "morphism-injection", "combinatorial"])
     def test_max_n_is_accepted_by_every_suite(self, suite, capsys):
         assert main(["--pair", "builtin:sl2", "check", suite, "--max-n", "3", "--trials", "2"]) == 0

@@ -106,6 +106,20 @@ class TestWedge:
             assert built.terms.keys() == expected.terms.keys()
 
 
+class TestScaled:
+    def test_unit_factors_negate_or_keep(self):
+        pair = cartan(2)
+        rng = sampling.rng_for(47)
+        x = sampling.random_multivector(pair, rng, max_degree=2)
+        for one in (1, Fraction(1)):
+            assert x.scaled(one) is x
+        for minus_one in (-1, Fraction(-1)):
+            assert x.scaled(minus_one) == -x
+        assert x.scaled(pair.scalar_one()) == x
+        assert x.scaled(-pair.scalar_one()) == -x
+        assert x.scaled(0).is_zero()
+
+
 class TestDegrees:
     def setup_method(self):
         self.pair = cartan(3)

@@ -1,10 +1,11 @@
 """Schouten-Nijenhuis brackets: golden values, gradings and identity checks."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
-from schoutencalc import sampling
+from schoutencalc import sampling, schouten
 from schoutencalc.exterior import Multivector, tensor_degree, wedge
 from schoutencalc.graded import parity_sign
 from schoutencalc.instances import (
@@ -16,7 +17,7 @@ from schoutencalc.instances import (
     sl2_to_gl2,
     solvable4,
 )
-from schoutencalc.pairs import LieRinehartPair, Vector, bracket_vectors
+from schoutencalc.pairs import LieRinehartPair, Vector, bracket_vectors, load_pair
 from schoutencalc.scalars import Scalar
 from schoutencalc.schouten import (
     check_antisym_jacobi,
@@ -28,7 +29,7 @@ from schoutencalc.schouten import (
     sn_sym,
 )
 
-from oracles import sn_antisym_poisson, sn_antisym_shuffle, sn_term_pair
+from oracles import sn_antisym_poisson, sn_antisym_shuffle, sn_term_pair, wedge_by_scalars
 
 
 class TestAntisymBase:
@@ -366,6 +367,140 @@ class TestCartanTable:
             sn_antisym(pair, d1, x2)
 
 
+def sym_by_components(pair, x, y, antisym):
+    """``{x, y}`` by its definition ``sum_d (-1)**d [y, x_d]`` over the components ``x_d``."""
+    out = Multivector.zero(pair)
+    for degree, component in x.homogeneous_components().items():
+        out = out + antisym(pair, y, component).scaled(parity_sign(degree))
+    return out
+
+
+# Heisenberg algebra with [e1, e2] = 2/3 e3: its monomial table holds
+# non-integral entries.
+FRACTIONAL_HEISENBERG = {
+    "kind": "lie_algebra",
+    "dimension": 3,
+    "name": "heisenberg-2/3",
+    "brackets": [{"i": 1, "j": 2, "value": [{"gen": 3, "coeff": "2/3"}]}],
+}
+
+# Coprime denominators, and numerators and denominators beyond 64 bits.
+CLEARED_COEFFS = (
+    Fraction(1, 3),
+    Fraction(2, 7),
+    Fraction(-5, 6),
+    Fraction(2**65 + 1, 7),
+    Fraction(-3, 2**64 + 13),
+    Fraction(4),
+)
+
+
+class TestClearedDenominators:
+    """``sn_antisym``, ``sn_sym`` and ``wedge`` clear each argument's
+    denominators to one lcm, sum ``int`` products and divide once per output
+    coefficient; they must agree with the ``Scalar``-arithmetic oracles."""
+
+    FACTORIES = [
+        lambda: cartan(1),
+        lambda: cartan(2),
+        lambda: cartan(3),
+        sl2,
+        lambda: load_pair(FRACTIONAL_HEISENBERG),
+    ]
+    IDS = ["cartan1", "cartan2", "cartan3", "sl2", "heisenberg-2/3"]
+
+    @staticmethod
+    def coefficient(pair, rng):
+        terms = {}
+        for _ in range(rng.randint(1, 3) if pair.nvars else 1):
+            terms[tuple(rng.randint(0, 2) for _ in range(pair.nvars))] = rng.choice(CLEARED_COEFFS)
+        return Scalar(pair.nvars, terms)
+
+    def argument(self, pair, rng):
+        """Inhomogeneous, with a scalar part and one to three terms of positive degree."""
+        terms = {(): self.coefficient(pair, rng)}
+        for _ in range(rng.randint(1, 3)):
+            degree = rng.randint(1, min(3, pair.dim))
+            terms[tuple(sorted(rng.sample(range(1, pair.dim + 1), degree)))] = self.coefficient(pair, rng)
+        return Multivector(pair, terms)
+
+    def cases(self, pair, seed, count=25):
+        rng = sampling.rng_for(seed)
+        out = [(self.argument(pair, rng), self.argument(pair, rng)) for _ in range(count)]
+        # Single-term arguments whose denominators differ between the two.
+        out += [
+            (Multivector.monomial(pair, (1,), self.coefficient(pair, rng)), self.argument(pair, rng))
+            for _ in range(5)
+        ]
+        return out
+
+    @staticmethod
+    def assert_fraction_coefficients(x):
+        assert all(type(c) is Fraction for s in x.terms.values() for c in s.terms.values())
+
+    @pytest.mark.parametrize("factory", FACTORIES, ids=IDS)
+    def test_sn_antisym_matches_oracles(self, factory):
+        pair = factory()
+        nonzero = 0
+        for x, y in self.cases(pair, 151):
+            got = sn_antisym(pair, x, y)
+            assert got == sn_antisym_poisson(pair, x, y)
+            assert got == term_sum(pair, x, y)
+            self.assert_fraction_coefficients(got)
+            nonzero += not got.is_zero()
+        assert nonzero
+
+    @pytest.mark.parametrize("factory", FACTORIES, ids=IDS)
+    def test_sn_sym_matches_component_sum_of_oracle(self, factory):
+        pair = factory()
+        for x, y in self.cases(pair, 157):
+            got = sn_sym(pair, x, y)
+            assert got == sym_by_components(pair, x, y, sn_antisym_poisson)
+            self.assert_fraction_coefficients(got)
+
+    @pytest.mark.parametrize("factory", FACTORIES, ids=IDS)
+    def test_wedge_matches_scalar_products(self, factory):
+        pair = factory()
+        nonzero = 0
+        for x, y in self.cases(pair, 163):
+            got = wedge(pair, x, y)
+            assert got == wedge_by_scalars(pair, x, y)
+            self.assert_fraction_coefficients(got)
+            nonzero += not got.is_zero()
+        assert nonzero
+
+    def test_large_coefficients_stay_exact(self):
+        pair = cartan(2)
+        big = Fraction(2**70 + 3, 11)
+        x = Multivector.monomial(pair, (1,), Scalar(2, {(0, 0): big, (1, 0): Fraction(1, 3)}))
+        b = Multivector.from_scalar(pair, Scalar(2, {(2, 1): Fraction(2, 7)}))
+        y = b + Multivector.monomial(pair, (2,), Scalar(2, {(1, 1): big}))
+        assert wedge(pair, x, y) == wedge_by_scalars(pair, x, y)
+        # [a d1, b] = a d_1(b) = (big + x1/3) * 4/7 x1 x2.
+        expected = Multivector.from_scalar(
+            pair, Scalar(2, {(1, 1): Fraction(4, 7) * big, (2, 1): Fraction(4, 21)})
+        )
+        assert sn_antisym(pair, x, b) == expected
+
+    def test_table_entries_are_ints_unless_fractional(self):
+        integral, anchored, fractional = sl2(), cartan(2), load_pair(FRACTIONAL_HEISENBERG)
+        for pair in (integral, anchored, fractional):
+            for mx, my in itertools.product(basis_monomials(pair), repeat=2):
+                sn_antisym(pair, Multivector.monomial(pair, mx), Multivector.monomial(pair, my))
+
+        def entries(pair):
+            return [row[-1] for entry in pair.monomial_brackets.values() for part in entry for row in part]
+
+        for pair in (integral, anchored):
+            assert entries(pair)
+            assert all(type(q) is int for q in entries(pair))
+        qs = entries(fractional)
+        assert any(type(q) is Fraction for q in qs)
+        assert all(type(q) is int or q.denominator != 1 for q in qs)
+        e1, e2 = Multivector.monomial(fractional, (1,)), Multivector.monomial(fractional, (2,))
+        assert sn_antisym(fractional, e1, e2) == Multivector.monomial(fractional, (3,), Fraction(2, 3))
+
+
 class TestGradingHomogeneity:
     @pytest.mark.parametrize("factory", [sl2, lambda: cartan(3)])
     def test_tensor_degree_drops_by_one(self, factory):
@@ -416,6 +551,36 @@ class TestSymBracket:
             y = sampling.random_homogeneous(pair, rng, rng.randint(0, 2))
             sign = parity_sign(tensor_degree(x) * tensor_degree(y))
             assert sn_sym(pair, x, y) == sn_sym(pair, y, x).scaled(sign)
+
+    @pytest.mark.parametrize(
+        "factory", [sl2, lambda: cartan(2), lambda: cartan(3)], ids=["sl2", "cartan2", "cartan3"]
+    )
+    def test_equals_component_sum_on_inhomogeneous_and_zero(self, factory):
+        pair = factory()
+        rng = sampling.rng_for(89)
+        zero = Multivector.zero(pair)
+        for _ in range(60):
+            x = sampling.random_multivector(pair, rng, max_degree=min(3, pair.dim))
+            y = sampling.random_multivector(pair, rng, max_degree=min(3, pair.dim))
+            for left in (x, zero):
+                assert sn_sym(pair, left, y) == sym_by_components(pair, left, y, sn_antisym)
+            assert sn_sym(pair, y, zero).is_zero()
+
+    def test_zero_first_argument_makes_no_antisym_call(self, monkeypatch):
+        pair = cartan(2)
+        calls = []
+        original = schouten.sn_antisym
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(schouten, "sn_antisym", counted)
+        y = Multivector.monomial(pair, (1, 2), pair.scalar_variable(1))
+        assert sn_sym(pair, Multivector.zero(pair), y).is_zero()
+        assert calls == []
+        assert sn_sym(pair, y, y) == sym_by_components(pair, y, y, original)
+        assert len(calls) == 1
 
     def test_graded_antisymmetry_antisym_grading(self):
         pair = cartan(2)
