@@ -11,14 +11,18 @@ The public constructor and classmethods validate their input;
 makes the constructor's checks itself.  Arithmetic results (sums, negation,
 scaling, the wedge, homogeneous components) are built by
 ``Multivector._trusted``, which wraps a map that is already in normal form
-without checking it.  Every sum of multivectors adds into a fresh map
-through ``_accumulate``.
+without checking it.  A sum of ``Scalar``-map multivectors adds into a
+fresh map through ``_accumulate``.
 
-The bilinear kernels (:func:`wedge`, ``schouten.sn_antisym``) clear
-denominators once per argument: ``_cleared`` writes it as ``1/D`` times
-``int`` numerators, ``D`` the lcm of its denominators; the kernels sum
-``int`` products keyed by (monomial, exponent tuple), and ``_from_cleared``
-divides each nonzero sum by ``D_x D_y``, one ``Fraction`` per coefficient.
+A value may also hold its int form ``(D, [(mono, [(exps, n)])])``, that is
+``x = sum n/D x^exps e_mono`` with ``D`` a positive common denominator (not
+necessarily the lcm) and nonzero ``int`` numerators ``n``; ``_cleared``
+computes it on first use and keeps it.  The bilinear kernels (:func:`wedge`,
+``schouten.sn_antisym``) sum ``int`` products of their arguments' int forms,
+and their results (``_IntForm``) hold only the int form: ``terms``, the
+``Fraction`` view, is filled on its first read and then fixed.  ``is_zero``,
+``+``, ``-``, negation and ``scaled`` by a rational work on the int form
+when an operand holds one.  Values are immutable: mutate neither ``terms`` nor the form.
 """
 
 from __future__ import annotations
@@ -55,23 +59,53 @@ def _merge_monomials(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int
 
 
 def _cleared(x: Multivector) -> tuple[int, list]:
-    """``(D, [(mono, [(exps, n)])])`` with ``x = sum n/D x^exps e_mono``, ``D`` the lcm of its denominators."""
-    d = lcm(*(c.denominator for coeff in x.terms.values() for c in coeff.terms.values()))
-    return d, [
-        (mono, [(e, c.numerator * (d // c.denominator)) for e, c in coeff.terms.items()])
-        for mono, coeff in x.terms.items()
-    ]
+    """``x``'s int form ``(D, [(mono, [(exps, n)])])``: nonzero ``int`` numerators over a positive common
+    denominator ``D``, not necessarily the lcm.  Computed on first use, with ``D`` the lcm, and kept."""
+    form = x._form
+    if form is None:
+        d = lcm(*(c.denominator for coeff in x.terms.values() for c in coeff.terms.values()))
+        form = x._form = d, [
+            (mono, [(e, c.numerator * (d // c.denominator)) for e, c in coeff.terms.items()])
+            for mono, coeff in x.terms.items()
+        ]
+    return form
 
 
 def _from_cleared(pair: LieRinehartPair, sums: dict, denominator: int) -> Multivector:
-    """The multivector ``sum sums[mono, exps]/denominator x^exps e_mono``, zero sums dropped."""
-    grouped: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+    """The multivector ``sum sums[mono, exps]/denominator x^exps e_mono``, zero sums dropped.
+
+    It holds only the int form when every sum is an ``int``; a fractional
+    sum (a fractional table entry) gives the ``Scalar`` map, as ``terms``.
+    """
+    rows: dict[tuple[int, ...], list] = {}
     for (mono, e), c in sums.items():
         if c:
-            grouped.setdefault(mono, {})[e] = Fraction(c, denominator)
+            rows.setdefault(mono, []).append((e, c))
+    if {int}.issuperset(map(type, sums.values())):
+        return _of_form(pair, (denominator, list(rows.items())))
     return Multivector._trusted(
-        pair, {mono: Scalar._trusted(pair.nvars, terms) for mono, terms in grouped.items()}
+        pair, {m: Scalar._trusted(pair.nvars, {e: Fraction(c, denominator) for e, c in row}) for m, row in rows.items()}
     )
+
+
+def _int_sum(x: Multivector, y: Multivector, sign: int) -> Multivector:
+    """``x + sign * y`` on the int forms, rescaled to ``lcm(D_x, D_y)``."""
+    dx, xs = _cleared(x)
+    dy, ys = _cleared(y)
+    d = lcm(dx, dy)
+    fx, fy = d // dx, sign * (d // dy)
+    sums = {(mono, e): n * fx for mono, row in xs for e, n in row}
+    for mono, row in ys:
+        for e, n in row:
+            key = (mono, e)
+            sums[key] = sums.get(key, 0) + n * fy
+    return _from_cleared(x.pair, sums, d)
+
+
+def _check_args(pair: LieRinehartPair, x: Multivector, y: Multivector) -> None:
+    x._check(y)
+    if x.pair is not pair and not x.pair.compatible(pair):
+        raise ValueError("multivector does not belong to the given pair")
 
 
 def _accumulate(terms: dict[tuple[int, ...], Scalar], x: Multivector, sign: int) -> None:
@@ -96,7 +130,7 @@ def _accumulate(terms: dict[tuple[int, ...], Scalar], x: Multivector, sign: int)
 class Multivector:
     """An element of the exterior algebra over a fixed pair."""
 
-    __slots__ = ("pair", "terms")
+    __slots__ = ("pair", "terms", "_form")
 
     def __init__(
         self,
@@ -117,6 +151,7 @@ class Multivector:
                 if not coeff.is_zero():
                     clean[key] = coeff
         self.terms = clean
+        self._form = None
 
     @classmethod
     def _trusted(cls, pair: LieRinehartPair, terms: dict[tuple[int, ...], Scalar]) -> Multivector:
@@ -124,6 +159,7 @@ class Multivector:
         out = object.__new__(cls)
         out.pair = pair
         out.terms = terms
+        out._form = None
         return out
 
     # -- constructors ------------------------------------------------------
@@ -158,6 +194,9 @@ class Multivector:
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
+        """Read from the int form when the value holds one, else from ``terms``."""
+        if self._form is not None:
+            return not self._form[1]
         return not self.terms
 
     def scalar_part(self) -> Scalar:
@@ -179,24 +218,38 @@ class Multivector:
         if self.pair is not other.pair and not self.pair.compatible(other.pair):
             raise ValueError("multivectors belong to different pairs")
 
-    def __add__(self, other: Multivector) -> Multivector:
+    def __add__(self, other: Multivector, sign: int = 1) -> Multivector:
         self._check(other)
+        if self._form is not None or other._form is not None:
+            return _int_sum(self, other, sign)
         out = dict(self.terms)
-        _accumulate(out, other, 1)
+        _accumulate(out, other, sign)
         return Multivector._trusted(self.pair, out)
 
     def __neg__(self) -> Multivector:
+        if self._form is not None:
+            d, rows = self._form
+            return _of_form(self.pair, (d, [(m, [(e, -n) for e, n in row]) for m, row in rows]))
         return Multivector._trusted(self.pair, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: Multivector) -> Multivector:
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def scaled(self, factor: Scalar | Fraction | int) -> Multivector:
+        """``factor * self``; a rational factor on an int-form value scales its numerators and ``D``."""
         # A unit factor needs no coefficient products.
         if factor == 1:
             return self
         if factor == -1:
             return -self
+        if self._form is not None and isinstance(factor, (int, Fraction)):
+            if not factor:
+                return Multivector.zero(self.pair)
+            d, rows = self._form
+            p = factor.numerator
+            return _of_form(
+                self.pair, (d * factor.denominator, [(m, [(e, n * p) for e, n in row]) for m, row in rows])
+            )
         # Scaling never merges monomials, so dropping zero products (all of
         # them when the factor is zero) keeps the normal form.
         return Multivector._trusted(
@@ -239,14 +292,36 @@ class Multivector:
         return f"Multivector({self})"
 
 
+class _IntForm(Multivector):
+    """A multivector built from its int form alone; ``terms`` is filled on its first read.
+    Only these values define ``__getattr__``, which slows every attribute read."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        # Reached only while a slot is unset; later reads of ``terms`` find it.
+        if name != "terms":
+            raise AttributeError(name)
+        d, rows = self._form
+        nvars = self.pair.nvars
+        self.terms = {mono: Scalar._trusted(nvars, {e: Fraction(n, d) for e, n in row}) for mono, row in rows}
+        return self.terms
+
+
+def _of_form(pair: LieRinehartPair, form: tuple[int, list]) -> Multivector:
+    """Wrap an int form (see ``_cleared``) unchecked; ``terms`` stays unset until read."""
+    out = object.__new__(_IntForm)
+    out.pair = pair
+    out._form = form
+    return out
+
+
 def wedge(pair: LieRinehartPair, x: Multivector, y: Multivector) -> Multivector:
     """Exterior product: bilinear over ``A``, graded symmetric in tensor degree.
 
-    Sums ``int`` products of the cleared arguments; one ``Fraction`` per output coefficient.
+    Sums ``int`` products of the arguments' int forms; the result holds only its int form.
     """
-    x._check(y)
-    if x.pair is not pair and not x.pair.compatible(pair):
-        raise ValueError("multivector does not belong to the given pair")
+    _check_args(pair, x, y)
     dx, xs = _cleared(x)
     dy, ys = _cleared(y)
     sums: dict = {}
@@ -267,7 +342,8 @@ def tensor_degree(x: Multivector) -> int | str:
     """Common monomial length of a nonzero multivector, or ``INHOMOGENEOUS``."""
     if x.is_zero():
         raise DegreeUndefinedError("the zero multivector has no degree")
-    lengths = {len(mono) for mono in x.terms}
+    # Read from the int form when there is one, so no Fraction view is built.
+    lengths = {len(m) for m in x.terms} if x._form is None else {len(m) for m, _ in x._form[1]}
     if len(lengths) == 1:
         return lengths.pop()
     return INHOMOGENEOUS

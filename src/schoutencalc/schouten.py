@@ -18,10 +18,10 @@ Sign conventions, fixed once and used everywhere:
 :func:`sn_antisym` sums every argument through a per-pair table of
 generator-monomial brackets, each split into the parts that multiply ``ab``,
 ``a d_k(b)`` and ``b d_k(a)`` and filled in closed form from the structure
-constants and the anchor.  Like ``wedge``, it clears each argument's
-denominators to their lcm, sums ``int`` products (table entries are ``int``
-when integral) and builds one ``Fraction`` per output coefficient;
-:func:`sn_sym` is one :func:`sn_antisym` call.  The independent oracles
+constants and the anchor.  Like ``wedge``, it sums ``int`` products of its
+arguments' cached int forms (table entries are ``int`` when integral) and
+returns a value holding only its int form, so nested brackets make no
+``Fraction``; :func:`sn_sym` is one :func:`sn_antisym` call.  The independent oracles
 (the term-pair double sum, Poisson-rule recursion and the shuffle form) live
 with the tests, in ``tests/oracles.py``.
 """
@@ -31,7 +31,8 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .exterior import INHOMOGENEOUS, Multivector, _cleared, _from_cleared, _merge_monomials, tensor_degree, wedge
+from .exterior import INHOMOGENEOUS, Multivector, _check_args, _cleared, _from_cleared, _merge_monomials
+from .exterior import _of_form, tensor_degree, wedge
 from .graded import parity_sign, signed_shuffles
 from .pairs import LieRinehartPair, PairMorphism
 from .report import BracketReport, run_identity
@@ -128,15 +129,13 @@ def sn_antisym(pair: LieRinehartPair, x: Multivector, y: Multivector) -> Multive
     ``[a e_I, b e_J] = sum q ab e_M + sum q a d_k(b) e_M + sum q b d_k(a) e_M``
     over the ``products``, ``left`` and ``right`` lists of the pair's table
     entry for ``(I, J)`` (filled in closed form by ``_monomial_bracket``).
-    Both arguments are cleared of denominators first (``exterior._cleared``),
-    so the sums keyed by (monomial, exponent tuple) stay ``int`` unless a
-    table entry is fractional, and each nonzero sum becomes one ``Fraction``
-    over ``D_x D_y``.  Zero sums are dropped, so the result is wrapped in
-    normal form without re-validation.
+    It reads both arguments' int forms (``exterior._cleared``, computed once
+    per value), so the sums keyed by (monomial, exponent tuple) stay ``int``
+    unless a table entry is fractional.  Zero sums are dropped, and the
+    result holds only its int form over ``D_x D_y`` (``exterior._from_cleared``;
+    a ``Scalar`` map when a sum is fractional), wrapped without re-validation.
     """
-    x._check(y)
-    if x.pair is not pair and not x.pair.compatible(pair):
-        raise ValueError("multivector does not belong to the given pair")
+    _check_args(pair, x, y)
     dx, xs = _cleared(x)
     dy, ys = _cleared(y)
     sums: dict = {}
@@ -173,14 +172,16 @@ def sn_antisym(pair: LieRinehartPair, x: Multivector, y: Multivector) -> Multive
 def sn_sym(pair: LieRinehartPair, x: Multivector, y: Multivector) -> Multivector:
     """Symmetric bracket ``{x, y} = e(x) [y, x]``, bilinear over components.
 
-    One :func:`sn_antisym` call ``[y, x']``, ``x'`` being ``x`` with its
-    odd tensor-degree terms negated; a zero ``x`` gives zero with no call.
+    One :func:`sn_antisym` call ``[y, x']``, ``x'`` being ``x``'s int form
+    with its odd tensor-degree rows negated; a zero ``x`` gives zero with no
+    call, after the same pair checks.
     """
-    x._check(y)
+    _check_args(pair, x, y)
     if x.is_zero():
         return Multivector.zero(pair)
-    twisted = {mono: -c if len(mono) % 2 else c for mono, c in x.terms.items()}
-    return sn_antisym(pair, y, Multivector._trusted(x.pair, twisted))
+    d, rows = _cleared(x)
+    twisted = [(mono, [(e, -n) for e, n in row]) if len(mono) % 2 else (mono, row) for mono, row in rows]
+    return sn_antisym(pair, y, _of_form(x.pair, (d, twisted)))
 
 
 # -- identity checks ----------------------------------------------------------

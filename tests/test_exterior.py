@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from schoutencalc import sampling
+from schoutencalc import exterior, sampling, schouten
 from schoutencalc.errors import DegreeUndefinedError, MorphismValidationError
 from schoutencalc.exterior import (
     INHOMOGENEOUS,
@@ -17,7 +17,12 @@ from schoutencalc.exterior import (
     wedge,
 )
 from schoutencalc.instances import abelian, cartan, gl2, scaling_morphism, sl2, sl2_to_gl2
-from schoutencalc.pairs import GradedPairElement, Vector, check_pair_morphism
+from schoutencalc.pairs import GradedPairElement, Vector, check_pair_morphism, load_pair
+from schoutencalc.scalars import Scalar
+from schoutencalc.schouten import check_antisym_jacobi, sn_antisym
+
+from oracles import sn_antisym_poisson, wedge_by_scalars
+from test_schouten import CLEARED_COEFFS, FRACTIONAL_HEISENBERG
 
 
 class TestNormalForm:
@@ -118,6 +123,143 @@ class TestScaled:
         assert x.scaled(pair.scalar_one()) == x
         assert x.scaled(-pair.scalar_one()) == -x
         assert x.scaled(0).is_zero()
+
+
+def fraction_view_built(x):
+    """Whether ``x.terms`` is set, asked without filling it."""
+    try:
+        object.__getattribute__(x, "terms")
+    except AttributeError:
+        return False
+    return True
+
+
+def scalar_copy(x):
+    """``x`` as a fresh value with its ``Scalar`` map only, no int form."""
+    return Multivector(x.pair, x.terms)
+
+
+class TestIntegerForm:
+    """Kernel results hold only their int form ``(D, rows)``.  ``is_zero``,
+    ``+``, ``-``, negation and ``scaled`` work on it when an operand holds
+    one, and must agree with the same operations on ``Scalar`` maps."""
+
+    FACTORIES = [
+        lambda: cartan(1),
+        lambda: cartan(2),
+        lambda: cartan(3),
+        sl2,
+        lambda: load_pair(FRACTIONAL_HEISENBERG),
+    ]
+    IDS = ["cartan1", "cartan2", "cartan3", "sl2", "heisenberg-2/3"]
+    FACTORS = (0, 1, -1, 6, -15, Fraction(1), Fraction(-7, 10), Fraction(9, 4))
+
+    @staticmethod
+    def argument(pair, rng):
+        """Inhomogeneous, with coefficients of coprime denominators."""
+        terms = {}
+        for degree in range(min(3, pair.dim) + 1):
+            mono = tuple(sorted(rng.sample(range(1, pair.dim + 1), degree)))
+            exps = [tuple(rng.randint(0, 2) for _ in range(pair.nvars)) for _ in range(2 if pair.nvars else 1)]
+            terms[mono] = Scalar(pair.nvars, {e: rng.choice(CLEARED_COEFFS) for e in exps})
+        return Multivector(pair, terms)
+
+    @staticmethod
+    def assert_int_form(x):
+        d, rows = x._form
+        assert type(d) is int and d > 0
+        assert not fraction_view_built(x)
+        assert all(type(n) is int and n for _, row in rows for _, n in row)
+
+    def kernel_results(self, pair, seed, count=15):
+        """``(result, oracle value, Scalar-map argument)`` for ``wedge`` and ``sn_antisym``."""
+        rng = sampling.rng_for(seed)
+        out = []
+        for _ in range(count):
+            x, y, z = (self.argument(pair, rng) for _ in range(3))
+            out.append((wedge(pair, x, y), wedge_by_scalars(pair, x, y), z))
+            out.append((sn_antisym(pair, x, y), sn_antisym_poisson(pair, x, y), z))
+        return out
+
+    @pytest.mark.parametrize("factory", FACTORIES, ids=IDS)
+    def test_kernel_results_hold_only_the_int_form(self, factory):
+        pair = factory()
+        held = 0
+        for got, expected, _ in self.kernel_results(pair, 211):
+            if got._form is None:
+                # Only a fractional table entry gives a Scalar map.
+                assert pair.name == "heisenberg-2/3"
+                continue
+            held += 1
+            self.assert_int_form(got)
+            form = got._form
+            assert exterior._cleared(got) is form
+            assert got.is_zero() == expected.is_zero()
+            assert not fraction_view_built(got)
+            assert got == expected
+            terms = got.terms
+            assert got.terms is terms
+            assert got._form is form
+        assert held >= 15
+
+    @pytest.mark.parametrize("factory", FACTORIES, ids=IDS)
+    def test_sums_and_negation_on_mixed_operands(self, factory):
+        pair = factory()
+        results = [r for r in self.kernel_results(pair, 223) if r[0]._form is not None]
+        for (got, expected, z), (other, other_expected, _) in zip(results, results[1:] + results[:1]):
+            cases = [
+                (lambda: got + scalar_copy(z), lambda: scalar_copy(expected) + scalar_copy(z)),
+                (lambda: scalar_copy(z) + got, lambda: scalar_copy(z) + scalar_copy(expected)),
+                (lambda: got - scalar_copy(z), lambda: scalar_copy(expected) - scalar_copy(z)),
+                (lambda: scalar_copy(z) - got, lambda: scalar_copy(z) - scalar_copy(expected)),
+                (lambda: got + other, lambda: scalar_copy(expected) + scalar_copy(other_expected)),
+                (lambda: got - other, lambda: scalar_copy(expected) - scalar_copy(other_expected)),
+                (lambda: -got, lambda: -scalar_copy(expected)),
+            ]
+            for compute, reference in cases:
+                want = reference()
+                value = compute()
+                self.assert_int_form(value)
+                assert value.is_zero() == want.is_zero()
+                assert value == want
+            for zero in (got - scalar_copy(expected), got + (-got), -got + got, scalar_copy(expected) - got):
+                self.assert_int_form(zero)
+                assert zero.is_zero()
+                assert zero._form[1] == []
+
+    @pytest.mark.parametrize("factory", FACTORIES, ids=IDS)
+    def test_scaled_by_rationals(self, factory):
+        pair = factory()
+        for got, expected, _ in self.kernel_results(pair, 227, count=8):
+            if got._form is None:
+                continue
+            for factor in self.FACTORS:
+                value = got.scaled(factor)
+                want = scalar_copy(expected).scaled(factor)
+                if factor not in (0, 1, -1):
+                    self.assert_int_form(value)
+                assert value.is_zero() == want.is_zero() == (not factor or expected.is_zero())
+                assert value == want
+            assert got.scaled(1) is got
+
+    def test_jacobi_residual_clears_each_argument_once(self, monkeypatch):
+        pair = cartan(3)
+        cleared = []
+        original = exterior._cleared
+
+        def counted(x):
+            if x._form is None:
+                cleared.append(x)
+            return original(x)
+
+        monkeypatch.setattr(exterior, "_cleared", counted)
+        monkeypatch.setattr(schouten, "_cleared", counted)
+        triple = next(schouten._sample_triples(pair, 1, 7))
+        assert all(not v.is_zero() for v in triple)
+        assert check_antisym_jacobi(pair, trials=1, seed=7).passed
+        # One computation per argument, none for the inner brackets' results.
+        assert len({id(v) for v in cleared}) == len(cleared) == 3
+        assert sorted(map(str, cleared)) == sorted(map(str, triple))
 
 
 class TestDegrees:

@@ -244,6 +244,16 @@ class TestMonomialTable:
         e, f = Multivector.monomial(twin, (1,)), Multivector.monomial(twin, (2,))
         assert sn_antisym(pair, e, f) == Multivector.monomial(pair, (3,))
 
+    def test_sym_bracket_refuses_a_zero_of_another_pair(self):
+        pair = gl2()
+        for other in (sl2(), cartan(2)):
+            zero, e1 = Multivector.zero(other), Multivector.monomial(other, (1,))
+            for x, y in ((zero, e1), (e1, zero), (zero, zero)):
+                with pytest.raises(ValueError, match="does not belong to the given pair"):
+                    sn_sym(pair, x, y)
+        twin = gl2()
+        assert sn_sym(pair, Multivector.zero(twin), Multivector.monomial(twin, (1,))).is_zero()
+
     def test_cartan_pair_fills_bounded_table(self):
         two = cartan(2)
         assert two.monomial_brackets == {}
