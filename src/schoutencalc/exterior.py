@@ -8,11 +8,10 @@ equality is plain map comparison.
 
 The public constructor and classmethods validate their input;
 ``Multivector.zero`` has none and wraps an empty map, and :func:`embed`
-makes the constructor's checks itself.  Arithmetic results (sums, negation,
-scaling, the wedge, homogeneous components) are built by
-``Multivector._trusted``, which wraps a map that is already in normal form
-without checking it.  A sum of ``Scalar``-map multivectors adds into a
-fresh map through ``_accumulate``.
+makes the constructor's checks itself.  Arithmetic results on ``Scalar``
+maps (sums, negation, scaling) are built by ``Multivector._trusted``, which
+wraps a map that is already in normal form without checking it.  A sum of
+``Scalar``-map multivectors adds into a fresh map through ``_accumulate``.
 
 A value may also hold its int form ``(D, [(mono, [(exps, n)])])``, that is
 ``x = sum n/D x^exps e_mono`` with ``D`` a positive common denominator (not
@@ -22,7 +21,9 @@ computes it on first use and keeps it.  The bilinear kernels (:func:`wedge`,
 and their results (``_IntForm``) hold only the int form: ``terms``, the
 ``Fraction`` view, is filled on its first read and then fixed.  ``is_zero``,
 ``+``, ``-``, negation and ``scaled`` by a rational work on the int form
-when an operand holds one.  Values are immutable: mutate neither ``terms`` nor the form.
+when an operand holds one; sums add ``int`` numerators through ``_IntSum``.
+``homogeneous_components`` splits the int form.  Values are immutable:
+mutate neither ``terms`` nor the form.
 """
 
 from __future__ import annotations
@@ -51,11 +52,10 @@ INHOMOGENEOUS = "inhomogeneous"
 
 def _merge_monomials(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
     """Sort the concatenation; returns (sign, merged) or None on a repeat."""
-    if set(left) & set(right):
+    if not set(left).isdisjoint(right):
         return None
-    inversions = sum(1 for a in left for b in right if a > b)
-    merged = tuple(sorted(left + right))
-    return (-1 if inversions % 2 else 1), merged
+    inversions = sum([a > b for a in left for b in right])
+    return (-1 if inversions % 2 else 1), tuple(sorted(left + right))
 
 
 def _cleared(x: Multivector) -> tuple[int, list]:
@@ -88,18 +88,37 @@ def _from_cleared(pair: LieRinehartPair, sums: dict, denominator: int) -> Multiv
     )
 
 
-def _int_sum(x: Multivector, y: Multivector, sign: int) -> Multivector:
-    """``x + sign * y`` on the int forms, rescaled to ``lcm(D_x, D_y)``."""
-    dx, xs = _cleared(x)
-    dy, ys = _cleared(y)
-    d = lcm(dx, dy)
-    fx, fy = d // dx, sign * (d // dy)
-    sums = {(mono, e): n * fx for mono, row in xs for e, n in row}
-    for mono, row in ys:
-        for e, n in row:
-            key = (mono, e)
-            sums[key] = sums.get(key, 0) + n * fy
-    return _from_cleared(x.pair, sums, d)
+class _IntSum:
+    """A running sum ``sums[mono, exps] / d`` of int forms; a term over another ``D`` first
+    rescales it to ``lcm(d, D)``, and zero sums are kept until :meth:`value` drops them."""
+
+    __slots__ = ("d", "sums")
+
+    def __init__(self):
+        self.d = 1
+        self.sums: dict = {}
+
+    def add(self, x: Multivector, factor: int = 1) -> None:
+        """Add ``factor * x``, ``factor`` an ``int``."""
+        if x.is_zero():
+            return
+        dx, rows = _cleared(x)
+        d, sums = self.d, self.sums
+        if dx != d:
+            m = lcm(d, dx)
+            if m != d:
+                for key in sums:
+                    sums[key] *= m // d
+                self.d = m
+            factor *= m // dx
+        for mono, row in rows:
+            for e, n in row:
+                key = (mono, e)
+                sums[key] = sums.get(key, 0) + n * factor
+
+    def value(self, pair: LieRinehartPair, denominator: int = 1) -> Multivector:
+        """The sum divided by ``denominator``, as a value holding only its int form."""
+        return _from_cleared(pair, self.sums, self.d * denominator)
 
 
 def _check_args(pair: LieRinehartPair, x: Multivector, y: Multivector) -> None:
@@ -206,11 +225,12 @@ class Multivector:
         return Vector({mono[0]: c for mono, c in self.terms.items() if len(mono) == 1})
 
     def homogeneous_components(self) -> dict[int, Multivector]:
-        """Split by tensor degree; zero contributes no components."""
-        buckets: dict[int, dict[tuple[int, ...], Scalar]] = {}
-        for mono, coeff in self.terms.items():
-            buckets.setdefault(len(mono), {})[mono] = coeff
-        return {deg: Multivector._trusted(self.pair, terms) for deg, terms in sorted(buckets.items())}
+        """Split the int form by tensor degree; zero contributes no components."""
+        d, rows = _cleared(self)
+        buckets: dict[int, list] = {}
+        for row in rows:
+            buckets.setdefault(len(row[0]), []).append(row)
+        return {deg: _of_form(self.pair, (d, part)) for deg, part in sorted(buckets.items())}
 
     # -- arithmetic --------------------------------------------------------
 
@@ -221,7 +241,10 @@ class Multivector:
     def __add__(self, other: Multivector, sign: int = 1) -> Multivector:
         self._check(other)
         if self._form is not None or other._form is not None:
-            return _int_sum(self, other, sign)
+            out = _IntSum()
+            out.add(self)
+            out.add(other, sign)
+            return out.value(self.pair)
         out = dict(self.terms)
         _accumulate(out, other, sign)
         return Multivector._trusted(self.pair, out)

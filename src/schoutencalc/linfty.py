@@ -26,26 +26,28 @@ by multilinearity each ``k`` in ``B*`` enters as ``x_k^0 + (-1)**t_k
 x_k^1``, ``t_k`` the parity of the outside degrees that inversions join to
 ``k`` (the proof is in ``_structure_equation_residual``).  The left side is
 twisted the same way, one injection per pair ``i < j`` and choice of their
-parts.  Block images are wedge words built once per call, one wedge each
-onto a shorter word, with bare ``Fraction`` coefficients on trivial-scalar
-pairs and ``Scalar`` ones otherwise; the residual is summed bare as well.
+parts.
+
+Every sum here adds the ``int`` numerators of int forms ``(D, rows)`` (see
+``exterior._cleared``), so no ``Fraction`` is built before a result is
+read.  On trivial scalars the n-bracket table holds ``int`` terms over the
+pair's ``bracket_denominator`` ``D_pair``, so every right-side term of the
+structure equation lies over the same ``D_pair D_1 ... D_n``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UnsupportedPairError
-from .exterior import INHOMOGENEOUS, Multivector, _accumulate, embed, tensor_degree, wedge
+from .exterior import Multivector, _cleared, _IntSum, _of_form, embed, tensor_degree, wedge
 from .graded import parity_sign, partition_table, signed_shuffles
 from .pairs import GradedPairElement, LieRinehartPair, Vector, associated_bracket
 from .report import BracketReport, run_identity
-from .scalars import Scalar
 
 __all__ = [
     "BracketFamily",
@@ -63,16 +65,6 @@ __all__ = [
 ]
 
 
-def _hom_parts(x: Multivector) -> list[tuple[Multivector, int]]:
-    """``x``'s nonzero homogeneous components with their tensor degrees."""
-    if x.is_zero():
-        return []
-    degree = tensor_degree(x)
-    if degree != INHOMOGENEOUS:
-        return [(x, degree)]
-    return [(component, degree) for degree, component in x.homogeneous_components().items()]
-
-
 def _n_bracket_hom(pair: LieRinehartPair, args: list[Multivector], degrees: list[int]) -> Multivector:
     """One shuffle sum on homogeneous ``args`` of the given tensor degrees.
 
@@ -84,7 +76,7 @@ def _n_bracket_hom(pair: LieRinehartPair, args: list[Multivector], degrees: list
     from .schouten import sn_antisym
 
     n = len(args)
-    out: dict = {}
+    out = _IntSum()
     for order, sign in signed_shuffles((2, n - 2) if n > 2 else (2,), degrees):
         first, second = order[0], order[1]
         inner = sn_antisym(pair, args[second], args[first])
@@ -93,16 +85,18 @@ def _n_bracket_hom(pair: LieRinehartPair, args: list[Multivector], degrees: list
         term = inner
         for k in order[2:]:
             term = wedge(pair, args[k], term)
-        _accumulate(out, term, sign * parity_sign(degrees[first]))
-    return Multivector._trusted(pair, out)
+        out.add(term, sign * parity_sign(degrees[first]))
+    return out.value(pair)
 
 
 def n_bracket(pair: LieRinehartPair, args: Sequence[Multivector]) -> Multivector:
     """The arity-``len(args)`` bracket, extended multilinearly to mixed degrees.
 
     On trivial scalars, ``sum +-c_1...c_p n_brackets[sorted (m_1..m_p)]`` over
-    one term ``c_k e_(m_k)`` per argument (sign: see :class:`LieRinehartPair`);
-    other pairs sum :func:`_n_bracket_hom` over the homogeneous parts.
+    one term ``c_k e_(m_k)`` per argument (sign: see :class:`LieRinehartPair`),
+    with ``c_k = n_k / D_k`` read from the argument's int form: the ``int``
+    sums lie over ``D_pair D_1 ... D_p``.  Other pairs sum
+    :func:`_n_bracket_hom` over the homogeneous parts.
     """
     args = list(args)
     if not args:
@@ -111,30 +105,35 @@ def n_bracket(pair: LieRinehartPair, args: Sequence[Multivector]) -> Multivector
         raise ValueError("multivector does not belong to the given pair")
     if len(args) == 1:
         return Multivector.zero(pair)
-    out: dict = {}
     if not pair.is_trivial_scalars:
-        for combo in itertools.product(*(_hom_parts(a) for a in args)):
-            _accumulate(out, _n_bracket_hom(pair, [c[0] for c in combo], [c[1] for c in combo]), 1)
-        return Multivector._trusted(pair, out)
-    for combo in itertools.product(*(a.terms.items() for a in args)):
+        out = _IntSum()
+        for combo in itertools.product(*(a.homogeneous_components().items() for a in args)):
+            out.add(_n_bracket_hom(pair, [c[1] for c in combo], [c[0] for c in combo]))
+        return out.value(pair)
+    forms = [_cleared(a) for a in args]
+    d = pair.bracket_denominator * math.prod([form[0] for form in forms])
+    sums: dict = {}
+    for combo in itertools.product(*(rows for _, rows in forms)):
         monos = [mono for mono, _ in combo]
         key = tuple(sorted(monos))
         entry = pair.n_brackets.get(key)
         if entry is None:
             if sum(map(len, key)) > pair.dim + 1:  # of degree above dim, so zero
                 continue
-            units = [Multivector._trusted(pair, {m: Scalar._trusted(0, {(): Fraction(1)})}) for m in key]
-            value = _n_bracket_hom(pair, units, [len(mono) for mono in key])
-            entry = pair.n_brackets[key] = tuple((mono, c.terms[()]) for mono, c in value.terms.items())
+            units = [_of_form(pair, (1, [(m, [((), 1)])])) for m in key]
+            dv, value = _cleared(_n_bracket_hom(pair, units, [len(m) for m in key]))
+            # Each term holds one binary bracket, so dv divides D_pair.
+            entry = pair.n_brackets[key] = tuple((m, r[0][1] * pair.bracket_denominator // dv) for m, r in value)
         if not entry:
             continue
         odd = [mono for mono in monos if len(mono) % 2]
         c = -1 if sum(a > b for i, a in enumerate(odd) for b in odd[i + 1 :]) % 2 else 1
-        for _, coeff in combo:
-            c *= coeff.terms[()]
+        for _, row in combo:
+            c *= row[0][1]
         for mono, q in entry:
-            out[mono] = out.get(mono, 0) + q * c
-    return Multivector._trusted(pair, {m: Scalar._trusted(0, {(): c}) for m, c in out.items() if c})
+            sums[mono] = sums.get(mono, 0) + q * c
+    rows = [(mono, [((), c)]) for mono, c in sums.items() if c]
+    return _of_form(pair, (d, rows)) if rows else Multivector.zero(pair)
 
 
 @dataclass(frozen=True)
@@ -160,14 +159,13 @@ def _shuffle_sum(pair: LieRinehartPair, args: list[Multivector], arities) -> Mul
         if not isinstance(d, int):
             raise ValueError("weak Jacobi arguments must be homogeneous")
         degrees.append(d)
-    residual: dict = {}
+    residual = _IntSum()
     for j in arities:
         parts = (j,) if j == n else (j, n - j)
         for order, sign in signed_shuffles(parts, degrees):
             inner = n_bracket(pair, [args[i] for i in order[:j]])
-            outer = n_bracket(pair, [inner] + [args[i] for i in order[j:]])
-            _accumulate(residual, outer, sign)
-    return Multivector._trusted(pair, residual)
+            residual.add(n_bracket(pair, [inner] + [args[i] for i in order[j:]]), sign)
+    return residual.value(pair)
 
 
 def weak_jacobi_residual(
@@ -206,21 +204,22 @@ def ce_differential(pair: LieRinehartPair, x: Multivector) -> Multivector:
     x_{s(3)} ^ ... ^ x_{s(n)}`` with ``d = 0`` on scalars and vectors.  On a
     monomial of ``n`` generators that is ``(-1)**((n-1)(n-2)/2)`` times the
     n-bracket of the generators: reversing the ``n - 1`` vector factors of
-    each bracket term gives that sign.
+    each bracket term gives that sign.  The monomials' coefficients
+    ``n / D`` are read from ``x``'s int form.
     """
     if not pair.is_trivial_scalars:
         raise UnsupportedPairError(
             "the coalgebraic differential exists only for trivial-scalar pairs"
         )
-    out: dict = {}
-    for mono, coeff in x.terms.items():
+    d, rows = _cleared(x)
+    out = _IntSum()
+    for mono, row in rows:
         n = len(mono)
         if n < 2:
             continue
         generators = [Multivector.monomial(pair, (g,)) for g in mono]
-        term = n_bracket(pair, generators).scaled(coeff)
-        _accumulate(out, term, parity_sign((n - 1) * (n - 2) // 2))
-    return Multivector._trusted(pair, out)
+        out.add(n_bracket(pair, generators), parity_sign((n - 1) * (n - 2) // 2) * row[0][1])
+    return out.value(pair, d)
 
 
 # -- the natural injection -------------------------------------------------------
@@ -237,10 +236,7 @@ def natural_injection(
     out = embed(pair, args[-1])
     for element in reversed(args[:-1]):
         out = wedge(pair, out, embed(pair, element))
-    factor = Fraction(math.factorial(n - 1))
-    if (n - 1) % 2:
-        factor = -factor
-    return out.scaled(factor)
+    return out.scaled(parity_sign(n - 1) * math.factorial(n - 1))
 
 
 @dataclass(frozen=True)
@@ -312,55 +308,16 @@ def _twist_table(n: int) -> tuple:
     return table
 
 
-def _wedge_unit(unit: dict, word: dict) -> dict:
-    """``u ^ W`` on bare words, ``u`` of degree at most one; zero sums are kept."""
-    out: dict = {}
-    for um, uc in unit.items():
-        g = um[0] if um else None
-        for wm, wc in word.items():
-            if g is None:
-                mono, c = wm, uc * wc
-            elif g in wm:
-                continue
-            else:
-                # e_g moves past the pos generators of wm below g.
-                pos = bisect_left(wm, g)
-                mono, c = wm[:pos] + um + wm[pos:], (-uc if pos % 2 else uc) * wc
-            prev = out.get(mono)
-            out[mono] = c if prev is None else prev + c
-    return out
-
-
-def _word(words: dict, units: list, block: tuple[int, ...], choice: tuple[int, ...]) -> dict:
+def _word(pair: LieRinehartPair, words: dict, units: list, block: tuple[int, ...], choice: tuple[int, ...]):
     """``x_{b_m} ^ ... ^ x_{b_1}`` on the chosen units, one wedge onto the cached shorter word."""
     key = (block, choice)
     word = words.get(key)
     if word is None:
         head = units[block[-1]][choice[-1]]
         word = words[key] = (
-            head if len(block) == 1 else _wedge_unit(head, _word(words, units, block[:-1], choice[:-1]))
+            head if len(block) == 1 else wedge(pair, head, _word(pair, words, units, block[:-1], choice[:-1]))
         )
     return word
-
-
-def _wrap(pair: LieRinehartPair, word: dict, factor: int = 1) -> Multivector:
-    """``factor`` times a bare word as a multivector, zero coefficients dropped."""
-    if factor != 1:
-        word = {m: c * factor for m, c in word.items()}
-    if pair.is_trivial_scalars:
-        return Multivector._trusted(pair, {m: Scalar._trusted(0, {(): c}) for m, c in word.items() if c})
-    return Multivector._trusted(pair, {m: c for m, c in word.items() if c.terms})
-
-
-def _add_bare(out: dict, x: Multivector, sign: int) -> None:
-    """Add ``sign * x`` into the bare map ``out``; zero sums are kept."""
-    trivial = x.pair.is_trivial_scalars
-    for mono, coeff in x.terms.items():
-        c = coeff.terms[()] if trivial else coeff
-        if sign < 0:
-            c = -c
-        prev = out.get(mono)
-        out[mono] = c if prev is None else prev + c
 
 
 def _structure_equation_residual(source_pair, target_pair, args) -> Multivector:
@@ -405,26 +362,32 @@ def _structure_equation_residual(source_pair, target_pair, args) -> Multivector:
     ``d_j``.  The rows' ``B*``, partners and remaining inversions come from
     :func:`_twist_table`.
 
-    Words.  Each argument is embedded once and split into four bare words
-    (maps from monomials to ``Fraction`` coefficients on trivial-scalar
-    pairs and to ``Scalar`` coefficients otherwise): its scalar part, its
-    vector part, and their sum and difference.  The word of a block ``b_1 <
-    ... < b_m`` on chosen words ``u`` is ``u_(b_m) ^ W(b_1, ..., b_(m-1))``,
-    one wedge onto the cached shorter word, and the block's image is
-    ``(-1)**(m-1) (m-1)!`` times it; each is built once per call.  A
-    partition is skipped as soon as one of its images is zero, since the
-    bracket is multilinear.  Every bracket of images goes through
-    :func:`n_bracket`.  The residual is summed bare in one fresh map and
-    wrapped once.
+    Words.  Each embedded argument is cleared once, over its own ``D_k``,
+    and split into four int-form units: its scalar part, its vector part,
+    and their sum and difference.  The word of a block ``b_1 < ... < b_m``
+    on chosen units ``u`` is ``u_(b_m) ^ W(b_1, ..., b_(m-1))``, one
+    :func:`wedge` onto the cached shorter word, over ``D_(b_1) ...
+    D_(b_m)``, and the block's image is ``(-1)**(m-1) (m-1)!`` times it;
+    each is built once per call.  A partition is skipped as soon as one of
+    its images is zero, since the bracket is multilinear.  Every bracket of
+    images goes through :func:`n_bracket`, so on a trivial-scalar pair each
+    right-side term lies over ``D_pair D_1 ... D_n``; the left side's
+    injections may lie over another ``D``.  The residual is one ``int`` sum,
+    ``exterior._IntSum``, wrapped once.
     """
     n = len(args)
-    residual: dict = {}
+    residual = _IntSum()
 
     parts = [_source_parts(source_pair, x) for x in args]
     flipped = [GradedPairElement(x.scalar, -x.vector) for x in args]
+    # Two scalar parts bracket to zero, and on trivial scalars a scalar part
+    # brackets to zero with anything, the anchor being zero.
+    least = 2 if source_pair.is_trivial_scalars else 1
     for i, j in itertools.combinations(range(n), 2):
         for u, di in parts[i]:
             for v, dj in parts[j]:
+                if di + dj < least:
+                    continue
                 inner = associated_bracket(source_pair, u, v)
                 if inner.is_zero():
                     continue
@@ -433,19 +396,17 @@ def _structure_equation_residual(source_pair, target_pair, args) -> Multivector:
                     for k in range(n)
                     if k != i and k != j
                 ]
-                _add_bare(residual, natural_injection(target_pair, [inner] + rest), 1)
+                residual.add(natural_injection(target_pair, [inner] + rest))
 
-    trivial = target_pair.is_trivial_scalars
     units = []
     for x in args:
-        terms = embed(target_pair, x).terms
-        if trivial:
-            terms = {m: c.terms[()] for m, c in terms.items()}
-        scalar = {m: c for m, c in terms.items() if not m}
-        vector = {m: c for m, c in terms.items() if m}
+        dk, rows = _cleared(embed(target_pair, x))
+        scalar = [row for row in rows if not row[0]]
+        vector = [row for row in rows if row[0]]
+        minus = [(m, [(e, -c) for e, c in row]) for m, row in vector]
         # Units 0 and 1 are the parts of degree 0 and 1; unit 2 + t is x^0 + (-1)**t x^1.
-        units.append((scalar, vector, terms, {**scalar, **{m: -c for m, c in vector.items()}}))
-    degrees = [tuple(d for d in (0, 1) if unit[d]) for unit in units]
+        units.append([_of_form(target_pair, (dk, part)) for part in (scalar, vector, rows, scalar + minus)])
+    degrees = [tuple(d for d in (0, 1) if not unit[d].is_zero()) for unit in units]
     words: dict = {}
     images: dict = {}
     d = [0] * n
@@ -461,16 +422,15 @@ def _structure_equation_residual(source_pair, target_pair, args) -> Multivector:
                     key = (block, tuple([d[k] for k in block]))
                 image = images.get(key)
                 if image is None:
-                    k = len(block)
-                    factor = -math.factorial(k - 1) if k % 2 == 0 else math.factorial(k - 1)
-                    image = images[key] = _wrap(target_pair, _word(words, units, *key), factor)
+                    factor = parity_sign(len(block) - 1) * math.factorial(len(block) - 1)
+                    image = images[key] = _word(target_pair, words, units, *key).scaled(factor)
                 if image.is_zero():
                     break
                 block_images.append(image)
             else:
                 odd = sum([d[a] & d[b] for a, b in inversions]) % 2
-                _add_bare(residual, n_bracket(target_pair, block_images), 1 if odd else -1)
-    return _wrap(target_pair, residual)
+                residual.add(n_bracket(target_pair, block_images), 1 if odd else -1)
+    return residual.value(target_pair)
 
 
 # Largest arity check_linfty_morphism evaluates.

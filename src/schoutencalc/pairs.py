@@ -17,6 +17,7 @@ import json
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from types import MappingProxyType
 
@@ -133,12 +134,15 @@ class LieRinehartPair:
     function of the pair, so a fill is idempotent; there are at most
     ``4**dim``.  ``n_brackets``, filled by ``linfty.n_bracket`` on trivial
     scalars, has one entry per sorted tuple of monomials met of total length
-    at most ``dim + 1``: the ``(monomial, Fraction)`` terms of their unit
-    n-bracket.  Another order reads it times ``(-1)**(pairs of odd-length
-    monomials the sort swaps)``, by graded symmetry (any antisymmetric table).
+    at most ``dim + 1``: the ``(monomial, int)`` terms of their unit
+    n-bracket over ``bracket_denominator``, the lcm of the structure
+    constants' denominators (each term holds one binary bracket, so one
+    structure constant).  Another order reads it times ``(-1)**(pairs of
+    odd-length monomials the sort swaps)``, by graded symmetry (any
+    antisymmetric table).
     """
 
-    __slots__ = ("kind", "dim", "nvars", "brackets", "name", "monomial_brackets", "n_brackets")
+    __slots__ = ("kind", "dim", "nvars", "brackets", "name", "monomial_brackets", "n_brackets", "bracket_denominator")
 
     def __init__(
         self,
@@ -168,6 +172,9 @@ class LieRinehartPair:
         self.name = name or kind
         self.monomial_brackets: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple] = {}
         self.n_brackets: dict[tuple[tuple[int, ...], ...], tuple] = {}
+        self.bracket_denominator = lcm(
+            *(q.denominator for value in table.values() for c in value.terms.values() for q in c.terms.values())
+        )
         if validate:
             self.validate_structure()
 
@@ -284,14 +291,15 @@ class LieRinehartPair:
 
 
 def anchor(pair: LieRinehartPair, x: Vector, a: Scalar) -> Scalar:
-    """Action ``D_x(a)`` of a vector on a scalar; a derivation of ``A``."""
+    """Action ``D_x(a)`` of a vector on a scalar; a derivation of ``A``, zero on trivial scalars."""
     if a.nvars != pair.nvars:
         raise ValueError("scalar does not belong to this pair")
     out = pair.scalar_zero()
     for gen, coeff in x.terms.items():
         if not 1 <= gen <= pair.dim:
             raise ValueError(f"vector refers to unknown generator {gen}")
-        out = out + coeff * pair.anchor_generator(gen, a)
+        if not pair.is_trivial_scalars:
+            out = out + coeff * pair.anchor_generator(gen, a)
     return out
 
 
@@ -299,14 +307,18 @@ def bracket_vectors(pair: LieRinehartPair, x: Vector, y: Vector) -> Vector:
     """Lie bracket on vectors, extended from generators by the Leibniz rule.
 
     ``[a e_i, b e_j] = a D_i(b) e_j + a b [e_i, e_j] - b D_j(a) e_i``, summed
-    bilinearly over the terms of both arguments.
+    bilinearly over the terms of both arguments; the anchor terms are zero
+    on trivial scalars and skipped there.
     """
     out = Vector.zero()
+    anchored = not pair.is_trivial_scalars
     for gi, a in x.terms.items():
         for gj, b in y.terms.items():
-            out = out + Vector({gj: a * pair.anchor_generator(gi, b)})
+            if anchored:
+                out = out + Vector({gj: a * pair.anchor_generator(gi, b)})
             out = out + pair.generator_bracket(gi, gj).scaled(a * b)
-            out = out - Vector({gi: b * pair.anchor_generator(gj, a)})
+            if anchored:
+                out = out - Vector({gi: b * pair.anchor_generator(gj, a)})
     return out
 
 

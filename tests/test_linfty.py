@@ -10,9 +10,10 @@ from fractions import Fraction
 import pytest
 from oracles import n_bracket_hom_parts, n_bracket_shuffle, structure_equation_by_parts
 
-from schoutencalc import linfty, sampling
+from schoutencalc import exterior, linfty, sampling
 from schoutencalc.errors import UnsupportedPairError
 from schoutencalc.exterior import (
+    INHOMOGENEOUS,
     Multivector,
     associated_exterior_morphism,
     embed,
@@ -38,8 +39,9 @@ from schoutencalc.linfty import (
     natural_injection,
     weak_jacobi_residual,
 )
-from schoutencalc.pairs import GradedPairElement, Vector, associated_bracket
+from schoutencalc.pairs import GradedPairElement, Vector, associated_bracket, load_pair
 from schoutencalc.schouten import sn_antisym, sn_sym
+from test_schouten import FRACTIONAL_HEISENBERG
 
 
 def all_monomials(pair):
@@ -245,6 +247,20 @@ def random_argument(pair, rng, degrees):
 
 TRIVIAL_SCALAR_PAIRS = [sl2, gl2, solvable4, lambda: abelian(3), perturbed_sl2]
 
+# [e1, e2] = 1/2 e2 and [e1, e3] = 1/3 e3, so D_pair = 6 while a unit
+# n-bracket holding only one of the two constants lies over 2 or 3.
+FRACTIONAL_SOLVABLE = {
+    "kind": "lie_algebra",
+    "dimension": 3,
+    "name": "solvable-1/2-1/3",
+    "brackets": [
+        {"i": 1, "j": 2, "value": [{"gen": 2, "coeff": "1/2"}]},
+        {"i": 1, "j": 3, "value": [{"gen": 3, "coeff": "1/3"}]},
+    ],
+}
+FRACTIONAL_PAIRS = [lambda: load_pair(FRACTIONAL_HEISENBERG), lambda: load_pair(FRACTIONAL_SOLVABLE)]
+FRACTIONAL_IDS = ["heisenberg-2/3", "solvable-1/2-1/3"]
+
 
 class TestNBracketTable:
     """On trivial-scalar pairs ``n_bracket`` sums, over one term per argument,
@@ -269,6 +285,23 @@ class TestNBracketTable:
                 nonzero += not got.is_zero()
             # Only the abelian brackets vanish identically.
             assert (nonzero > 0) == bool(pair.brackets), n
+
+    @pytest.mark.parametrize("factory, denominator", zip(FRACTIONAL_PAIRS, (3, 6)), ids=FRACTIONAL_IDS)
+    def test_fractional_structure_constants(self, factory, denominator):
+        # Entries are ints over D_pair; a unit n-bracket may lie over a proper divisor of it.
+        pair = factory()
+        assert pair.bracket_denominator == denominator
+        rng = sampling.rng_for(141)
+        palette = [(0,), (1,), (1,), (2,), (0, 1), (1, 2), (0, 2, 3)]
+        for n in range(2, 6):
+            nonzero = 0
+            for _ in range(16):
+                args = [random_argument(pair, rng, rng.choice(palette)) for _ in range(n)]
+                got = n_bracket(pair, args)
+                assert got == n_bracket_hom_parts(pair, args)
+                nonzero += not got.is_zero()
+            assert nonzero > 0, n
+        assert all(type(q) is int for entry in pair.n_brackets.values() for _, q in entry)
 
     @pytest.mark.parametrize("factory", [sl2, gl2, solvable4])
     def test_permuted_arguments_add_no_entry_and_give_koszul_sign(self, factory):
@@ -684,8 +717,9 @@ class TestStructureEquationMatchesPartsOracle:
             (solvable4, None, range(2, 7)),
             (perturbed_sl2, sl2, range(2, 7)),
             (lambda: cartan(2), None, range(2, 6)),
+            *((factory, None, range(2, 6)) for factory in FRACTIONAL_PAIRS),
         ],
-        ids=["sl2", "gl2", "solvable4", "perturbed-sl2-into-sl2", "cartan2"],
+        ids=["sl2", "gl2", "solvable4", "perturbed-sl2-into-sl2", "cartan2", *FRACTIONAL_IDS],
     )
     def test_equal_residuals(self, source, target, arities):
         source_pair = source()
@@ -710,6 +744,54 @@ class TestStructureEquationMatchesPartsOracle:
                 assert str(got) == str(expected), (n, trial)
                 nonzero += not expected.is_zero()
         assert (nonzero > 0) == (target is not None)
+
+
+class TestNoFractionView:
+    """A residual or a Cartan n-bracket reaches its zero test on int forms
+    alone: not one kernel result has its ``Fraction`` view built.  Each case
+    returns the computation and the zero test's expected answer, read only
+    after the count."""
+
+    @staticmethod
+    def injection_case():
+        pair = sl2()
+        rng = sampling.rng_for(233)
+        args = [sampling.random_pair_element(pair, rng, ensure_mixed=True) for _ in range(4)]
+        return lambda: injection_morphism_residual(pair, args), lambda: True
+
+    @staticmethod
+    def weak_jacobi_case():
+        pair = gl2()
+        rng = sampling.rng_for(239)
+        args = [sampling.random_homogeneous(pair, rng, rng.randint(0, 2)) for _ in range(5)]
+        return lambda: weak_jacobi_residual(pair, 3, 3, args), lambda: True
+
+    @staticmethod
+    def cartan_case():
+        pair = cartan(3)
+        rng = sampling.rng_for(241)
+        x, y, a, b, c, d = (sampling.random_homogeneous(pair, rng, 1) for _ in range(6))
+        # A kernel result of tensor degrees 2 and 1, split into parts on its int form.
+        z = wedge(pair, a, b) + sn_antisym(pair, c, d)
+        assert tensor_degree(z) == INHOMOGENEOUS
+        args = [x, wedge(pair, y, x), z]
+        return lambda: n_bracket(pair, args), lambda: n_bracket_hom_parts(pair, args).is_zero()
+
+    @pytest.mark.parametrize("case", ["injection_case", "weak_jacobi_case", "cartan_case"])
+    def test_no_terms_read(self, monkeypatch, case):
+        compute, expected = getattr(self, case)()
+        reads = []
+        original = exterior._IntForm.__getattr__
+
+        def counted(self, name):
+            reads.append(name)
+            return original(self, name)
+
+        monkeypatch.setattr(exterior._IntForm, "__getattr__", counted)
+        zero = compute().is_zero()
+        assert reads == []
+        monkeypatch.undo()
+        assert zero == expected()
 
 
 def snapshot(value):
