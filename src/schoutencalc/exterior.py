@@ -1,29 +1,25 @@
 """The exterior algebra of a pair: canonical multivectors and the wedge.
 
-Multivectors are stored in normal form: a map from strictly increasing
-generator-index tuples to nonzero coefficients, with the empty tuple holding
-the scalar component.  Coefficients absorb into the map, so rewriting
-``a (x ^ y)`` as ``(a x) ^ y`` or ``x ^ (a y)`` lands on the same value and
-equality is plain map comparison.
+A multivector holds one form, its int form ``(D, [(mono, [(exps, n)])])``,
+that is ``x = sum n/D x^exps e_mono``: ``mono`` a strictly increasing
+generator-index tuple (the empty tuple for the scalar component), each
+``(mono, exps)`` met once, ``n`` a nonzero ``int`` and ``D`` a positive
+common denominator, not necessarily the lcm.  ``terms``, the normal-form map
+from monomials to nonzero ``Scalar`` coefficients, is a read-only view of
+it, built on its first read and then kept.  The form is not canonical (``D``
+and the row order vary), so equality compares the views; coefficients
+absorb into the map, so ``a (x ^ y)``, ``(a x) ^ y`` and ``x ^ (a y)`` are
+equal.
 
-The public constructor and classmethods validate their input;
-``Multivector.zero`` has none and wraps an empty map, and :func:`embed`
-makes the constructor's checks itself.  Arithmetic results on ``Scalar``
-maps (sums, negation, scaling) are built by ``Multivector._trusted``, which
-wraps a map that is already in normal form without checking it.  A sum of
-``Scalar``-map multivectors adds into a fresh map through ``_accumulate``.
-
-A value may also hold its int form ``(D, [(mono, [(exps, n)])])``, that is
-``x = sum n/D x^exps e_mono`` with ``D`` a positive common denominator (not
-necessarily the lcm) and nonzero ``int`` numerators ``n``; ``_cleared``
-computes it on first use and keeps it.  The bilinear kernels (:func:`wedge`,
-``schouten.sn_antisym``) sum ``int`` products of their arguments' int forms,
-and their results (``_IntForm``) hold only the int form: ``terms``, the
-``Fraction`` view, is filled on its first read and then fixed.  ``is_zero``,
-``+``, ``-``, negation and ``scaled`` by a rational work on the int form
-when an operand holds one; sums add ``int`` numerators through ``_IntSum``.
-``homogeneous_components`` splits the int form.  Values are immutable:
-mutate neither ``terms`` nor the form.
+The public constructor and classmethods validate their input, clear the map
+once into the int form and keep the map as the view; :func:`embed` makes the
+constructor's checks itself and clears the same way.  Every other value
+(``zero``, sums, negation, ``scaled`` and the kernels' results) is wrapped
+unchecked from a form by ``_of_form``.  The bilinear kernels (:func:`wedge`,
+``schouten.sn_antisym``) sum ``int`` products of their arguments' forms, and
+sums add ``int`` numerators through ``_IntSum``, so no ``Fraction`` is built
+before ``terms`` is read.  Values are immutable: ``terms`` cannot be
+assigned, and neither the view nor the form may be mutated.
 """
 
 from __future__ import annotations
@@ -58,34 +54,26 @@ def _merge_monomials(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int
     return (-1 if inversions % 2 else 1), tuple(sorted(left + right))
 
 
-def _cleared(x: Multivector) -> tuple[int, list]:
-    """``x``'s int form ``(D, [(mono, [(exps, n)])])``: nonzero ``int`` numerators over a positive common
-    denominator ``D``, not necessarily the lcm.  Computed on first use, with ``D`` the lcm, and kept."""
-    form = x._form
-    if form is None:
-        d = lcm(*(c.denominator for coeff in x.terms.values() for c in coeff.terms.values()))
-        form = x._form = d, [
-            (mono, [(e, c.numerator * (d // c.denominator)) for e, c in coeff.terms.items()])
-            for mono, coeff in x.terms.items()
-        ]
-    return form
+def _clear(terms: dict[tuple[int, ...], Scalar]) -> tuple[int, list]:
+    """The int form of a normal-form map, over the lcm of its denominators."""
+    d = lcm(*(c.denominator for coeff in terms.values() for c in coeff.terms.values()))
+    return d, [
+        (mono, [(e, c.numerator * (d // c.denominator)) for e, c in coeff.terms.items()])
+        for mono, coeff in terms.items()
+    ]
 
 
 def _from_cleared(pair: LieRinehartPair, sums: dict, denominator: int) -> Multivector:
     """The multivector ``sum sums[mono, exps]/denominator x^exps e_mono``, zero sums dropped.
 
-    It holds only the int form when every sum is an ``int``; a fractional
-    sum (a fractional table entry) gives the ``Scalar`` map, as ``terms``.
+    Every sum is an ``int``: the kernels sum ``int`` numerators, and their
+    table entries are ``int``s over the pair's ``bracket_denominator``.
     """
     rows: dict[tuple[int, ...], list] = {}
     for (mono, e), c in sums.items():
         if c:
             rows.setdefault(mono, []).append((e, c))
-    if {int}.issuperset(map(type, sums.values())):
-        return _of_form(pair, (denominator, list(rows.items())))
-    return Multivector._trusted(
-        pair, {m: Scalar._trusted(pair.nvars, {e: Fraction(c, denominator) for e, c in row}) for m, row in rows.items()}
-    )
+    return _of_form(pair, (denominator, list(rows.items())))
 
 
 class _IntSum:
@@ -100,9 +88,9 @@ class _IntSum:
 
     def add(self, x: Multivector, factor: int = 1) -> None:
         """Add ``factor * x``, ``factor`` an ``int``."""
-        if x.is_zero():
+        dx, rows = x._form
+        if not rows:
             return
-        dx, rows = _cleared(x)
         d, sums = self.d, self.sums
         if dx != d:
             m = lcm(d, dx)
@@ -117,7 +105,7 @@ class _IntSum:
                 sums[key] = sums.get(key, 0) + n * factor
 
     def value(self, pair: LieRinehartPair, denominator: int = 1) -> Multivector:
-        """The sum divided by ``denominator``, as a value holding only its int form."""
+        """The sum divided by ``denominator``."""
         return _from_cleared(pair, self.sums, self.d * denominator)
 
 
@@ -127,29 +115,10 @@ def _check_args(pair: LieRinehartPair, x: Multivector, y: Multivector) -> None:
         raise ValueError("multivector does not belong to the given pair")
 
 
-def _accumulate(terms: dict[tuple[int, ...], Scalar], x: Multivector, sign: int) -> None:
-    """Add ``sign * x``, ``sign`` being 1 or -1, into ``terms`` in place.
-
-    ``terms`` must be a normal-form map that the caller built itself, never
-    the ``.terms`` of a value: only its entries are replaced, and the
-    coefficients it held are left as they were.  Zero sums are dropped.
-    """
-    for mono, coeff in x.terms.items():
-        prev = terms.get(mono)
-        if prev is None:
-            terms[mono] = coeff if sign > 0 else -coeff
-            continue
-        total = prev + coeff if sign > 0 else prev - coeff
-        if total.is_zero():
-            del terms[mono]
-        else:
-            terms[mono] = total
-
-
 class Multivector:
-    """An element of the exterior algebra over a fixed pair."""
+    """An element of the exterior algebra over a fixed pair, held as its int form."""
 
-    __slots__ = ("pair", "terms", "_form")
+    __slots__ = ("pair", "_form", "_terms")
 
     def __init__(
         self,
@@ -169,27 +138,26 @@ class Multivector:
                     raise ValueError("coefficient does not belong to this pair")
                 if not coeff.is_zero():
                     clean[key] = coeff
-        self.terms = clean
-        self._form = None
+        self._terms = clean
+        self._form = _clear(clean)
 
-    @classmethod
-    def _trusted(cls, pair: LieRinehartPair, terms: dict[tuple[int, ...], Scalar]) -> Multivector:
-        """Wrap ``terms`` unchecked; it must already be in normal form."""
-        out = object.__new__(cls)
-        out.pair = pair
-        out.terms = terms
-        out._form = None
-        return out
+    @property
+    def terms(self) -> dict[tuple[int, ...], Scalar]:
+        """The ``Fraction`` view ``{mono: Scalar}``, built from the int form on first read."""
+        terms = self._terms
+        if terms is None:
+            d, rows = self._form
+            nvars = self.pair.nvars
+            terms = self._terms = {
+                mono: Scalar._trusted(nvars, {e: Fraction(n, d) for e, n in row}) for mono, row in rows
+            }
+        return terms
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, pair: LieRinehartPair) -> Multivector:
-        return cls._trusted(pair, {})
-
-    @classmethod
-    def unit(cls, pair: LieRinehartPair) -> Multivector:
-        return cls(pair, {(): pair.scalar_one()})
+        return _of_form(pair, (1, []))
 
     @classmethod
     def from_scalar(cls, pair: LieRinehartPair, a: Scalar) -> Multivector:
@@ -213,10 +181,7 @@ class Multivector:
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        """Read from the int form when the value holds one, else from ``terms``."""
-        if self._form is not None:
-            return not self._form[1]
-        return not self.terms
+        return not self._form[1]
 
     def scalar_part(self) -> Scalar:
         return self.terms.get((), self.pair.scalar_zero())
@@ -226,7 +191,7 @@ class Multivector:
 
     def homogeneous_components(self) -> dict[int, Multivector]:
         """Split the int form by tensor degree; zero contributes no components."""
-        d, rows = _cleared(self)
+        d, rows = self._form
         buckets: dict[int, list] = {}
         for row in rows:
             buckets.setdefault(len(row[0]), []).append(row)
@@ -240,44 +205,32 @@ class Multivector:
 
     def __add__(self, other: Multivector, sign: int = 1) -> Multivector:
         self._check(other)
-        if self._form is not None or other._form is not None:
-            out = _IntSum()
-            out.add(self)
-            out.add(other, sign)
-            return out.value(self.pair)
-        out = dict(self.terms)
-        _accumulate(out, other, sign)
-        return Multivector._trusted(self.pair, out)
+        out = _IntSum()
+        out.add(self)
+        out.add(other, sign)
+        return out.value(self.pair)
 
     def __neg__(self) -> Multivector:
-        if self._form is not None:
-            d, rows = self._form
-            return _of_form(self.pair, (d, [(m, [(e, -n) for e, n in row]) for m, row in rows]))
-        return Multivector._trusted(self.pair, {m: -c for m, c in self.terms.items()})
+        d, rows = self._form
+        return _of_form(self.pair, (d, [(m, [(e, -n) for e, n in row]) for m, row in rows]))
 
     def __sub__(self, other: Multivector) -> Multivector:
         return self.__add__(other, -1)
 
     def scaled(self, factor: Scalar | Fraction | int) -> Multivector:
-        """``factor * self``; a rational factor on an int-form value scales its numerators and ``D``."""
+        """``factor * self``: a rational factor scales the numerators and ``D``, a ``Scalar`` one is wedged on."""
         # A unit factor needs no coefficient products.
         if factor == 1:
             return self
         if factor == -1:
             return -self
-        if self._form is not None and isinstance(factor, (int, Fraction)):
-            if not factor:
-                return Multivector.zero(self.pair)
-            d, rows = self._form
-            p = factor.numerator
-            return _of_form(
-                self.pair, (d * factor.denominator, [(m, [(e, n * p) for e, n in row]) for m, row in rows])
-            )
-        # Scaling never merges monomials, so dropping zero products (all of
-        # them when the factor is zero) keeps the normal form.
-        return Multivector._trusted(
-            self.pair, {m: p for m, c in self.terms.items() if (p := c * factor).terms}
-        )
+        if isinstance(factor, Scalar):
+            return wedge(self.pair, Multivector.from_scalar(self.pair, factor), self)
+        if not factor:
+            return Multivector.zero(self.pair)
+        d, rows = self._form
+        p = factor.numerator
+        return _of_form(self.pair, (d * factor.denominator, [(m, [(e, n * p) for e, n in row]) for m, row in rows]))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -315,38 +268,23 @@ class Multivector:
         return f"Multivector({self})"
 
 
-class _IntForm(Multivector):
-    """A multivector built from its int form alone; ``terms`` is filled on its first read.
-    Only these values define ``__getattr__``, which slows every attribute read."""
-
-    __slots__ = ()
-
-    def __getattr__(self, name: str):
-        # Reached only while a slot is unset; later reads of ``terms`` find it.
-        if name != "terms":
-            raise AttributeError(name)
-        d, rows = self._form
-        nvars = self.pair.nvars
-        self.terms = {mono: Scalar._trusted(nvars, {e: Fraction(n, d) for e, n in row}) for mono, row in rows}
-        return self.terms
-
-
 def _of_form(pair: LieRinehartPair, form: tuple[int, list]) -> Multivector:
-    """Wrap an int form (see ``_cleared``) unchecked; ``terms`` stays unset until read."""
-    out = object.__new__(_IntForm)
+    """Wrap an int form unchecked; ``terms`` is built on its first read."""
+    out = object.__new__(Multivector)
     out.pair = pair
     out._form = form
+    out._terms = None
     return out
 
 
 def wedge(pair: LieRinehartPair, x: Multivector, y: Multivector) -> Multivector:
     """Exterior product: bilinear over ``A``, graded symmetric in tensor degree.
 
-    Sums ``int`` products of the arguments' int forms; the result holds only its int form.
+    Sums ``int`` products of the arguments' int forms, over ``D_x D_y``.
     """
     _check_args(pair, x, y)
-    dx, xs = _cleared(x)
-    dy, ys = _cleared(y)
+    dx, xs = x._form
+    dy, ys = y._form
     sums: dict = {}
     for mx, a in xs:
         for my, b in ys:
@@ -365,8 +303,7 @@ def tensor_degree(x: Multivector) -> int | str:
     """Common monomial length of a nonzero multivector, or ``INHOMOGENEOUS``."""
     if x.is_zero():
         raise DegreeUndefinedError("the zero multivector has no degree")
-    # Read from the int form when there is one, so no Fraction view is built.
-    lengths = {len(m) for m in x.terms} if x._form is None else {len(m) for m, _ in x._form[1]}
+    lengths = {len(m) for m, _ in x._form[1]}
     if len(lengths) == 1:
         return lengths.pop()
     return INHOMOGENEOUS
@@ -396,7 +333,9 @@ def embed(pair: LieRinehartPair, u: GradedPairElement) -> Multivector:
             raise ValueError("coefficient does not belong to this pair")
         if not coeff.is_zero():
             terms[mono] = coeff
-    return Multivector._trusted(pair, terms)
+    out = _of_form(pair, _clear(terms))
+    out._terms = terms
+    return out
 
 
 def associated_exterior_morphism(m: PairMorphism, x: Multivector) -> Multivector:

@@ -29,7 +29,7 @@ twisted the same way, one injection per pair ``i < j`` and choice of their
 parts.
 
 Every sum here adds the ``int`` numerators of int forms ``(D, rows)`` (see
-``exterior._cleared``), so no ``Fraction`` is built before a result is
+:mod:`schoutencalc.exterior`), so no ``Fraction`` is built before a result is
 read.  On trivial scalars the n-bracket table holds ``int`` terms over the
 pair's ``bracket_denominator`` ``D_pair``, so every right-side term of the
 structure equation lies over the same ``D_pair D_1 ... D_n``.
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UnsupportedPairError
-from .exterior import Multivector, _cleared, _IntSum, _of_form, embed, tensor_degree, wedge
+from .exterior import Multivector, _IntSum, _of_form, embed, tensor_degree, wedge
 from .graded import parity_sign, partition_table, signed_shuffles
 from .pairs import GradedPairElement, LieRinehartPair, Vector, associated_bracket
 from .report import BracketReport, run_identity
@@ -110,7 +110,7 @@ def n_bracket(pair: LieRinehartPair, args: Sequence[Multivector]) -> Multivector
         for combo in itertools.product(*(a.homogeneous_components().items() for a in args)):
             out.add(_n_bracket_hom(pair, [c[1] for c in combo], [c[0] for c in combo]))
         return out.value(pair)
-    forms = [_cleared(a) for a in args]
+    forms = [a._form for a in args]
     d = pair.bracket_denominator * math.prod([form[0] for form in forms])
     sums: dict = {}
     for combo in itertools.product(*(rows for _, rows in forms)):
@@ -121,9 +121,9 @@ def n_bracket(pair: LieRinehartPair, args: Sequence[Multivector]) -> Multivector
             if sum(map(len, key)) > pair.dim + 1:  # of degree above dim, so zero
                 continue
             units = [_of_form(pair, (1, [(m, [((), 1)])])) for m in key]
-            dv, value = _cleared(_n_bracket_hom(pair, units, [len(m) for m in key]))
-            # Each term holds one binary bracket, so dv divides D_pair.
-            entry = pair.n_brackets[key] = tuple((m, r[0][1] * pair.bracket_denominator // dv) for m, r in value)
+            # Each term holds one sn_antisym result over D_pair, so the sum lies over D_pair.
+            value = _n_bracket_hom(pair, units, [len(m) for m in key])._form[1]
+            entry = pair.n_brackets[key] = tuple((m, r[0][1]) for m, r in value)
         if not entry:
             continue
         odd = [mono for mono in monos if len(mono) % 2]
@@ -211,7 +211,7 @@ def ce_differential(pair: LieRinehartPair, x: Multivector) -> Multivector:
         raise UnsupportedPairError(
             "the coalgebraic differential exists only for trivial-scalar pairs"
         )
-    d, rows = _cleared(x)
+    d, rows = x._form
     out = _IntSum()
     for mono, row in rows:
         n = len(mono)
@@ -400,7 +400,7 @@ def _structure_equation_residual(source_pair, target_pair, args) -> Multivector:
 
     units = []
     for x in args:
-        dk, rows = _cleared(embed(target_pair, x))
+        dk, rows = embed(target_pair, x)._form
         scalar = [row for row in rows if not row[0]]
         vector = [row for row in rows if row[0]]
         minus = [(m, [(e, -c) for e, c in row]) for m, row in vector]

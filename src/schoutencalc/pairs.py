@@ -126,11 +126,16 @@ class LieRinehartPair:
     maps a pair ``(I, J)`` of generator monomials to three tuples,
     ``products`` of ``(monomial, q)`` (the bracket of the unit-coefficient
     monomials) and ``left`` and ``right`` of ``(k, monomial, q)``, so that
-    ``[a e_I, b e_J]`` is ``sum q ab e_mono + sum q a d_k(b) e_mono
-    + sum q b d_k(a) e_mono``.  An entry is filled in closed form from
-    :meth:`generator_bracket` and the anchor coefficients
+    ``bracket_denominator [a e_I, b e_J]`` is ``sum q ab e_mono + sum q a
+    d_k(b) e_mono + sum q b d_k(a) e_mono``.  An entry is filled in closed
+    form from :meth:`generator_bracket` and the anchor coefficients
     ``rho_ik = D_(e_i)(x_k)`` read through :meth:`anchor_generator`, which
-    must be constants (both pair kinds satisfy this).  Each entry is a pure
+    must be constants (both pair kinds satisfy this).  Every ``q`` is an
+    ``int``: a ``products`` term sums structure constants, each a multiple
+    of ``1/bracket_denominator``, and a ``left`` or ``right`` term is a
+    signed ``rho``: Cartan pairs have ``rho = delta`` and
+    ``bracket_denominator = 1``, and Lie algebras have a zero anchor, so
+    they have no such terms.  Each entry is a pure
     function of the pair, so a fill is idempotent; there are at most
     ``4**dim``.  ``n_brackets``, filled by ``linfty.n_bracket`` on trivial
     scalars, has one entry per sorted tuple of monomials met of total length

@@ -19,8 +19,8 @@ Sign conventions, fixed once and used everywhere:
 generator-monomial brackets, each split into the parts that multiply ``ab``,
 ``a d_k(b)`` and ``b d_k(a)`` and filled in closed form from the structure
 constants and the anchor.  Like ``wedge``, it sums ``int`` products of its
-arguments' cached int forms (table entries are ``int`` when integral) and
-returns a value holding only its int form, so nested brackets make no
+arguments' int forms (table entries are ``int``s over the pair's
+``bracket_denominator``) and returns an int form, so nested brackets make no
 ``Fraction``; :func:`sn_sym` is one :func:`sn_antisym` call.  The independent oracles
 (the term-pair double sum, Poisson-rule recursion and the shuffle form) live
 with the tests, in ``tests/oracles.py``.
@@ -31,8 +31,8 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .exterior import INHOMOGENEOUS, Multivector, _check_args, _cleared, _from_cleared, _merge_monomials
-from .exterior import _of_form, tensor_degree, wedge
+from .exterior import INHOMOGENEOUS, Multivector, _check_args, _from_cleared, _merge_monomials, _of_form
+from .exterior import tensor_degree, wedge
 from .graded import parity_sign, signed_shuffles
 from .pairs import LieRinehartPair, PairMorphism
 from .report import BracketReport, run_identity
@@ -89,6 +89,15 @@ def _monomial_bracket(pair: LieRinehartPair, mx: tuple[int, ...], my: tuple[int,
     It is the double sum over slot pairs with the coefficients absorbed into
     the first slots, expanded by ``[a e_i, b e_j] = ab [e_i, e_j]
     + a D_i(b) e_j - b D_j(a) e_i``.
+
+    Each coefficient ``q`` is stored as the ``int`` ``q D_pair``, ``D_pair``
+    being the pair's ``bracket_denominator``, the lcm of the structure
+    constants' denominators.  That product is an integer for both pair
+    kinds.  A ``products`` coefficient is a signed sum of structure
+    constants, each a multiple of ``1/D_pair``.  A ``left`` or ``right``
+    coefficient is a signed ``rho``: Cartan pairs have ``rho = delta`` and
+    ``D_pair = 1``, and Lie algebras have a zero anchor, so their entries
+    hold structure constants only.
     """
     key = (mx, my)
     entry = pair.monomial_brackets.get(key)
@@ -110,10 +119,9 @@ def _monomial_bracket(pair: LieRinehartPair, mx: tuple[int, ...], my: tuple[int,
             rest_y = my[: s - 1] + my[s:]
             for k, rho in _anchor_row(pair, j):
                 _add_wedge(right, (k,), parity_sign(s) * rho, mx, rest_y)
-        # Integral entries are stored as ints, so the kernel's sums stay ints.
+        dp = pair.bracket_denominator
         entry = tuple(
-            tuple(head + (q.numerator if q.denominator == 1 else q,) for head, q in part.items() if q)
-            for part in (products, left, right)
+            tuple(head + (int(q * dp),) for head, q in part.items() if q) for part in (products, left, right)
         )
         pair.monomial_brackets[key] = entry
     return entry
@@ -126,18 +134,17 @@ def sn_antisym(pair: LieRinehartPair, x: Multivector, y: Multivector) -> Multive
     ``sum_k rho_ik d_k`` with constant ``rho_ik`` (zero on ``lie_algebra``
     pairs, ``d_i`` on ``cartan`` pairs); other anchors are refused with a
     ``ValueError``.  Then
-    ``[a e_I, b e_J] = sum q ab e_M + sum q a d_k(b) e_M + sum q b d_k(a) e_M``
+    ``D_pair [a e_I, b e_J] = sum q ab e_M + sum q a d_k(b) e_M + sum q b d_k(a) e_M``
     over the ``products``, ``left`` and ``right`` lists of the pair's table
-    entry for ``(I, J)`` (filled in closed form by ``_monomial_bracket``).
-    It reads both arguments' int forms (``exterior._cleared``, computed once
-    per value), so the sums keyed by (monomial, exponent tuple) stay ``int``
-    unless a table entry is fractional.  Zero sums are dropped, and the
-    result holds only its int form over ``D_x D_y`` (``exterior._from_cleared``;
-    a ``Scalar`` map when a sum is fractional), wrapped without re-validation.
+    entry for ``(I, J)`` (filled in closed form by ``_monomial_bracket``),
+    each ``q`` an ``int``.  It reads both arguments' int forms, so the sums
+    keyed by (monomial, exponent tuple) are ``int``s.  Zero sums are
+    dropped, and the result is the int form of the sums over ``D_x D_y
+    D_pair`` (``exterior._from_cleared``), wrapped without re-validation.
     """
     _check_args(pair, x, y)
-    dx, xs = _cleared(x)
-    dy, ys = _cleared(y)
+    dx, xs = x._form
+    dy, ys = y._form
     sums: dict = {}
     for mx, a_terms in xs:
         for my, b_terms in ys:
@@ -166,7 +173,7 @@ def sn_antisym(pair: LieRinehartPair, x: Multivector, y: Multivector) -> Multive
                         for eb, cb in b_terms:
                             key = (mono, tuple(map(add, da, eb)))
                             sums[key] = sums.get(key, 0) + q * n * ca * cb
-    return _from_cleared(pair, sums, dx * dy)
+    return _from_cleared(pair, sums, dx * dy * pair.bracket_denominator)
 
 
 def sn_sym(pair: LieRinehartPair, x: Multivector, y: Multivector) -> Multivector:
@@ -179,7 +186,7 @@ def sn_sym(pair: LieRinehartPair, x: Multivector, y: Multivector) -> Multivector
     _check_args(pair, x, y)
     if x.is_zero():
         return Multivector.zero(pair)
-    d, rows = _cleared(x)
+    d, rows = x._form
     twisted = [(mono, [(e, -n) for e, n in row]) if len(mono) % 2 else (mono, row) for mono, row in rows]
     return sn_antisym(pair, y, _of_form(x.pair, (d, twisted)))
 

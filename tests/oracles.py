@@ -24,7 +24,9 @@ choice of homogeneous part of every argument and per set partition, with no
 block summed out and no twisted argument.
 :func:`wedge_by_scalars` is the oracle for
 :func:`schoutencalc.exterior.wedge`: the term-pair product in ``Scalar``
-arithmetic, with no cleared denominators.  :func:`sn_term_pair`,
+arithmetic, wrapped by the public constructor.  :func:`_accumulate` is the
+reference sum of :func:`structure_equation_by_parts`, also in ``Scalar``
+arithmetic.  :func:`sn_term_pair`,
 :func:`sn_antisym_poisson` and :func:`sn_antisym_shuffle` wedge through it,
 so none of them runs the library's cleared-denominator kernels.
 """
@@ -33,12 +35,31 @@ from __future__ import annotations
 
 import itertools
 
-from schoutencalc.exterior import Multivector, _accumulate, _merge_monomials, wedge
+from schoutencalc.exterior import Multivector, _merge_monomials, wedge
 from schoutencalc.graded import koszul_sign, parity_sign, partition_table, shuffles, signed_shuffles
 from schoutencalc.linfty import _n_bracket_hom, _source_parts, n_bracket, natural_injection
 from schoutencalc.pairs import GradedPairElement, LieRinehartPair, Vector, anchor, associated_bracket, bracket_vectors
 from schoutencalc.scalars import Scalar
 from schoutencalc.schouten import sn_antisym
+
+
+def _accumulate(terms: dict[tuple[int, ...], Scalar], x: Multivector, sign: int) -> None:
+    """Add ``sign * x``, ``sign`` being 1 or -1, into ``terms`` in place.
+
+    ``terms`` must be a normal-form map that the caller built itself, never
+    the ``.terms`` of a value: only its entries are replaced, and the
+    coefficients it held are left as they were.  Zero sums are dropped.
+    """
+    for mono, coeff in x.terms.items():
+        prev = terms.get(mono)
+        if prev is None:
+            terms[mono] = coeff if sign > 0 else -coeff
+            continue
+        total = prev + coeff if sign > 0 else prev - coeff
+        if total.is_zero():
+            del terms[mono]
+        else:
+            terms[mono] = total
 
 
 def wedge_by_scalars(pair: LieRinehartPair, x: Multivector, y: Multivector) -> Multivector:
@@ -60,7 +81,7 @@ def wedge_by_scalars(pair: LieRinehartPair, x: Multivector, y: Multivector) -> M
                     out[mono] = total
             else:
                 out[mono] = coeff
-    return Multivector._trusted(pair, out)
+    return Multivector(pair, out)
 
 
 def _absorbed_slots(pair: LieRinehartPair, mono: tuple[int, ...], coeff: Scalar) -> list[Vector]:
@@ -220,7 +241,7 @@ def n_bracket_shuffle(pair: LieRinehartPair, args: list[Multivector]) -> Multive
         degrees = [degree for degree, _ in combo]
         xs = [component for _, component in combo]
         for s in shuffles(parts):
-            left = Multivector.unit(pair)
+            left = Multivector.from_scalar(pair, pair.scalar_one())
             for k in range(n, 2, -1):
                 left = wedge(pair, left, xs[s(k) - 1])
             term = wedge(pair, left, sn_antisym(pair, xs[s(2) - 1], xs[s(1) - 1]))
@@ -289,4 +310,4 @@ def structure_equation_by_parts(
             else:
                 odd = sum(degrees[a] * degrees[b] for a, b in inversions) % 2
                 _accumulate(residual, n_bracket(target_pair, block_images), 1 if odd else -1)
-    return Multivector._trusted(target_pair, residual)
+    return Multivector(target_pair, residual)

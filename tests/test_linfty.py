@@ -41,7 +41,7 @@ from schoutencalc.linfty import (
 )
 from schoutencalc.pairs import GradedPairElement, Vector, associated_bracket, load_pair
 from schoutencalc.schouten import sn_antisym, sn_sym
-from test_schouten import FRACTIONAL_HEISENBERG
+from test_schouten import FRACTIONAL_HEISENBERG, FRACTIONAL_SOLVABLE
 
 
 def all_monomials(pair):
@@ -247,17 +247,6 @@ def random_argument(pair, rng, degrees):
 
 TRIVIAL_SCALAR_PAIRS = [sl2, gl2, solvable4, lambda: abelian(3), perturbed_sl2]
 
-# [e1, e2] = 1/2 e2 and [e1, e3] = 1/3 e3, so D_pair = 6 while a unit
-# n-bracket holding only one of the two constants lies over 2 or 3.
-FRACTIONAL_SOLVABLE = {
-    "kind": "lie_algebra",
-    "dimension": 3,
-    "name": "solvable-1/2-1/3",
-    "brackets": [
-        {"i": 1, "j": 2, "value": [{"gen": 2, "coeff": "1/2"}]},
-        {"i": 1, "j": 3, "value": [{"gen": 3, "coeff": "1/3"}]},
-    ],
-}
 FRACTIONAL_PAIRS = [lambda: load_pair(FRACTIONAL_HEISENBERG), lambda: load_pair(FRACTIONAL_SOLVABLE)]
 FRACTIONAL_IDS = ["heisenberg-2/3", "solvable-1/2-1/3"]
 
@@ -288,7 +277,7 @@ class TestNBracketTable:
 
     @pytest.mark.parametrize("factory, denominator", zip(FRACTIONAL_PAIRS, (3, 6)), ids=FRACTIONAL_IDS)
     def test_fractional_structure_constants(self, factory, denominator):
-        # Entries are ints over D_pair; a unit n-bracket may lie over a proper divisor of it.
+        # Entries are ints over D_pair, though a unit n-bracket's value may need only a proper divisor of it.
         pair = factory()
         assert pair.bracket_denominator == denominator
         rng = sampling.rng_for(141)
@@ -425,7 +414,7 @@ class TestCEDifferential:
     def test_rejects_cartan(self):
         pair = cartan(2)
         with pytest.raises(UnsupportedPairError):
-            ce_differential(pair, Multivector.unit(pair))
+            ce_differential(pair, Multivector.from_scalar(pair, pair.scalar_one()))
 
     def test_golden_values_sl2(self):
         pair = sl2()
@@ -437,7 +426,7 @@ class TestCEDifferential:
 
     def test_zero_on_scalars_and_vectors(self):
         pair = sl2()
-        assert ce_differential(pair, Multivector.unit(pair)).is_zero()
+        assert ce_differential(pair, Multivector.from_scalar(pair, pair.scalar_one())).is_zero()
         assert ce_differential(pair, Multivector.monomial(pair, (2,))).is_zero()
 
     @pytest.mark.parametrize("factory", [sl2, solvable4])
@@ -780,16 +769,17 @@ class TestNoFractionView:
     @pytest.mark.parametrize("case", ["injection_case", "weak_jacobi_case", "cartan_case"])
     def test_no_terms_read(self, monkeypatch, case):
         compute, expected = getattr(self, case)()
-        reads = []
-        original = exterior._IntForm.__getattr__
+        fills = []
+        original = exterior.Multivector.terms.fget
 
-        def counted(self, name):
-            reads.append(name)
-            return original(self, name)
+        def counted(self):
+            if self._terms is None:
+                fills.append(self._form)
+            return original(self)
 
-        monkeypatch.setattr(exterior._IntForm, "__getattr__", counted)
+        monkeypatch.setattr(exterior.Multivector, "terms", property(counted))
         zero = compute().is_zero()
-        assert reads == []
+        assert fills == []
         monkeypatch.undo()
         assert zero == expected()
 

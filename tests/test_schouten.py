@@ -100,10 +100,10 @@ class TestOracleEquivalence:
             xs = [sampling.random_vector(pair, rng, nonzero=True) for _ in range(n)]
             ys = [sampling.random_vector(pair, rng, nonzero=True) for _ in range(m)]
             via_shuffles = sn_antisym_shuffle(pair, xs, ys)
-            x_mv = Multivector.unit(pair)
+            x_mv = Multivector.from_scalar(pair, pair.scalar_one())
             for v in xs:
                 x_mv = wedge(pair, x_mv, Multivector.from_vector(pair, v))
-            y_mv = Multivector.unit(pair)
+            y_mv = Multivector.from_scalar(pair, pair.scalar_one())
             for v in ys:
                 y_mv = wedge(pair, y_mv, Multivector.from_vector(pair, v))
             assert sn_antisym(pair, x_mv, y_mv) == via_shuffles
@@ -385,13 +385,24 @@ def sym_by_components(pair, x, y, antisym):
     return out
 
 
-# Heisenberg algebra with [e1, e2] = 2/3 e3: its monomial table holds
-# non-integral entries.
+# Heisenberg algebra with [e1, e2] = 2/3 e3, so D_pair = 3.
 FRACTIONAL_HEISENBERG = {
     "kind": "lie_algebra",
     "dimension": 3,
     "name": "heisenberg-2/3",
     "brackets": [{"i": 1, "j": 2, "value": [{"gen": 3, "coeff": "2/3"}]}],
+}
+
+# [e1, e2] = 1/2 e2 and [e1, e3] = 1/3 e3, so D_pair = 6 while a unit
+# bracket holding only one of the two constants has denominator 2 or 3.
+FRACTIONAL_SOLVABLE = {
+    "kind": "lie_algebra",
+    "dimension": 3,
+    "name": "solvable-1/2-1/3",
+    "brackets": [
+        {"i": 1, "j": 2, "value": [{"gen": 2, "coeff": "1/2"}]},
+        {"i": 1, "j": 3, "value": [{"gen": 3, "coeff": "1/3"}]},
+    ],
 }
 
 # Coprime denominators, and numerators and denominators beyond 64 bits.
@@ -493,20 +504,16 @@ class TestClearedDenominators:
         assert sn_antisym(pair, x, b) == expected
 
     def test_table_entries_are_ints_unless_fractional(self):
-        integral, anchored, fractional = sl2(), cartan(2), load_pair(FRACTIONAL_HEISENBERG)
-        for pair in (integral, anchored, fractional):
+        # Every entry is an int over the pair's bracket_denominator, fractional structure constants included.
+        pairs = (sl2(), cartan(2), load_pair(FRACTIONAL_HEISENBERG), load_pair(FRACTIONAL_SOLVABLE))
+        for pair in pairs:
             for mx, my in itertools.product(basis_monomials(pair), repeat=2):
                 sn_antisym(pair, Multivector.monomial(pair, mx), Multivector.monomial(pair, my))
-
-        def entries(pair):
-            return [row[-1] for entry in pair.monomial_brackets.values() for part in entry for row in part]
-
-        for pair in (integral, anchored):
-            assert entries(pair)
-            assert all(type(q) is int for q in entries(pair))
-        qs = entries(fractional)
-        assert any(type(q) is Fraction for q in qs)
-        assert all(type(q) is int or q.denominator != 1 for q in qs)
+            qs = [row[-1] for entry in pair.monomial_brackets.values() for part in entry for row in part]
+            assert qs
+            assert all(type(q) is int for q in qs)
+        assert [pair.bracket_denominator for pair in pairs] == [1, 1, 3, 6]
+        fractional = pairs[2]
         e1, e2 = Multivector.monomial(fractional, (1,)), Multivector.monomial(fractional, (2,))
         assert sn_antisym(fractional, e1, e2) == Multivector.monomial(fractional, (3,), Fraction(2, 3))
 
@@ -544,7 +551,7 @@ class TestSymBracket:
         pair = cartan(2)
         a = Multivector.from_scalar(pair, pair.scalar_variable(1))
         d1 = Multivector.monomial(pair, (1,))
-        expected = Multivector.unit(pair)  # D_{d1}(x1) = 1
+        expected = Multivector.from_scalar(pair, pair.scalar_one())  # D_{d1}(x1) = 1
         assert sn_sym(pair, a, d1) == expected
         assert sn_sym(pair, d1, a) == expected
 
@@ -681,6 +688,6 @@ class TestDecalage:
 
     def test_rejects_inhomogeneous(self):
         pair = cartan(2)
-        mixed = Multivector.monomial(pair, (1,)) + Multivector.unit(pair)
+        mixed = Multivector.monomial(pair, (1,)) + Multivector.from_scalar(pair, pair.scalar_one())
         with pytest.raises(ValueError):
             decalage_relation(pair, mixed, mixed)
