@@ -24,11 +24,12 @@ choice of homogeneous part of every argument and per set partition, with no
 block summed out and no twisted argument.
 :func:`wedge_by_scalars` is the oracle for
 :func:`schoutencalc.exterior.wedge`: the term-pair product in ``Scalar``
-arithmetic, wrapped by the public constructor.  :func:`_accumulate` is the
-reference sum of :func:`structure_equation_by_parts`, also in ``Scalar``
-arithmetic.  :func:`sn_term_pair`,
+arithmetic, wrapped by the public constructor.  :func:`sn_term_pair`,
 :func:`sn_antisym_poisson` and :func:`sn_antisym_shuffle` wedge through it,
 so none of them runs the library's cleared-denominator kernels.
+:func:`_accumulate` adds multivectors in ``Scalar`` arithmetic: it is the
+reference sum of :func:`structure_equation_by_parts` and of the int-form
+tests.
 """
 
 from __future__ import annotations
