@@ -19,7 +19,7 @@ unchecked from a form by ``_of_form``.  The bilinear kernels (:func:`wedge`,
 ``schouten.sn_antisym``) sum ``int`` products of their arguments' forms, and
 sums add ``int`` numerators through ``_IntSum``, so no ``Fraction`` is built
 before ``terms`` is read.  Values are immutable: ``terms`` cannot be
-assigned, and neither the view nor the form may be mutated.
+assigned, the view is a ``MappingProxyType`` and the form is never mutated.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import lcm
 from operator import add
+from types import MappingProxyType
 
 from .errors import DegreeUndefinedError, MorphismValidationError
 from .pairs import GradedPairElement, LieRinehartPair, PairMorphism, Vector
@@ -138,19 +139,19 @@ class Multivector:
                     raise ValueError("coefficient does not belong to this pair")
                 if not coeff.is_zero():
                     clean[key] = coeff
-        self._terms = clean
+        self._terms = MappingProxyType(clean)
         self._form = _clear(clean)
 
     @property
-    def terms(self) -> dict[tuple[int, ...], Scalar]:
-        """The ``Fraction`` view ``{mono: Scalar}``, built from the int form on first read."""
+    def terms(self) -> Mapping[tuple[int, ...], Scalar]:
+        """The read-only ``Fraction`` view ``{mono: Scalar}``, built from the int form on first read."""
         terms = self._terms
         if terms is None:
             d, rows = self._form
             nvars = self.pair.nvars
-            terms = self._terms = {
-                mono: Scalar._trusted(nvars, {e: Fraction(n, d) for e, n in row}) for mono, row in rows
-            }
+            terms = self._terms = MappingProxyType(
+                {mono: Scalar._trusted(nvars, {e: Fraction(n, d) for e, n in row}) for mono, row in rows}
+            )
         return terms
 
     # -- constructors ------------------------------------------------------
@@ -334,7 +335,7 @@ def embed(pair: LieRinehartPair, u: GradedPairElement) -> Multivector:
         if not coeff.is_zero():
             terms[mono] = coeff
     out = _of_form(pair, _clear(terms))
-    out._terms = terms
+    out._terms = MappingProxyType(terms)
     return out
 
 

@@ -25,14 +25,15 @@ an increasing block, so the Koszul sign factors over ``B*``'s elements, and
 by multilinearity each ``k`` in ``B*`` enters as ``x_k^0 + (-1)**t_k
 x_k^1``, ``t_k`` the parity of the outside degrees that inversions join to
 ``k`` (the proof is in ``_structure_equation_residual``).  The left side is
-twisted the same way, one injection per pair ``i < j`` and choice of their
-parts.
+twisted the same way, one term per pair ``i < j`` and choice of their parts:
+``sn_sym`` of the two embedded parts, which is their bracket in ``A (+) g``,
+wedged under the cached word of the rest, as on the right side.
 
 Every sum here adds the ``int`` numerators of int forms ``(D, rows)`` (see
 :mod:`schoutencalc.exterior`), so no ``Fraction`` is built before a result is
 read.  On trivial scalars the n-bracket table holds ``int`` terms over the
-pair's ``bracket_denominator`` ``D_pair``, so every right-side term of the
-structure equation lies over the same ``D_pair D_1 ... D_n``.
+pair's ``bracket_denominator`` ``D_pair``, so on one pair each term of the
+structure equation lies over ``D_pair D_1 ... D_n``.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from fractions import Fraction
 from .errors import UnsupportedPairError
 from .exterior import Multivector, _IntSum, _of_form, embed, tensor_degree, wedge
 from .graded import parity_sign, partition_table, signed_shuffles
-from .pairs import GradedPairElement, LieRinehartPair, Vector, associated_bracket
+from .pairs import GradedPairElement, LieRinehartPair
 from .report import BracketReport, run_identity
 
 __all__ = [
@@ -150,7 +151,8 @@ def _shuffle_sum(pair: LieRinehartPair, args: list[Multivector], arities) -> Mul
     """``sum_j sum_{Sh(j, n-j)} e(s) {{x_s(1..j)}_j, x_s(j+1..n)}`` over the inner arities.
 
     Each ``Sh(j, n-j)`` and its Koszul signs are read from the
-    :func:`signed_shuffles` table.
+    :func:`signed_shuffles` table.  A zero inner bracket skips the outer
+    one, which is multilinear.
     """
     n = len(args)
     degrees = []
@@ -164,6 +166,8 @@ def _shuffle_sum(pair: LieRinehartPair, args: list[Multivector], arities) -> Mul
         parts = (j,) if j == n else (j, n - j)
         for order, sign in signed_shuffles(parts, degrees):
             inner = n_bracket(pair, [args[i] for i in order[:j]])
+            if inner.is_zero():
+                continue
             residual.add(n_bracket(pair, [inner] + [args[i] for i in order[j:]]), sign)
     return residual.value(pair)
 
@@ -254,16 +258,6 @@ def injection_family(pair: LieRinehartPair) -> _InjectionFamily:
     return _InjectionFamily(pair)
 
 
-def _source_parts(pair: LieRinehartPair, x: GradedPairElement) -> list[tuple[GradedPairElement, int]]:
-    """``x``'s nonzero degree-0 scalar and degree-1 vector parts with their degrees."""
-    out: list[tuple[GradedPairElement, int]] = []
-    if not x.scalar.is_zero():
-        out.append((GradedPairElement(x.scalar, Vector.zero()), 0))
-    if not x.vector.is_zero():
-        out.append((GradedPairElement(pair.scalar_zero(), x.vector), 1))
-    return out
-
-
 def _compositions(n: int, p: int):
     """Ordered tuples of p positive integers summing to n."""
     for cuts in itertools.combinations(range(1, n), p - 1):
@@ -278,13 +272,13 @@ _TWIST_TABLES: dict[int, tuple] = {}
 def _twist_table(n: int) -> tuple:
     """The rows of ``partition_table(n)`` with their largest block summed out.
 
-    One ``(blocks, star, outside, partners, inversions)`` row per partition,
-    in the same order: ``blocks[star]`` is the first largest block B*,
-    ``outside`` the arguments not in B*, ``partners[r]`` the outside
-    arguments that an inversion joins to B*'s ``r``-th argument, and
-    ``inversions`` the partition's inversions that touch no argument of B*.
-    Equal tuples are shared between rows, and the blocks are the partition
-    table's own.
+    One ``(blocks, star, outside, partners, inversions, factor)`` row per
+    partition, in the same order: ``blocks[star]`` is the first largest block
+    B*, ``outside`` the arguments not in B*, ``partners[r]`` the outside
+    arguments that an inversion joins to B*'s ``r``-th argument,
+    ``inversions`` the partition's inversions that touch no argument of B*,
+    and ``factor`` the product of ``(-1)**(|B|-1) (|B|-1)!`` over the blocks.
+    Equal tuples are shared between rows, the blocks are the partition table's.
     """
     table = _TWIST_TABLES.get(n)
     if table is None:
@@ -303,6 +297,7 @@ def _twist_table(n: int) -> tuple:
                 shared.setdefault(outside, outside),
                 tuple(shared.setdefault(t, t) for t in partners),
                 shared.setdefault(rest, rest),
+                math.prod([parity_sign(len(b) - 1) * math.factorial(len(b) - 1) for b in blocks]),
             ))
         table = _TWIST_TABLES[n] = tuple(rows)
     return table
@@ -358,46 +353,35 @@ def _structure_equation_residual(source_pair, target_pair, args) -> Multivector:
     left side is the same with ``B* = R``: the inversions of ``(i, j, R)``
     are ``(i, k)`` for ``k < i`` and ``(j, k)`` for ``k < j``, ``R`` being
     increasing, so ``t_k = d_i [k < i] + d_j [k < j]``, and there is one
-    :func:`natural_injection` per pair ``i < j`` and choice of ``d_i``,
-    ``d_j``.  The rows' ``B*``, partners and remaining inversions come from
-    :func:`_twist_table`.
+    term per pair ``i < j`` and choice of ``d_i``, ``d_j``.  The rows'
+    ``B*``, partners and remaining inversions come from :func:`_twist_table`.
 
-    Words.  Each embedded argument is cleared once, over its own ``D_k``,
-    and split into four int-form units: its scalar part, its vector part,
-    and their sum and difference.  The word of a block ``b_1 < ... < b_m``
-    on chosen units ``u`` is ``u_(b_m) ^ W(b_1, ..., b_(m-1))``, one
-    :func:`wedge` onto the cached shorter word, over ``D_(b_1) ...
-    D_(b_m)``, and the block's image is ``(-1)**(m-1) (m-1)!`` times it;
-    each is built once per call.  A partition is skipped as soon as one of
-    its images is zero, since the bracket is multilinear.  Every bracket of
-    images goes through :func:`n_bracket`, so on a trivial-scalar pair each
-    right-side term lies over ``D_pair D_1 ... D_n``; the left side's
-    injections may lie over another ``D``.  The residual is one ``int`` sum,
-    ``exterior._IntSum``, wrapped once.
+    The inner bracket.  On parts of degree ``<= 1``, ``embed`` carries the
+    bracket ``[(a, x), (b, y)] = (D_x(b) + D_y(a), [x, y])`` of ``A (+) g``
+    to ``sn_sym``, ``{u, v} = e(u) [v, u]`` (signs of :mod:`.schouten`):
+    ``{x, y} = -[y, x] = [x, y]`` on vectors, ``{a, y} = [y, a] = D_y(a)``
+    and ``{x, b} = -[b, x] = D_x(b)`` on a scalar and a vector, ``{a, b} =
+    [b, a] = 0`` on scalars.  So a left term is ``(-1)**n (n-2)! W(R) ^
+    {u_i, u_j}``, ``u`` the embedded parts, ``W(R)`` the twisted rest's word
+    and ``sn_sym`` the source pair's; the constructor rebuilds a bracket of
+    another source pair in the target, refusing one that leaves it.
+
+    Words.  Each argument is embedded and cleared once, over its own
+    ``D_k``, into four int-form units: its scalar part, its vector part, and
+    their sum and difference.  A block ``b_1 < ... < b_m``'s word on chosen
+    units ``u`` is ``u_(b_m) ^ W(b_1, ..., b_(m-1))``, one :func:`wedge` onto
+    the cached shorter word, over ``D_(b_1) ... D_(b_m)``, built once per
+    call for both sides.  Its image is ``(-1)**(m-1) (m-1)!`` times it; each
+    :func:`_twist_table` row holds the product of these, so :func:`n_bracket`
+    takes the words.  A partition is skipped at a zero word (the bracket is
+    multilinear) and, on trivial scalars, a two-block one at a constant word
+    (it is central).  On one pair every term lies over ``D_pair D_1 ...
+    D_n``; the residual is one ``int`` sum, ``exterior._IntSum``.
     """
+    from .schouten import sn_sym
+
     n = len(args)
     residual = _IntSum()
-
-    parts = [_source_parts(source_pair, x) for x in args]
-    flipped = [GradedPairElement(x.scalar, -x.vector) for x in args]
-    # Two scalar parts bracket to zero, and on trivial scalars a scalar part
-    # brackets to zero with anything, the anchor being zero.
-    least = 2 if source_pair.is_trivial_scalars else 1
-    for i, j in itertools.combinations(range(n), 2):
-        for u, di in parts[i]:
-            for v, dj in parts[j]:
-                if di + dj < least:
-                    continue
-                inner = associated_bracket(source_pair, u, v)
-                if inner.is_zero():
-                    continue
-                rest = [
-                    flipped[k] if (di * (k < i) + dj * (k < j)) % 2 else args[k]
-                    for k in range(n)
-                    if k != i and k != j
-                ]
-                residual.add(natural_injection(target_pair, [inner] + rest))
-
     units = []
     for x in args:
         dk, rows = embed(target_pair, x)._form
@@ -408,28 +392,47 @@ def _structure_equation_residual(source_pair, target_pair, args) -> Multivector:
         units.append([_of_form(target_pair, (dk, part)) for part in (scalar, vector, rows, scalar + minus)])
     degrees = [tuple(d for d in (0, 1) if not unit[d].is_zero()) for unit in units]
     words: dict = {}
-    images: dict = {}
+    bracketed = units
+    if source_pair is not target_pair:
+        bracketed = [[Multivector(source_pair, u.terms) for u in unit[:2]] for unit in units]
+    # Two scalar parts bracket to zero; on trivial scalars (zero anchor) a scalar part always does.
+    least = 2 if source_pair.is_trivial_scalars else 1
+    constant = parity_sign(n) * math.factorial(max(n - 2, 0))
+    for i, j in itertools.combinations(range(n), 2):
+        rest = tuple(k for k in range(n) if k != i and k != j)
+        for di in degrees[i]:
+            for dj in degrees[j]:
+                if di + dj < least:
+                    continue
+                term = sn_sym(source_pair, bracketed[i][di], bracketed[j][dj])
+                if term.is_zero():
+                    continue
+                if term.pair is not target_pair:
+                    term = Multivector(target_pair, term.terms)
+                if rest:
+                    choice = tuple([2 + (di * (k < i) + dj * (k < j)) % 2 for k in rest])
+                    term = wedge(target_pair, _word(target_pair, words, units, rest, choice), term)
+                residual.add(term, constant)
+
     d = [0] * n
-    for blocks, star, outside, partners, inversions in _twist_table(n):
+    for blocks, star, outside, partners, inversions, factor in _twist_table(n):
+        central = target_pair.is_trivial_scalars and len(blocks) == 2
         for choice in itertools.product(*[degrees[m] for m in outside]):
             for m, dm in zip(outside, choice):
                 d[m] = dm
-            block_images = []
+            block_words = []
             for b, block in enumerate(blocks):
                 if b == star:
-                    key = (block, tuple([2 + sum([d[m] for m in p]) % 2 for p in partners]))
+                    chosen = tuple([2 + sum([d[m] for m in p]) % 2 for p in partners])
                 else:
-                    key = (block, tuple([d[k] for k in block]))
-                image = images.get(key)
-                if image is None:
-                    factor = parity_sign(len(block) - 1) * math.factorial(len(block) - 1)
-                    image = images[key] = _word(target_pair, words, units, *key).scaled(factor)
-                if image.is_zero():
+                    chosen = tuple([d[k] for k in block])
+                word = _word(target_pair, words, units, block, chosen)
+                if word.is_zero() or central and not any([m for m, _ in word._form[1]]):
                     break
-                block_images.append(image)
+                block_words.append(word)
             else:
                 odd = sum([d[a] & d[b] for a, b in inversions]) % 2
-                residual.add(n_bracket(target_pair, block_images), 1 if odd else -1)
+                residual.add(n_bracket(target_pair, block_words), factor if odd else -factor)
     return residual.value(target_pair)
 
 
@@ -485,13 +488,9 @@ def composition_identity_terms(n: int) -> dict[int, Fraction]:
     for p in range(2, n + 1):
         total = Fraction(0)
         for ks in _compositions(n, p):
-            prod = 1
-            for k in ks:
-                prod *= k
             pairs = sum(ks[l] * ks[m] for l in range(p) for m in range(l + 1, p))
-            total += Fraction(pairs, prod)
-        sign = 1 if p % 2 == 0 else -1
-        out[p] = Fraction(sign, math.factorial(p)) * total
+            total += Fraction(pairs, math.prod(ks))
+        out[p] = Fraction(parity_sign(p), math.factorial(p)) * total
     return out
 
 

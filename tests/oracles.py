@@ -21,7 +21,8 @@ and sums the kernel's shuffle sum on every choice of parts, reading no
 is the oracle for the natural injection's structure equation
 (:func:`schoutencalc.linfty.injection_morphism_residual`): one term per
 choice of homogeneous part of every argument and per set partition, with no
-block summed out and no twisted argument.
+block summed out and no twisted argument; :func:`source_parts` splits an
+argument into those parts.
 :func:`wedge_by_scalars` is the oracle for
 :func:`schoutencalc.exterior.wedge`: the term-pair product in ``Scalar``
 arithmetic, wrapped by the public constructor.  :func:`sn_term_pair`,
@@ -38,7 +39,7 @@ import itertools
 
 from schoutencalc.exterior import Multivector, _merge_monomials, wedge
 from schoutencalc.graded import koszul_sign, parity_sign, partition_table, shuffles, signed_shuffles
-from schoutencalc.linfty import _n_bracket_hom, _source_parts, n_bracket, natural_injection
+from schoutencalc.linfty import _n_bracket_hom, n_bracket, natural_injection
 from schoutencalc.pairs import GradedPairElement, LieRinehartPair, Vector, anchor, associated_bracket, bracket_vectors
 from schoutencalc.scalars import Scalar
 from schoutencalc.schouten import sn_antisym
@@ -266,6 +267,16 @@ def n_bracket_hom_parts(pair: LieRinehartPair, args: list[Multivector]) -> Multi
     return out
 
 
+def source_parts(pair: LieRinehartPair, x: GradedPairElement) -> list[tuple[GradedPairElement, int]]:
+    """``x``'s nonzero degree-0 scalar and degree-1 vector parts with their degrees."""
+    out: list[tuple[GradedPairElement, int]] = []
+    if not x.scalar.is_zero():
+        out.append((GradedPairElement(x.scalar, Vector.zero()), 0))
+    if not x.vector.is_zero():
+        out.append((GradedPairElement(pair.scalar_zero(), x.vector), 1))
+    return out
+
+
 def structure_equation_by_parts(
     source_pair: LieRinehartPair, target_pair: LieRinehartPair, args: list[GradedPairElement]
 ) -> Multivector:
@@ -284,7 +295,7 @@ def structure_equation_by_parts(
     brackets: dict = {}
     images: dict = {}
     residual: dict = {}
-    for combo in itertools.product(*(_source_parts(source_pair, a) for a in args)):
+    for combo in itertools.product(*(source_parts(source_pair, a) for a in args)):
         elems = [c[0] for c in combo]
         degrees = [c[1] for c in combo]
         if n > 1:

@@ -28,7 +28,7 @@ CASES = {"schouten-cartan3": 40, "weak-jacobi-gl2": 10, "injection-sl2": 2}
 REACHED = {
     "schouten-cartan3": ["schouten.sn_sym.calls"],
     "weak-jacobi-gl2": ["linfty.n_bracket.calls"],
-    "injection-sl2": ["linfty.n_bracket.calls", "linfty.natural_injection.calls"],
+    "injection-sl2": ["linfty.n_bracket.calls", "schouten.sn_sym.calls"],
 }
 
 

@@ -276,6 +276,29 @@ class TestImmutable:
                 value.terms = {(1, 2): pair.scalar_one()}
             assert (str(value), value.is_zero()) == before
 
+    def test_view_cannot_be_changed_in_place(self):
+        # A dict view could be cleared: str(x) would read '0' while is_zero() stays False.
+        # A mappingproxy has no clear() at all, and refuses item assignment and deletion.
+        pair = cartan(2)
+        e1, e2 = Multivector.monomial(pair, (1,)), Multivector.monomial(pair, (2,))
+        u = GradedPairElement(pair.scalar_variable(1), Vector({2: pair.scalar_one()}))
+        values = [
+            Multivector.monomial(pair, (1,), pair.scalar_variable(2)),
+            embed(pair, u),
+            wedge(pair, e1, e2),
+            sn_antisym(pair, Multivector.monomial(pair, (1,), pair.scalar_variable(2)), e2),
+            Multivector.zero(pair),
+        ]
+        for value in values:
+            before = (str(value), value.is_zero())
+            with pytest.raises(AttributeError):
+                value.terms.clear()
+            with pytest.raises(TypeError):
+                value.terms[(1, 2)] = pair.scalar_one()
+            with pytest.raises(TypeError):
+                del value.terms[(1,)]
+            assert (str(value), value.is_zero()) == before
+
 
 class TestDegrees:
     def setup_method(self):

@@ -8,7 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from oracles import n_bracket_hom_parts, n_bracket_shuffle, structure_equation_by_parts
+from oracles import n_bracket_hom_parts, n_bracket_shuffle, source_parts, structure_equation_by_parts
 
 from schoutencalc import exterior, linfty, sampling
 from schoutencalc.errors import UnsupportedPairError
@@ -25,7 +25,6 @@ from schoutencalc.instances import abelian, cartan, gl2, perturbed_sl2, sl2, sl2
 from schoutencalc.linfty import (
     BracketFamily,
     _compositions,
-    _source_parts,
     _twist_table,
     aggregated_weak_jacobi_residual,
     ce_differential,
@@ -60,7 +59,7 @@ def ordered_structure_equation_residual(source_pair, f, target_pair, args):
     """
     n = len(args)
     residual = Multivector.zero(target_pair)
-    for combo in itertools.product(*(_source_parts(source_pair, a) for a in args)):
+    for combo in itertools.product(*(source_parts(source_pair, a) for a in args)):
         elems = [c[0] for c in combo]
         degrees = [c[1] for c in combo]
 
@@ -592,8 +591,9 @@ class TestInjectionMorphismEquation:
 
     def test_call_counts_at_arity_four(self, monkeypatch):
         # One bracket per partition and choice of degrees outside its largest
-        # block, one injection per pair i < j and choice of their degrees:
-        # 52 and 24 here, against 208 and 84 with one term per choice of parts.
+        # block: 52 here, against 208 with one term per choice of parts.  The
+        # left side is built from the embedded arguments' words: no injection
+        # is evaluated, and each argument is embedded once.
         pair = sl2()
         args = [
             GradedPairElement(pair.scalar_const(c), pair.generator(g))
@@ -601,7 +601,7 @@ class TestInjectionMorphismEquation:
         ]
         assert sum(2 ** (4 - len(blocks[star])) for blocks, star, *_ in _twist_table(4)) == 52
         counts = Counter()
-        for name in ("n_bracket", "natural_injection"):
+        for name in ("n_bracket", "natural_injection", "embed"):
             original = getattr(linfty, name)
 
             def counted(*call, name=name, original=original):
@@ -611,7 +611,8 @@ class TestInjectionMorphismEquation:
             monkeypatch.setattr(linfty, name, counted)
         assert injection_morphism_residual(pair, args).is_zero()
         assert 0 < counts["n_bracket"] <= 52
-        assert 0 < counts["natural_injection"] <= 24
+        assert counts["natural_injection"] == 0
+        assert counts["embed"] <= len(args)
 
     @pytest.mark.parametrize("factory", [sl2, lambda: cartan(2)])
     def test_a_call_leaves_no_reference_cycles(self, factory):
@@ -627,6 +628,44 @@ class TestInjectionMorphismEquation:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+    def test_a_source_bracket_outside_the_target_is_refused(self):
+        # [e2, e3] = e1 - e4 in gl2, and sl2 has no e4.
+        source, target = gl2(), sl2()
+        args = [
+            GradedPairElement(source.scalar_const(c), source.generator(g)) for c, g in ((1, 1), (0, 2), (2, 3))
+        ]
+        with pytest.raises(ValueError, match=r"monomial \(4,\) has indices outside 1\.\.3"):
+            linfty._structure_equation_residual(source, target, args)
+
+    def test_coefficients_of_another_scalar_ring_are_refused(self):
+        source, target = cartan(3), cartan(2)
+        rng = sampling.rng_for(5)
+        args = [sampling.random_pair_element(source, rng, ensure_mixed=True) for _ in range(3)]
+        with pytest.raises(ValueError, match="coefficient does not belong to this pair"):
+            linfty._structure_equation_residual(source, target, args)
+
+
+class TestInnerBracketIsSymmetricSchouten:
+    """The structure equation's left side brackets embedded parts with
+    ``sn_sym``: on ``A (+) g`` that is the embedded associated bracket."""
+
+    @pytest.mark.parametrize(
+        "factory",
+        [sl2, gl2, solvable4, perturbed_sl2, lambda: cartan(2), *FRACTIONAL_PAIRS],
+        ids=["sl2", "gl2", "solvable4", "perturbed-sl2", "cartan2", *FRACTIONAL_IDS],
+    )
+    def test_embedded_bracket_equals_sn_sym(self, factory):
+        pair = factory()
+        rng = sampling.rng_for(251)
+        for trial in range(20):
+            u, v = (sampling.random_pair_element(pair, rng, ensure_mixed=(trial % 2 == 0)) for _ in range(2))
+            # Each choice of parts, and the whole elements by bilinearity.
+            parts = itertools.product(source_parts(pair, u), source_parts(pair, v))
+            for x, y in [(u, v), *((a, b) for (a, _), (b, _) in parts)]:
+                expected = embed(pair, associated_bracket(pair, x, y))
+                assert sn_sym(pair, embed(pair, x), embed(pair, y)) == expected
 
 
 class TestStrictMorphism:
