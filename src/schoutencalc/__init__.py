@@ -16,7 +16,6 @@ from .errors import (
 from .exterior import (
     INHOMOGENEOUS,
     Multivector,
-    antisym_degree,
     associated_exterior_morphism,
     embed,
     tensor_degree,
@@ -25,10 +24,8 @@ from .exterior import (
 from .graded import Permutation, koszul_sign, parity_sign, shuffles
 from .linfty import (
     BracketFamily,
-    aggregated_weak_jacobi_residual,
     ce_differential,
     check_linfty_morphism,
-    check_weak_jacobi,
     composition_identity_lhs,
     composition_identity_terms,
     injection_family,
@@ -43,7 +40,6 @@ from .pairs import (
     PairMorphism,
     Vector,
     anchor,
-    associated_bracket,
     bracket_vectors,
     check_leibniz,
     check_pair_morphism,
@@ -57,7 +53,6 @@ from .schouten import (
     check_morphism_respects_sn,
     check_poisson,
     check_sym_jacobi,
-    decalage_relation,
     sn_antisym,
     sn_sym,
 )

@@ -37,7 +37,6 @@ from .scalars import Scalar
 __all__ = [
     "INHOMOGENEOUS",
     "Multivector",
-    "antisym_degree",
     "associated_exterior_morphism",
     "embed",
     "tensor_degree",
@@ -308,14 +307,6 @@ def tensor_degree(x: Multivector) -> int | str:
     if len(lengths) == 1:
         return lengths.pop()
     return INHOMOGENEOUS
-
-
-def antisym_degree(x: Multivector) -> int | str:
-    """Tensor degree shifted down by one; scalars sit in degree -1."""
-    degree = tensor_degree(x)
-    if degree == INHOMOGENEOUS:
-        return INHOMOGENEOUS
-    return degree - 1
 
 
 def embed(pair: LieRinehartPair, u: GradedPairElement) -> Multivector:

@@ -29,7 +29,7 @@ __all__ = [
 
 
 class Permutation:
-    """A permutation of ``{1, ..., k}`` stored by its image tuple.
+    """A permutation of ``{1, ..., k}`` stored by its image tuple, as :func:`shuffles` yields it.
 
     ``p(i)`` is 1-based: ``Permutation((2, 3, 1))(1) == 2``.
     """
@@ -49,10 +49,6 @@ class Permutation:
         out.images = images
         return out
 
-    @classmethod
-    def identity(cls, k: int) -> Permutation:
-        return cls(tuple(range(1, k + 1)))
-
     def __len__(self) -> int:
         return len(self.images)
 
@@ -61,41 +57,8 @@ class Permutation:
             raise ValueError(f"index {i} out of range 1..{len(self.images)}")
         return self.images[i - 1]
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
     def __repr__(self) -> str:
         return f"Permutation({self.images})"
-
-    def compose(self, other: Permutation) -> Permutation:
-        """Functional composite ``self . other``: ``i -> self(other(i))``.
-
-        Acting on tuples on the right, ``(v . self) . other == v . (self . other)``
-        where ``(v . s)_i = v[s(i)]``.
-        """
-        if len(other) != len(self):
-            raise ValueError("length mismatch in composition")
-        return Permutation(tuple(self.images[j - 1] for j in other.images))
-
-    def inverse(self) -> Permutation:
-        inv = [0] * len(self.images)
-        for pos, img in enumerate(self.images, start=1):
-            inv[img - 1] = pos
-        return Permutation(inv)
-
-    @property
-    def sign(self) -> int:
-        """Ordinary permutation sign, computed by inversion count."""
-        inv = 0
-        imgs = self.images
-        for i in range(len(imgs)):
-            for j in range(i + 1, len(imgs)):
-                if imgs[i] > imgs[j]:
-                    inv += 1
-        return -1 if inv % 2 else 1
 
 
 def parity_sign(degree: int) -> int:

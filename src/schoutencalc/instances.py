@@ -1,4 +1,4 @@
-"""Bundled pair instances and morphisms used by the test suites and the CLI.
+"""Bundled pair instances, and the ``builtin:<name>`` and document specs that select one.
 
 Generator indexing: sl2 uses (e, f, h) = (1, 2, 3) with [e,f] = h,
 [e,h] = -2e, [f,h] = 2f; gl2 uses the elementary matrices
@@ -8,10 +8,8 @@ extension of the Heisenberg bracket by a grading derivation.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import PairDocumentError
-from .pairs import LieRinehartPair, PairMorphism, Vector, check_pair_morphism, load_pair
+from .pairs import LieRinehartPair, load_pair
 
 __all__ = [
     "BUILTIN_PAIRS",
@@ -19,14 +17,10 @@ __all__ = [
     "builtin_pair",
     "cartan",
     "gl2",
-    "identity_morphism",
     "pair_from_spec",
     "perturbed_sl2",
-    "scaling_morphism",
     "sl2",
-    "sl2_to_gl2",
     "solvable4",
-    "zero_vector_morphism",
 ]
 
 
@@ -82,53 +76,6 @@ def perturbed_sl2() -> LieRinehartPair:
         {(1, 2): {3: 1, 1: 1}, (1, 3): {1: -2}, (2, 3): {2: 2}},
         name="sl2-corrupted",
         validate=False,
-    )
-
-
-def identity_morphism(pair: LieRinehartPair, *, validate: bool = True) -> PairMorphism:
-    m = PairMorphism.identity(pair)
-    if validate:
-        check_pair_morphism(m)
-    return m
-
-
-def sl2_to_gl2(*, validate: bool = True) -> PairMorphism:
-    """Inclusion e -> E12, f -> E21, h -> E11 - E22."""
-    source, target = sl2(), gl2()
-    m = PairMorphism(
-        source,
-        target,
-        (),
-        (
-            Vector({2: target.scalar_one()}),
-            Vector({3: target.scalar_one()}),
-            Vector({1: target.scalar_one(), 4: target.scalar_const(-1)}),
-        ),
-    )
-    if validate:
-        report = check_pair_morphism(m)
-        if not report.passed:
-            raise AssertionError(f"builtin morphism failed validation: {report.render_text()}")
-    return m
-
-
-def scaling_morphism(pair: LieRinehartPair, factor: Fraction | int) -> PairMorphism:
-    """Scale every generator; a pair morphism only for abelian brackets."""
-    return PairMorphism(
-        pair,
-        pair,
-        tuple(pair.scalar_variable(i) for i in range(1, pair.nvars + 1)),
-        tuple(pair.generator(i).scaled(pair.scalar_const(factor)) for i in range(1, pair.dim + 1)),
-    )
-
-
-def zero_vector_morphism(pair: LieRinehartPair) -> PairMorphism:
-    """Identity scalar map with the zero vector map; fails on nonzero anchors."""
-    return PairMorphism(
-        pair,
-        pair,
-        tuple(pair.scalar_variable(i) for i in range(1, pair.nvars + 1)),
-        tuple(Vector.zero() for _ in range(pair.dim)),
     )
 
 

@@ -52,10 +52,8 @@ from .report import BracketReport, run_identity
 
 __all__ = [
     "BracketFamily",
-    "aggregated_weak_jacobi_residual",
     "ce_differential",
     "check_linfty_morphism",
-    "check_weak_jacobi",
     "composition_identity_lhs",
     "composition_identity_terms",
     "injection_family",
@@ -96,8 +94,12 @@ def n_bracket(pair: LieRinehartPair, args: Sequence[Multivector]) -> Multivector
     On trivial scalars, ``sum +-c_1...c_p n_brackets[sorted (m_1..m_p)]`` over
     one term ``c_k e_(m_k)`` per argument (sign: see :class:`LieRinehartPair`),
     with ``c_k = n_k / D_k`` read from the argument's int form: the ``int``
-    sums lie over ``D_pair D_1 ... D_p``.  Other pairs sum
-    :func:`_n_bracket_hom` over the homogeneous parts.
+    sums lie over ``D_pair D_1 ... D_p``.  There a constant is central (the
+    anchor is zero), so when fewer than two arguments have a non-constant
+    row every inner bracket of the shuffle sum meets a constant, and zero is
+    returned before any sum.  An int form has at most one constant row, and
+    a zero argument has none.  Other pairs sum :func:`_n_bracket_hom` over
+    the homogeneous parts.
     """
     args = list(args)
     if not args:
@@ -112,6 +114,8 @@ def n_bracket(pair: LieRinehartPair, args: Sequence[Multivector]) -> Multivector
             out.add(_n_bracket_hom(pair, [c[1] for c in combo], [c[0] for c in combo]))
         return out.value(pair)
     forms = [a._form for a in args]
+    if sum([len(rows) > 1 or bool(rows and rows[0][0]) for _, rows in forms]) < 2:
+        return Multivector.zero(pair)
     d = pair.bracket_denominator * math.prod([form[0] for form in forms])
     sums: dict = {}
     for combo in itertools.product(*(rows for _, rows in forms)):
@@ -147,14 +151,18 @@ class BracketFamily:
 # -- weak Jacobi ---------------------------------------------------------------
 
 
-def _shuffle_sum(pair: LieRinehartPair, args: list[Multivector], arities) -> Multivector:
-    """``sum_j sum_{Sh(j, n-j)} e(s) {{x_s(1..j)}_j, x_s(j+1..n)}`` over the inner arities.
+def weak_jacobi_residual(
+    pair: LieRinehartPair, p: int, q: int, args: Sequence[Multivector]
+) -> Multivector:
+    """Shuffle sum ``sum_{Sh(q, p-1)} e(s) {{x_s(1..q)}_q, x_s(q+1..n)}_p`` on homogeneous args.
 
-    Each ``Sh(j, n-j)`` and its Koszul signs are read from the
+    ``Sh(q, p-1)`` and its Koszul signs are read from the
     :func:`signed_shuffles` table.  A zero inner bracket skips the outer
     one, which is multilinear.
     """
     n = len(args)
+    if p + q != n + 1 or p < 2 or q < 2:
+        raise ValueError(f"invalid split p={p}, q={q} for n={n}")
     degrees = []
     for a in args:
         d = tensor_degree(a)
@@ -162,40 +170,12 @@ def _shuffle_sum(pair: LieRinehartPair, args: list[Multivector], arities) -> Mul
             raise ValueError("weak Jacobi arguments must be homogeneous")
         degrees.append(d)
     residual = _IntSum()
-    for j in arities:
-        parts = (j,) if j == n else (j, n - j)
-        for order, sign in signed_shuffles(parts, degrees):
-            inner = n_bracket(pair, [args[i] for i in order[:j]])
-            if inner.is_zero():
-                continue
-            residual.add(n_bracket(pair, [inner] + [args[i] for i in order[j:]]), sign)
+    for order, sign in signed_shuffles((q, p - 1), degrees):
+        inner = n_bracket(pair, [args[i] for i in order[:q]])
+        if inner.is_zero():
+            continue
+        residual.add(n_bracket(pair, [inner] + [args[i] for i in order[q:]]), sign)
     return residual.value(pair)
-
-
-def weak_jacobi_residual(
-    pair: LieRinehartPair, p: int, q: int, args: Sequence[Multivector]
-) -> Multivector:
-    """Shuffle sum ``sum_{Sh(q, p-1)} e(s) {{...}_q, ...}_p`` on homogeneous args."""
-    n = len(args)
-    if p + q != n + 1 or p < 2 or q < 2:
-        raise ValueError(f"invalid split p={p}, q={q} for n={n}")
-    return _shuffle_sum(pair, list(args), (q,))
-
-
-def check_weak_jacobi(
-    pair: LieRinehartPair, n: int, p: int, q: int, args: Sequence[Multivector]
-) -> BracketReport:
-    if len(args) != n:
-        raise ValueError(f"expected {n} arguments, got {len(args)}")
-    residual = lambda xs: weak_jacobi_residual(pair, p, q, xs)
-    return run_identity("weak-jacobi", [args], residual, n=n, p=p, q=q)
-
-
-def aggregated_weak_jacobi_residual(
-    pair: LieRinehartPair, args: Sequence[Multivector]
-) -> Multivector:
-    """Total coherence sum over all inner arities, unary terms included."""
-    return _shuffle_sum(pair, list(args), range(1, len(args) + 1))
 
 
 # -- coalgebraic differential ---------------------------------------------------
@@ -374,8 +354,7 @@ def _structure_equation_residual(source_pair, target_pair, args) -> Multivector:
     call for both sides.  Its image is ``(-1)**(m-1) (m-1)!`` times it; each
     :func:`_twist_table` row holds the product of these, so :func:`n_bracket`
     takes the words.  A partition is skipped at a zero word (the bracket is
-    multilinear) and, on trivial scalars, a two-block one at a constant word
-    (it is central).  On one pair every term lies over ``D_pair D_1 ...
+    multilinear).  On one pair every term lies over ``D_pair D_1 ...
     D_n``; the residual is one ``int`` sum, ``exterior._IntSum``.
     """
     from .schouten import sn_sym
@@ -416,7 +395,6 @@ def _structure_equation_residual(source_pair, target_pair, args) -> Multivector:
 
     d = [0] * n
     for blocks, star, outside, partners, inversions, factor in _twist_table(n):
-        central = target_pair.is_trivial_scalars and len(blocks) == 2
         for choice in itertools.product(*[degrees[m] for m in outside]):
             for m, dm in zip(outside, choice):
                 d[m] = dm
@@ -427,7 +405,7 @@ def _structure_equation_residual(source_pair, target_pair, args) -> Multivector:
                 else:
                     chosen = tuple([d[k] for k in block])
                 word = _word(target_pair, words, units, block, chosen)
-                if word.is_zero() or central and not any([m for m, _ in word._form[1]]):
+                if word.is_zero():
                     break
                 block_words.append(word)
             else:

@@ -31,7 +31,6 @@ __all__ = [
     "PairMorphism",
     "Vector",
     "anchor",
-    "associated_bracket",
     "bracket_vectors",
     "check_leibniz",
     "check_pair_morphism",
@@ -104,7 +103,7 @@ class Vector:
         return f"Vector({{{parts}}})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class GradedPairElement:
     """An element of the degree-0/degree-1 sum ``A (+) g``."""
 
@@ -325,14 +324,6 @@ def bracket_vectors(pair: LieRinehartPair, x: Vector, y: Vector) -> Vector:
             if anchored:
                 out = out - Vector({gi: b * pair.anchor_generator(gj, a)})
     return out
-
-
-def associated_bracket(
-    pair: LieRinehartPair, u: GradedPairElement, v: GradedPairElement
-) -> GradedPairElement:
-    """Graded bracket on ``A (+) g``: ``((a,x),(b,y)) -> (D_x(b) + D_y(a), [x,y])``."""
-    scalar = anchor(pair, u.vector, v.scalar) + anchor(pair, v.vector, u.scalar)
-    return GradedPairElement(scalar, bracket_vectors(pair, u.vector, v.vector))
 
 
 # -- morphisms ---------------------------------------------------------------

@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .exterior import INHOMOGENEOUS, Multivector, _check_args, _from_cleared, _merge_monomials, _of_form
+from .exterior import Multivector, _check_args, _from_cleared, _merge_monomials, _of_form
 from .exterior import tensor_degree, wedge
 from .graded import parity_sign, signed_shuffles
 from .pairs import LieRinehartPair, PairMorphism
@@ -42,7 +42,6 @@ __all__ = [
     "check_morphism_respects_sn",
     "check_poisson",
     "check_sym_jacobi",
-    "decalage_relation",
     "sn_antisym",
     "sn_sym",
 ]
@@ -288,27 +287,3 @@ def check_morphism_respects_sn(
         for _ in range(trials)
     )
     return run_identity("morphism-sn", cases, residual, seed=seed)
-
-
-def decalage_relation(pair: LieRinehartPair, x: Multivector, y: Multivector) -> BracketReport:
-    """Check the decalage dictionary between the two brackets on homogeneous x, y.
-
-    Asserts the defining relation ``{x,y} = e(x) [y,x]`` together with graded
-    antisymmetry of ``[.,.]`` (antisymmetric grading) and graded symmetry of
-    ``{.,.}`` (tensor grading).
-    """
-    nx, ny = tensor_degree(x), tensor_degree(y)
-    if nx == INHOMOGENEOUS or ny == INHOMOGENEOUS:
-        raise ValueError("decalage relation is stated for homogeneous inputs")
-    sym = sn_sym(pair, x, y)
-    anti_xy = sn_antisym(pair, x, y)
-    anti_yx = sn_antisym(pair, y, x)
-    checks = [
-        sym - anti_yx.scaled(parity_sign(nx)),
-        anti_xy + anti_yx.scaled(parity_sign((nx - 1) * (ny - 1))),
-        sym - sn_sym(pair, y, x).scaled(parity_sign(nx * ny)),
-    ]
-    for residual in checks:
-        if not residual.is_zero():
-            return BracketReport.failure("decalage", str(residual), witness=[str(x), str(y)])
-    return BracketReport.success("decalage")

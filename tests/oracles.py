@@ -22,7 +22,10 @@ is the oracle for the natural injection's structure equation
 (:func:`schoutencalc.linfty.injection_morphism_residual`): one term per
 choice of homogeneous part of every argument and per set partition, with no
 block summed out and no twisted argument; :func:`source_parts` splits an
-argument into those parts.
+argument into those parts, and :func:`associated_bracket`, the bracket of
+``A (+) g`` through the vector bracket and the anchor, brackets them.
+:func:`decalage_relation` checks the dictionary between the two Schouten
+brackets, ``{x, y} = e(x) [y, x]``, with both graded symmetries.
 :func:`wedge_by_scalars` is the oracle for
 :func:`schoutencalc.exterior.wedge`: the term-pair product in ``Scalar``
 arithmetic, wrapped by the public constructor.  :func:`sn_term_pair`,
@@ -37,12 +40,13 @@ from __future__ import annotations
 
 import itertools
 
-from schoutencalc.exterior import Multivector, _merge_monomials, wedge
+from schoutencalc.exterior import INHOMOGENEOUS, Multivector, _merge_monomials, tensor_degree, wedge
 from schoutencalc.graded import koszul_sign, parity_sign, partition_table, shuffles, signed_shuffles
 from schoutencalc.linfty import _n_bracket_hom, n_bracket, natural_injection
-from schoutencalc.pairs import GradedPairElement, LieRinehartPair, Vector, anchor, associated_bracket, bracket_vectors
+from schoutencalc.pairs import GradedPairElement, LieRinehartPair, Vector, anchor, bracket_vectors
+from schoutencalc.report import BracketReport
 from schoutencalc.scalars import Scalar
-from schoutencalc.schouten import sn_antisym
+from schoutencalc.schouten import sn_antisym, sn_sym
 
 
 def _accumulate(terms: dict[tuple[int, ...], Scalar], x: Multivector, sign: int) -> None:
@@ -277,6 +281,14 @@ def source_parts(pair: LieRinehartPair, x: GradedPairElement) -> list[tuple[Grad
     return out
 
 
+def associated_bracket(
+    pair: LieRinehartPair, u: GradedPairElement, v: GradedPairElement
+) -> GradedPairElement:
+    """Graded bracket on ``A (+) g``: ``((a,x),(b,y)) -> (D_x(b) + D_y(a), [x,y])``."""
+    scalar = anchor(pair, u.vector, v.scalar) + anchor(pair, v.vector, u.scalar)
+    return GradedPairElement(scalar, bracket_vectors(pair, u.vector, v.vector))
+
+
 def structure_equation_by_parts(
     source_pair: LieRinehartPair, target_pair: LieRinehartPair, args: list[GradedPairElement]
 ) -> Multivector:
@@ -323,3 +335,27 @@ def structure_equation_by_parts(
                 odd = sum(degrees[a] * degrees[b] for a, b in inversions) % 2
                 _accumulate(residual, n_bracket(target_pair, block_images), 1 if odd else -1)
     return Multivector(target_pair, residual)
+
+
+def decalage_relation(pair: LieRinehartPair, x: Multivector, y: Multivector) -> BracketReport:
+    """Check the decalage dictionary between the two brackets on homogeneous x, y.
+
+    Asserts the defining relation ``{x,y} = e(x) [y,x]`` together with graded
+    antisymmetry of ``[.,.]`` (antisymmetric grading) and graded symmetry of
+    ``{.,.}`` (tensor grading).
+    """
+    nx, ny = tensor_degree(x), tensor_degree(y)
+    if nx == INHOMOGENEOUS or ny == INHOMOGENEOUS:
+        raise ValueError("decalage relation is stated for homogeneous inputs")
+    sym = sn_sym(pair, x, y)
+    anti_xy = sn_antisym(pair, x, y)
+    anti_yx = sn_antisym(pair, y, x)
+    checks = [
+        sym - anti_yx.scaled(parity_sign(nx)),
+        anti_xy + anti_yx.scaled(parity_sign((nx - 1) * (ny - 1))),
+        sym - sn_sym(pair, y, x).scaled(parity_sign(nx * ny)),
+    ]
+    for residual in checks:
+        if not residual.is_zero():
+            return BracketReport.failure("decalage", str(residual), witness=[str(x), str(y)])
+    return BracketReport.success("decalage")

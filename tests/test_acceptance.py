@@ -14,7 +14,7 @@ from pathlib import Path
 import schoutencalc
 from schoutencalc import sampling
 from schoutencalc.exterior import Multivector, associated_exterior_morphism, wedge
-from schoutencalc.instances import cartan, sl2, sl2_to_gl2, solvable4
+from schoutencalc.instances import cartan, sl2, solvable4
 from schoutencalc.linfty import (
     ce_differential,
     composition_identity_lhs,
@@ -27,11 +27,11 @@ from schoutencalc.schouten import (
     check_antisym_jacobi,
     check_poisson,
     check_sym_jacobi,
-    decalage_relation,
     sn_antisym,
 )
 
-from oracles import sn_antisym_poisson
+from fixtures import sl2_to_gl2
+from oracles import decalage_relation, sn_antisym_poisson
 
 FAMILIES = {"sl2": sl2, "cartan2": lambda: cartan(2)}
 

@@ -1,7 +1,14 @@
-"""Every name a module lists in ``__all__`` resolves, so a stale export fails at once."""
+"""Every name a module lists in ``__all__`` resolves and is used by the program.
 
+A stale export fails at once.  So does a public name that only the tests
+call: each must be read outside its own definition, in ``src/`` (the
+package root's re-exports do not count, being imports) or in ``bench/``.
+"""
+
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +19,34 @@ MODULES = [
     for info in pkgutil.iter_modules(schoutencalc.__path__)
     if info.name != "__main__"
 ]
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = {path: ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "schoutencalc").glob("*.py"))}
+BENCH = [ast.parse(path.read_text()) for path in sorted((ROOT / "bench").glob("*.py"))]
+
+
+def read_names(tree, skip=None) -> set[str]:
+    """Bare names and attribute names read in ``tree``, outside the subtree ``skip``."""
+    skipped = {id(node) for node in ast.walk(skip)} if skip is not None else set()
+    out = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def definition(tree, name):
+    """The top-level statement of ``tree`` that binds ``name``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+            return node
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+            return node
+    return None
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -19,3 +54,20 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"schoutencalc.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_are_used_outside_their_definition(name):
+    module = importlib.import_module(f"schoutencalc.{name}")
+    own_path = Path(module.__file__).resolve()
+    elsewhere = set().union(
+        *(read_names(tree) for path, tree in SOURCES.items() if path != own_path),
+        *(read_names(tree) for tree in BENCH),
+    )
+    own = SOURCES[own_path]
+    unused = [
+        n
+        for n in getattr(module, "__all__", ())
+        if n not in elsewhere and n not in read_names(own, definition(own, n))
+    ]
+    assert unused == []

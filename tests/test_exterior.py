@@ -10,17 +10,17 @@ from schoutencalc.errors import DegreeUndefinedError, MorphismValidationError
 from schoutencalc.exterior import (
     INHOMOGENEOUS,
     Multivector,
-    antisym_degree,
     associated_exterior_morphism,
     embed,
     tensor_degree,
     wedge,
 )
-from schoutencalc.instances import abelian, cartan, gl2, scaling_morphism, sl2, sl2_to_gl2
-from schoutencalc.pairs import GradedPairElement, Vector, check_pair_morphism, load_pair
+from schoutencalc.instances import abelian, cartan, gl2, sl2
+from schoutencalc.pairs import GradedPairElement, PairMorphism, Vector, check_pair_morphism, load_pair
 from schoutencalc.scalars import Scalar
 from schoutencalc.schouten import check_antisym_jacobi, sn_antisym
 
+from fixtures import scaling_morphism, sl2_to_gl2
 from oracles import _accumulate, sn_antisym_poisson, wedge_by_scalars
 from test_schouten import CLEARED_COEFFS, FRACTIONAL_HEISENBERG
 
@@ -307,24 +307,18 @@ class TestDegrees:
     def test_scalar_degrees(self):
         a = Multivector.from_scalar(self.pair, self.pair.scalar_const(5))
         assert tensor_degree(a) == 0
-        assert antisym_degree(a) == -1
 
     def test_monomial_degrees(self):
         mv = Multivector.monomial(self.pair, (1, 2))
         assert tensor_degree(mv) == 2
-        assert antisym_degree(mv) == 1
-        triple = Multivector.monomial(self.pair, (1, 2, 3))
-        assert antisym_degree(triple) == 2
 
     def test_vector_degree(self):
         v = Multivector.monomial(self.pair, (1,))
         assert tensor_degree(v) == 1
-        assert antisym_degree(v) == 0
 
     def test_inhomogeneous(self):
         mixed = Multivector.monomial(self.pair, (1,)) + Multivector.monomial(self.pair, (1, 2))
         assert tensor_degree(mixed) == INHOMOGENEOUS
-        assert antisym_degree(mixed) == INHOMOGENEOUS
 
     def test_zero_raises(self):
         with pytest.raises(DegreeUndefinedError):
@@ -361,9 +355,8 @@ class TestAssociatedMorphism:
 
     def test_identity(self):
         pair = cartan(2)
-        from schoutencalc.instances import identity_morphism
-
-        m = identity_morphism(pair)
+        m = PairMorphism.identity(pair)
+        check_pair_morphism(m)
         rng = sampling.rng_for(47)
         for _ in range(50):
             x = sampling.random_multivector(pair, rng)
@@ -402,10 +395,9 @@ class TestAssociatedMorphism:
             assert lhs == rhs
 
     def test_functorial_under_composition(self):
-        from schoutencalc.instances import identity_morphism
-
         m = sl2_to_gl2()
-        post = identity_morphism(m.target)
+        post = PairMorphism.identity(m.target)
+        check_pair_morphism(post)
         rng = sampling.rng_for(59)
         for _ in range(50):
             x = sampling.random_multivector(m.source, rng, max_degree=2)

@@ -1,5 +1,6 @@
 """Pair instances, the anchor, vector brackets and pair morphisms."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -10,22 +11,13 @@ import pytest
 
 from schoutencalc import sampling
 from schoutencalc.errors import PairDocumentError
-from schoutencalc.instances import (
-    abelian,
-    cartan,
-    gl2,
-    identity_morphism,
-    perturbed_sl2,
-    sl2,
-    sl2_to_gl2,
-    zero_vector_morphism,
-)
+from schoutencalc.instances import abelian, cartan, gl2, perturbed_sl2, sl2
 from schoutencalc.pairs import (
     GradedPairElement,
     LieRinehartPair,
+    PairMorphism,
     Vector,
     anchor,
-    associated_bracket,
     bracket_vectors,
     check_leibniz,
     check_pair_morphism,
@@ -34,6 +26,8 @@ from schoutencalc.pairs import (
 )
 from schoutencalc.scalars import Scalar
 
+from fixtures import sl2_to_gl2, zero_vector_morphism
+from oracles import associated_bracket
 
 def taylor_derivative(pair, index, a):
     """Independent differentiation oracle: the h-linear part of a(x + h e_i).
@@ -151,6 +145,16 @@ class TestBracketVectors:
             lhs = anchor(pair, bracket_vectors(pair, x, y), a)
             rhs = anchor(pair, x, anchor(pair, y, a)) - anchor(pair, y, anchor(pair, x, a))
             assert lhs == rhs
+
+
+class TestGradedPairElement:
+    def test_fields_cannot_be_assigned(self):
+        pair = cartan(2)
+        u = GradedPairElement(pair.scalar_variable(1), pair.generator(2))
+        for field, value in (("scalar", pair.scalar_one()), ("vector", Vector.zero())):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(u, field, value)
+        assert u == GradedPairElement(pair.scalar_variable(1), pair.generator(2))
 
 
 class TestAssociatedBracket:
@@ -290,7 +294,7 @@ class TestCheckLeibniz:
 class TestPairMorphism:
     def test_identity_passes(self):
         for pair in (sl2(), cartan(2)):
-            m = identity_morphism(pair, validate=False)
+            m = PairMorphism.identity(pair)
             assert check_pair_morphism(m, trials=30, seed=1).passed
             assert m.validated
 

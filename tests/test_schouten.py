@@ -14,22 +14,21 @@ from schoutencalc.instances import (
     gl2,
     perturbed_sl2,
     sl2,
-    sl2_to_gl2,
     solvable4,
 )
-from schoutencalc.pairs import LieRinehartPair, Vector, bracket_vectors, load_pair
+from schoutencalc.pairs import LieRinehartPair, PairMorphism, Vector, bracket_vectors, check_pair_morphism, load_pair
 from schoutencalc.scalars import Scalar
 from schoutencalc.schouten import (
     check_antisym_jacobi,
     check_morphism_respects_sn,
     check_poisson,
     check_sym_jacobi,
-    decalage_relation,
     sn_antisym,
     sn_sym,
 )
 
-from oracles import sn_antisym_poisson, sn_antisym_shuffle, sn_term_pair, wedge_by_scalars
+from fixtures import sl2_to_gl2
+from oracles import decalage_relation, sn_antisym_poisson, sn_antisym_shuffle, sn_term_pair, wedge_by_scalars
 
 
 class TestAntisymBase:
@@ -636,9 +635,8 @@ class TestIdentityChecks:
 
 class TestMorphismRespectsBracket:
     def test_identity(self):
-        from schoutencalc.instances import identity_morphism
-
-        m = identity_morphism(cartan(2))
+        m = PairMorphism.identity(cartan(2))
+        check_pair_morphism(m)
         assert check_morphism_respects_sn(m, trials=60, seed=17).passed
 
     def test_sl2_to_gl2(self):
