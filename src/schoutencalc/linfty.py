@@ -88,55 +88,110 @@ def _n_bracket_hom(pair: LieRinehartPair, args: list[Multivector], degrees: list
     return out.value(pair)
 
 
+def _fitting_combinations(forms: list[list], budget: int):
+    """The choices of one row per argument whose monomial lengths sum to at most ``budget``.
+
+    Each argument's rows are grouped by length, and a partial choice of
+    lengths is kept only while it plus the shortest lengths of the
+    arguments still to come fits, so every kept prefix extends to at least
+    one fitting choice: the work is bounded by the fitting combinations.
+    """
+    groups = []
+    for rows in forms:
+        by_length: dict[int, list] = {}
+        for row in rows:
+            by_length.setdefault(len(row[0]), []).append(row)
+        groups.append(by_length)
+    floors = [0]
+    for by_length in reversed(groups):
+        # A zero argument has no rows, so no choice fits.
+        floors.append(floors[-1] + min(by_length, default=budget + 1))
+    floors.reverse()
+    prefixes = [((), 0)]
+    for k, by_length in enumerate(groups):
+        room = budget - floors[k + 1]
+        prefixes = [
+            (chosen + (rows,), total + length)
+            for chosen, total in prefixes
+            for length, rows in by_length.items()
+            if total + length <= room
+        ]
+    return itertools.chain.from_iterable(itertools.product(*chosen) for chosen, _ in prefixes)
+
+
 def n_bracket(pair: LieRinehartPair, args: Sequence[Multivector]) -> Multivector:
     """The arity-``len(args)`` bracket, extended multilinearly to mixed degrees.
 
-    On trivial scalars, ``sum +-c_1...c_p n_brackets[sorted (m_1..m_p)]`` over
-    one term ``c_k e_(m_k)`` per argument (sign: see :class:`LieRinehartPair`),
-    with ``c_k = n_k / D_k`` read from the argument's int form: the ``int``
-    sums lie over ``D_pair D_1 ... D_p``.  There a constant is central (the
+    One pass over ``args`` refuses an argument of another pair, reads each
+    int form ``(D_k, rows)``, multiplies the ``D_k`` and notes each
+    argument's longest row.  On trivial scalars the result is ``sum
+    +-c_1...c_p n_brackets[sorted (m_1..m_p)]`` over one term ``c_k
+    e_(m_k)`` per argument (sign: see :class:`LieRinehartPair`), with ``c_k
+    = n_k / D_k``: the ``int`` sums lie over ``D_pair D_1 ... D_p``.  The
+    sort's Koszul sign is computed only for a nonzero entry, and inversions
+    are counted only among two or more odd-length monomials.
+
+    Zero without a sum.  On trivial scalars a constant is central (the
     anchor is zero), so when fewer than two arguments have a non-constant
-    row every inner bracket of the shuffle sum meets a constant, and zero is
-    returned before any sum.  An int form has at most one constant row, and
-    a zero argument has none.  Other pairs sum :func:`_n_bracket_hom` over
-    the homogeneous parts.
+    row every inner bracket of the shuffle sum meets a constant; a zero
+    argument has no row.  A combination of total length above ``dim + 1``
+    brackets to degree above ``dim``, which is zero; only when the longest
+    rows sum past ``dim + 1`` are the combinations enumerated by length,
+    skipping those (:func:`_fitting_combinations`), so the table never
+    holds such an entry.  Other pairs sum :func:`_n_bracket_hom` over the
+    homogeneous parts.
     """
-    args = list(args)
     if not args:
         raise ValueError("n_bracket needs at least one argument")
-    if any(a.pair is not pair and not a.pair.compatible(pair) for a in args):
-        raise ValueError("multivector does not belong to the given pair")
-    if len(args) == 1:
-        return Multivector.zero(pair)
+    d = pair.bracket_denominator
+    forms = []
+    live = top = 0
+    for a in args:
+        if a.pair is not pair and not a.pair.compatible(pair):
+            raise ValueError("multivector does not belong to the given pair")
+        dk, rows = a._form
+        d *= dk
+        forms.append(rows)
+        width = 0
+        for mono, _ in rows:
+            if len(mono) > width:
+                width = len(mono)
+        if width:
+            live += 1
+        top += width
     if not pair.is_trivial_scalars:
         out = _IntSum()
-        for combo in itertools.product(*(a.homogeneous_components().items() for a in args)):
-            out.add(_n_bracket_hom(pair, [c[1] for c in combo], [c[0] for c in combo]))
+        if len(forms) > 1:
+            for combo in itertools.product(*(a.homogeneous_components().items() for a in args)):
+                out.add(_n_bracket_hom(pair, [c[1] for c in combo], [c[0] for c in combo]))
         return out.value(pair)
-    forms = [a._form for a in args]
-    if sum([len(rows) > 1 or bool(rows and rows[0][0]) for _, rows in forms]) < 2:
+    if live < 2:
         return Multivector.zero(pair)
-    d = pair.bracket_denominator * math.prod([form[0] for form in forms])
+    budget = pair.dim + 1
+    combos = _fitting_combinations(forms, budget) if top > budget else itertools.product(*forms)
+    table = pair.n_brackets
     sums: dict = {}
-    for combo in itertools.product(*(rows for _, rows in forms)):
+    for combo in combos:
         monos = [mono for mono, _ in combo]
         key = tuple(sorted(monos))
-        entry = pair.n_brackets.get(key)
+        entry = table.get(key)
         if entry is None:
-            if sum(map(len, key)) > pair.dim + 1:  # of degree above dim, so zero
-                continue
             units = [_of_form(pair, (1, [(m, [((), 1)])])) for m in key]
             # Each term holds one sn_antisym result over D_pair, so the sum lies over D_pair.
             value = _n_bracket_hom(pair, units, [len(m) for m in key])._form[1]
-            entry = pair.n_brackets[key] = tuple((m, r[0][1]) for m, r in value)
+            entry = table[key] = tuple((m, r[0][1]) for m, r in value)
         if not entry:
             continue
-        odd = [mono for mono in monos if len(mono) % 2]
-        c = -1 if sum(a > b for i, a in enumerate(odd) for b in odd[i + 1 :]) % 2 else 1
+        c = 1
+        odd = [mono for mono in monos if len(mono) & 1]
+        if len(odd) > 1 and sum([a > b for i, a in enumerate(odd) for b in odd[i + 1 :]]) & 1:
+            c = -1
         for _, row in combo:
             c *= row[0][1]
         for mono, q in entry:
             sums[mono] = sums.get(mono, 0) + q * c
+    if not sums:
+        return Multivector.zero(pair)
     rows = [(mono, [((), c)]) for mono, c in sums.items() if c]
     return _of_form(pair, (d, rows)) if rows else Multivector.zero(pair)
 
@@ -159,6 +214,14 @@ def weak_jacobi_residual(
     ``Sh(q, p-1)`` and its Koszul signs are read from the
     :func:`signed_shuffles` table.  A zero inner bracket skips the outer
     one, which is multilinear.
+
+    Degree bound.  On homogeneous arguments an n-bracket has tensor degree
+    one less than the sum of its arguments' degrees: each shuffle term is
+    one binary Schouten bracket, of degree ``|x| + |y| - 1``, wedged with
+    the rest.  So every term of the shuffle sum, an inner and an outer
+    bracket, has degree ``sum |x_i| - 2``, and ``wedge^k L = 0`` for ``k >
+    dim`` (``L`` is free of rank ``dim``).  When ``sum |x_i| - 2 > dim`` the
+    residual is therefore zero, and it is returned without a bracket.
     """
     n = len(args)
     if p + q != n + 1 or p < 2 or q < 2:
@@ -169,6 +232,8 @@ def weak_jacobi_residual(
         if not isinstance(d, int):
             raise ValueError("weak Jacobi arguments must be homogeneous")
         degrees.append(d)
+    if sum(degrees) - 2 > pair.dim:
+        return Multivector.zero(pair)
     residual = _IntSum()
     for order, sign in signed_shuffles((q, p - 1), degrees):
         inner = n_bracket(pair, [args[i] for i in order[:q]])
@@ -354,7 +419,10 @@ def _structure_equation_residual(source_pair, target_pair, args) -> Multivector:
     call for both sides.  Its image is ``(-1)**(m-1) (m-1)!`` times it; each
     :func:`_twist_table` row holds the product of these, so :func:`n_bracket`
     takes the words.  A partition is skipped at a zero word (the bracket is
-    multilinear).  On one pair every term lies over ``D_pair D_1 ...
+    multilinear) and, on a trivial-scalar target, when fewer than two of its
+    words are non-constant, counted as the words are built: a constant is
+    central there, so every inner bracket meets one and the n-bracket is
+    zero without a call.  On one pair every term lies over ``D_pair D_1 ...
     D_n``; the residual is one ``int`` sum, ``exterior._IntSum``.
     """
     from .schouten import sn_sym
@@ -393,22 +461,30 @@ def _structure_equation_residual(source_pair, target_pair, args) -> Multivector:
                     term = wedge(target_pair, _word(target_pair, words, units, rest, choice), term)
                 residual.add(term, constant)
 
+    # Fewer than two non-constant words make a zero bracket when constants are central.
+    needed = 2 if target_pair.is_trivial_scalars else 0
     d = [0] * n
     for blocks, star, outside, partners, inversions, factor in _twist_table(n):
         for choice in itertools.product(*[degrees[m] for m in outside]):
             for m, dm in zip(outside, choice):
                 d[m] = dm
             block_words = []
+            live = 0
             for b, block in enumerate(blocks):
                 if b == star:
                     chosen = tuple([2 + sum([d[m] for m in p]) % 2 for p in partners])
                 else:
                     chosen = tuple([d[k] for k in block])
                 word = _word(target_pair, words, units, block, chosen)
-                if word.is_zero():
+                rows = word._form[1]
+                if not rows:
                     break
+                if len(rows) > 1 or rows[0][0]:
+                    live += 1
                 block_words.append(word)
             else:
+                if live < needed:
+                    continue
                 odd = sum([d[a] & d[b] for a, b in inversions]) % 2
                 residual.add(n_bracket(target_pair, block_words), factor if odd else -factor)
     return residual.value(target_pair)

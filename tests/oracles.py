@@ -14,6 +14,8 @@ shuffle sum, with no signed-shuffle table and no skipped shuffle.  Unlike
 the ``sn_antisym`` oracles it deliberately reuses the kernel ``sn_antisym``
 (and so the table) for its binary brackets; it is independent only of
 :func:`schoutencalc.graded.signed_shuffles` and of the n-bracket's skips.
+:func:`weak_jacobi_shuffle` nests it into the weak-Jacobi shuffle sum of
+:func:`schoutencalc.linfty.weak_jacobi_residual`, with no degree bound.
 :func:`n_bracket_hom_parts` is the oracle for the n-bracket's per-pair table
 on trivial-scalar pairs: it expands each argument into its homogeneous parts
 and sums the kernel's shuffle sum on every choice of parts, reading no
@@ -253,6 +255,21 @@ def n_bracket_shuffle(pair: LieRinehartPair, args: list[Multivector]) -> Multive
             term = wedge(pair, left, sn_antisym(pair, xs[s(2) - 1], xs[s(1) - 1]))
             sign = koszul_sign(s, degrees) * parity_sign(degrees[s(1) - 1])
             out = out + term.scaled(sign)
+    return out
+
+
+def weak_jacobi_shuffle(pair: LieRinehartPair, p: int, q: int, args: list[Multivector]) -> Multivector:
+    """``sum_{Sh(q, p-1)} e(s) {{x_s(1..q)}_q, x_s(q+1..n)}_p`` from :func:`n_bracket_shuffle`.
+
+    Every shuffle's term is built, with no degree bound and no skip of a
+    zero inner bracket; the arguments must be homogeneous.
+    """
+    degrees = [tensor_degree(x) for x in args]
+    out = Multivector.zero(pair)
+    for s in shuffles((q, p - 1)):
+        xs = [args[s(k) - 1] for k in range(1, len(args) + 1)]
+        inner = n_bracket_shuffle(pair, xs[:q])
+        out = out + n_bracket_shuffle(pair, [inner] + xs[q:]).scaled(koszul_sign(s, degrees))
     return out
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import itertools
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from oracles import (
     n_bracket_shuffle,
     source_parts,
     structure_equation_by_parts,
+    weak_jacobi_shuffle,
 )
 
 from schoutencalc import exterior, linfty, sampling
@@ -106,8 +108,9 @@ class TestNBracket:
         assert n_bracket(pair, [x]).is_zero()
 
     def test_empty_args_rejected(self):
-        with pytest.raises(ValueError):
-            n_bracket(sl2(), [])
+        for pair in (sl2(), cartan(2)):
+            with pytest.raises(ValueError, match="needs at least one argument"):
+                n_bracket(pair, [])
 
     def test_arity_two_is_symmetric_bracket(self):
         pair = cartan(2)
@@ -372,12 +375,46 @@ class TestNBracketTable:
             n_bracket(two, [sampling.random_multivector(two, rng) for _ in range(n)])
         assert two.n_brackets == {}
 
-    def test_arguments_of_another_pair_are_refused(self):
+    def test_overlong_wide_bracket_is_zero_at_once(self):
+        # 6**8 choices of one term per argument, each of length 1 or 2, so
+        # every choice has total length above dim + 1 = 4.
         pair = sl2()
+        x = Multivector.zero(pair)
+        for mono in ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3)):
+            x = x + Multivector.monomial(pair, mono)
+        start = time.perf_counter()
+        assert n_bracket(pair, [x] * 8).is_zero()
+        assert time.perf_counter() - start < 0.5
+        assert pair.n_brackets == {}
+
+    @pytest.mark.parametrize("factory", [sl2, gl2])
+    def test_wide_mixed_arguments_match_homogeneous_part_expansion(self, factory):
+        # The longest rows sum past dim + 1, so the combinations are
+        # enumerated by length; constants keep some choices within the bound.
+        pair = factory()
+        rng = sampling.rng_for(143)
+        palette = [(0, 1), (0, 1, 2), (1, 2), (0, 2), (0, 1, 3)]
+        for n in (4, 5, 6):
+            nonzero = 0
+            for _ in range(6):
+                args = [random_argument(pair, rng, rng.choice(palette)) for _ in range(n)]
+                assert sum(max(map(len, a.terms)) for a in args) > pair.dim + 1
+                got = n_bracket(pair, args)
+                assert got == n_bracket_hom_parts(pair, args)
+                nonzero += not got.is_zero()
+            assert nonzero > 0, n
+
+    def test_arguments_of_another_pair_are_refused(self):
+        # At arity 1 too, though its bracket is zero whatever the argument.
+        pair = sl2()
+        own = Multivector.monomial(pair, (3,))
         for other in (gl2(), cartan(2)):
             x, y = Multivector.monomial(other, (1,)), Multivector.monomial(other, (2,))
-            with pytest.raises(ValueError, match="does not belong to the given pair"):
-                n_bracket(pair, [x, y])
+            for args in ([x], [x, y], [own, x], [x, own]):
+                with pytest.raises(ValueError, match="does not belong to the given pair"):
+                    n_bracket(pair, args)
+        with pytest.raises(ValueError, match="does not belong to the given pair"):
+            n_bracket(cartan(2), [Multivector.monomial(pair, (1,))])
         assert pair.n_brackets == {}
         twin = sl2()
         e, f = Multivector.monomial(twin, (1,)), Multivector.monomial(twin, (2,))
@@ -414,6 +451,45 @@ class TestWeakJacobi:
                 )
             assert weak_jacobi_residual(pair, 2, 2, args) == by_hand
             assert by_hand.is_zero()
+
+    @pytest.mark.parametrize(
+        "factory",
+        [sl2, gl2, perturbed_sl2, *FRACTIONAL_PAIRS, lambda: cartan(2)],
+        ids=["sl2", "gl2", "perturbed-sl2", *FRACTIONAL_IDS, "cartan2"],
+    )
+    def test_degree_bound(self, factory, monkeypatch):
+        # Every term has degree sum |x_i| - 2: above dim the residual is zero
+        # with no bracket evaluated; at dim the shuffle sum is still taken.
+        pair = factory()
+        rng = sampling.rng_for(160)
+        calls = Counter()
+        original = linfty.n_bracket
+
+        def counted(*call):
+            calls["n_bracket"] += 1
+            return original(*call)
+
+        monkeypatch.setattr(linfty, "n_bracket", counted)
+        nonzero = 0
+        for n, p, q in ((3, 2, 2), (4, 2, 3), (4, 3, 2), (5, 2, 4), (5, 3, 3), (5, 4, 2)):
+            for above in (True, True, False, False):
+                while True:
+                    degrees = [rng.randint(0, min(pair.dim, 3)) for _ in range(n)]
+                    excess = sum(degrees) - 2 - pair.dim
+                    if (excess > 0) if above else excess == 0:
+                        break
+                args = [sampling.random_homogeneous(pair, rng, d) for d in degrees]
+                calls.clear()
+                got = weak_jacobi_residual(pair, p, q, args)
+                if above:
+                    assert got.is_zero()
+                    assert calls["n_bracket"] == 0
+                else:
+                    assert calls["n_bracket"] > 0
+                    assert got == weak_jacobi_shuffle(pair, p, q, args)
+                    nonzero += not got.is_zero()
+        # Jacobi fails on the perturbed pair, and the bound keeps its residuals.
+        assert (nonzero > 0) == (factory is perturbed_sl2)
 
     def test_invalid_split_rejected(self):
         pair = sl2()
@@ -621,9 +697,11 @@ class TestInjectionMorphismEquation:
 
     def test_call_counts_at_arity_four(self, monkeypatch):
         # One bracket per partition and choice of degrees outside its largest
-        # block: 52 here, against 208 with one term per choice of parts.  The
-        # left side is built from the embedded arguments' words: no injection
-        # is evaluated, and each argument is embedded once.
+        # block: 52 here, against 208 with one term per choice of parts.  On
+        # this trivial-scalar target the 14 with fewer than two non-constant
+        # words are skipped, which leaves 38.  The left side is built from the
+        # embedded arguments' words: no injection is evaluated, and each
+        # argument is embedded once.
         pair = sl2()
         args = [
             GradedPairElement(pair.scalar_const(c), pair.generator(g))
@@ -640,7 +718,7 @@ class TestInjectionMorphismEquation:
 
             monkeypatch.setattr(linfty, name, counted)
         assert injection_morphism_residual(pair, args).is_zero()
-        assert 0 < counts["n_bracket"] <= 52
+        assert 0 < counts["n_bracket"] <= 38
         assert counts["natural_injection"] == 0
         assert counts["embed"] <= len(args)
 
