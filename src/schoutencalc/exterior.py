@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import add, index
 from types import MappingProxyType
 
 from .errors import DegreeUndefinedError, MorphismValidationError
@@ -46,12 +46,29 @@ __all__ = [
 INHOMOGENEOUS = "inhomogeneous"
 
 
+# Keyed by the monomial pair; see _merge_monomials.
+_MERGES: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, tuple[int, ...]] | None] = {}
+
+
 def _merge_monomials(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-    """Sort the concatenation; returns (sign, merged) or None on a repeat."""
-    if not set(left).isdisjoint(right):
-        return None
-    inversions = sum([a > b for a in left for b in right])
-    return (-1 if inversions % 2 else 1), tuple(sorted(left + right))
+    """Sort the concatenation; returns (sign, merged) or None on a repeat.
+
+    Memoized in the module-level ``_MERGES``.  Like
+    ``graded._SIGNED_SHUFFLES``, the result is a pure function of its key,
+    so an entry never goes stale and is never evicted; the monomials of
+    ``dim`` generators make at most ``4**dim`` pairs, so the table is
+    bounded by the largest dimension met.
+    """
+    try:
+        return _MERGES[left, right]
+    except KeyError:
+        pass
+    merged = None
+    if set(left).isdisjoint(right):
+        inversions = sum([a > b for a in left for b in right])
+        merged = (-1 if inversions % 2 else 1), tuple(sorted(left + right))
+    _MERGES[left, right] = merged
+    return merged
 
 
 def _clear(terms: dict[tuple[int, ...], Scalar]) -> tuple[int, list]:
@@ -129,11 +146,14 @@ class Multivector:
         clean: dict[tuple[int, ...], Scalar] = {}
         if terms:
             for mono, coeff in terms.items():
-                key = tuple(int(i) for i in mono)
-                if any(not 1 <= i <= pair.dim for i in key):
+                # operator.index refuses a float index instead of truncating it.
+                key = tuple(map(index, mono))
+                if key and (min(key) < 1 or max(key) > pair.dim):
                     raise ValueError(f"monomial {key!r} has indices outside 1..{pair.dim}")
-                if any(key[i] >= key[i + 1] for i in range(len(key) - 1)):
+                if any(a >= b for a, b in zip(key, key[1:])):
                     raise ValueError(f"monomial {key!r} is not strictly increasing")
+                if not isinstance(coeff, Scalar):
+                    raise TypeError("multivector coefficients must be Scalar values")
                 if coeff.nvars != pair.nvars:
                     raise ValueError("coefficient does not belong to this pair")
                 if not coeff.is_zero():
@@ -205,6 +225,11 @@ class Multivector:
 
     def __add__(self, other: Multivector, sign: int = 1) -> Multivector:
         self._check(other)
+        # A zero operand leaves the other's form; a fresh wrapper keeps the sum free of a Fraction view.
+        if not other._form[1]:
+            return _of_form(self.pair, self._form)
+        if not self._form[1] and sign == 1:
+            return _of_form(self.pair, other._form)
         out = _IntSum()
         out.add(self)
         out.add(other, sign)

@@ -27,7 +27,9 @@ x_k^1``, ``t_k`` the parity of the outside degrees that inversions join to
 ``k`` (the proof is in ``_structure_equation_residual``).  The left side is
 twisted the same way, one term per pair ``i < j`` and choice of their parts:
 ``sn_sym`` of the two embedded parts, which is their bracket in ``A (+) g``,
-wedged under the cached word of the rest, as on the right side.
+wedged under the cached word of the rest, as on the right side.  What
+depends on the arity alone (each term's words, twists and sign, per pattern
+of part degrees) is read from one table per arity.
 
 Every sum here adds the ``int`` numerators of int forms ``(D, rows)`` (see
 :mod:`schoutencalc.exterior`), so no ``Fraction`` is built before a result is
@@ -128,8 +130,10 @@ def n_bracket(pair: LieRinehartPair, args: Sequence[Multivector]) -> Multivector
     +-c_1...c_p n_brackets[sorted (m_1..m_p)]`` over one term ``c_k
     e_(m_k)`` per argument (sign: see :class:`LieRinehartPair`), with ``c_k
     = n_k / D_k``: the ``int`` sums lie over ``D_pair D_1 ... D_p``.  The
-    sort's Koszul sign is computed only for a nonzero entry, and inversions
-    are counted only among two or more odd-length monomials.
+    sorted tuple and the sort's Koszul sign of each ordered tuple of
+    monomials are computed once per pair and kept in its
+    ``n_bracket_sorts``; inversions are counted only among two or more
+    odd-length monomials.
 
     Zero without a sum.  On trivial scalars a constant is central (the
     anchor is zero), so when fewer than two arguments have a non-constant
@@ -170,10 +174,16 @@ def n_bracket(pair: LieRinehartPair, args: Sequence[Multivector]) -> Multivector
     budget = pair.dim + 1
     combos = _fitting_combinations(forms, budget) if top > budget else itertools.product(*forms)
     table = pair.n_brackets
+    sorts = pair.n_bracket_sorts
     sums: dict = {}
     for combo in combos:
-        monos = [mono for mono, _ in combo]
-        key = tuple(sorted(monos))
+        monos = tuple([mono for mono, _ in combo])
+        sort = sorts.get(monos)
+        if sort is None:
+            odd = [mono for mono in monos if len(mono) & 1]
+            swaps = sum([a > b for i, a in enumerate(odd) for b in odd[i + 1 :]]) if len(odd) > 1 else 0
+            sort = sorts[monos] = (tuple(sorted(monos)), -1 if swaps & 1 else 1)
+        key, c = sort
         entry = table.get(key)
         if entry is None:
             units = [_of_form(pair, (1, [(m, [((), 1)])])) for m in key]
@@ -182,10 +192,6 @@ def n_bracket(pair: LieRinehartPair, args: Sequence[Multivector]) -> Multivector
             entry = table[key] = tuple((m, r[0][1]) for m, r in value)
         if not entry:
             continue
-        c = 1
-        odd = [mono for mono in monos if len(mono) & 1]
-        if len(odd) > 1 and sum([a > b for i, a in enumerate(odd) for b in odd[i + 1 :]]) & 1:
-            c = -1
         for _, row in combo:
             c *= row[0][1]
         for mono, q in entry:
@@ -311,52 +317,118 @@ def _compositions(n: int, p: int):
 
 
 # Keyed by the arity alone, like graded.partition_table; never evicted.
-_TWIST_TABLES: dict[int, tuple] = {}
+_PATTERN_TABLES: dict[int, tuple] = {}
 
 
-def _twist_table(n: int) -> tuple:
-    """The rows of ``partition_table(n)`` with their largest block summed out.
+def _pattern_table(n: int) -> tuple:
+    """The structure equation's words and terms at arity ``n``, for every pattern of part degrees.
 
-    One ``(blocks, star, outside, partners, inversions, factor)`` row per
-    partition, in the same order: ``blocks[star]`` is the first largest block
-    B*, ``outside`` the arguments not in B*, ``partners[r]`` the outside
-    arguments that an inversion joins to B*'s ``r``-th argument,
-    ``inversions`` the partition's inversions that touch no argument of B*,
-    and ``factor`` the product of ``(-1)**(|B|-1) (|B|-1)!`` over the blocks.
-    Equal tuples are shared between rows, the blocks are the partition table's.
+    ``(words, left, right)``.  ``words[w] = (k, u, prefix)`` is the word
+    ``units[k][u] ^ words[prefix]``, or ``units[k][u]`` alone when ``prefix``
+    is ``-1``: one id per block ``b_1 < ... < b_m`` and choice of units, unit
+    0 or 1 being the part of that degree and unit ``2 + t`` the twisted
+    ``x^0 + (-1)**t x^1``.  ``left`` has one ``(i, j, rest)`` per pair ``i <
+    j``: ``rest[2 d_i + d_j]`` is the id of the word of the other arguments
+    twisted by ``t_k = d_i [k < i] + d_j [k < j]``, ``-1`` when there are
+    none.  ``right`` has one ``(need, ids, factor)`` per row of
+    ``partition_table(n)`` and pattern of degrees ``d`` on the arguments
+    outside its first largest block ``B*``, in the order of
+    ``itertools.product``: ``need`` has bit ``2m + d_m`` set for each outside
+    ``m``, ``ids`` are the blocks' words (parts of those degrees, and on
+    ``B*`` each ``k`` twisted by the parity of the outside degrees that the
+    partition's inversions join to ``k``), and ``factor`` is the term's
+    coefficient in LHS minus RHS, ``-e'(d) prod (-1)**(|B|-1) (|B|-1)!``,
+    ``e'`` signed by the inversions that touch no argument of ``B*``.
+
+    The patterns of one partition are walked depth first, one outside
+    argument at a time in increasing order, so each step extends one
+    block's word by one unit and updates the twists and the sign by bit
+    masks.  Equal ``need`` and ``factor`` values are shared between rows.
     """
-    table = _TWIST_TABLES.get(n)
+    table = _PATTERN_TABLES.get(n)
     if table is None:
-        shared: dict[tuple, tuple] = {}
-        rows = []
+        ids: dict[tuple[int, int, int], int] = {}
+        words: list[tuple[int, int, int]] = []
+
+        def extend(prefix: int, k: int, u: int) -> int:
+            spec = (k, u, prefix)
+            w = ids.get(spec)
+            if w is None:
+                w = ids[spec] = len(words)
+                words.append(spec)
+            return w
+
+        def word(block: tuple[int, ...], choice) -> int:
+            w = -1
+            for k, u in zip(block, choice):
+                w = extend(w, k, u)
+            return w
+
+        left = []
+        for i, j in itertools.combinations(range(n), 2):
+            rest = tuple(k for k in range(n) if k != i and k != j)
+            twisted = [
+                word(rest, [2 + (di * (k < i) + dj * (k < j)) % 2 for k in rest]) if rest else -1
+                for di in (0, 1)
+                for dj in (0, 1)
+            ]
+            left.append((i, j, tuple(twisted)))
+        right: list = []
+        shared: dict[int, int] = {}
         for blocks, inversions in partition_table(n):
             star = max(range(len(blocks)), key=lambda b: len(blocks[b]))
             inside = blocks[star]
-            outside = tuple(k for k in range(n) if k not in inside)
-            # No inversion lies inside B*, so a + b - k is k's outside partner.
-            partners = [tuple(sorted(a + b - k for a, b in inversions if k in (a, b))) for k in inside]
-            rest = tuple(ab for ab in inversions if ab[0] not in inside and ab[1] not in inside)
-            rows.append((
-                blocks,
-                star,
-                shared.setdefault(outside, outside),
-                tuple(shared.setdefault(t, t) for t in partners),
-                shared.setdefault(rest, rest),
-                math.prod([parity_sign(len(b) - 1) * math.factorial(len(b) - 1) for b in blocks]),
-            ))
-        table = _TWIST_TABLES[n] = tuple(rows)
+            outside = [k for k in range(n) if k not in inside]
+            block_of = {k: b for b, block in enumerate(blocks) for k in block}
+            constant = math.prod([parity_sign(len(b) - 1) * math.factorial(len(b) - 1) for b in blocks])
+            # No inversion lies inside B*.  Bit r of twists[m] marks that an
+            # inversion joins m to B*'s r-th argument; bit k of joined[m] that
+            # one joins m to the outside argument k.
+            twists = [0] * n
+            joined = [0] * n
+            for a, b in inversions:
+                if a in inside or b in inside:
+                    k, m = (a, b) if a in inside else (b, a)
+                    twists[m] |= 1 << inside.index(k)
+                else:
+                    joined[a] |= 1 << b
+                    joined[b] |= 1 << a
+            starred: dict[int, int] = {}
+            state = [-1] * len(blocks)
+
+            def walk(pos: int, need: int, ones: int, odd: int, t: int) -> None:
+                if pos == len(outside):
+                    w = starred.get(t)
+                    if w is None:
+                        w = starred[t] = word(inside, [2 + (t >> r & 1) for r in range(len(inside))])
+                    state[star] = w
+                    factor = constant if odd else -constant
+                    right.append((shared.setdefault(need, need), tuple(state), shared.setdefault(factor, factor)))
+                    return
+                m = outside[pos]
+                b = block_of[m]
+                prefix = state[b]
+                state[b] = extend(prefix, m, 0)
+                walk(pos + 1, need | 1 << 2 * m, ones, odd, t)
+                state[b] = extend(prefix, m, 1)
+                odd ^= (ones & joined[m]).bit_count() & 1
+                walk(pos + 1, need | 2 << 2 * m, ones | 1 << m, odd, t ^ twists[m])
+                state[b] = prefix
+
+            walk(0, 0, 0, 0, 0)
+        table = _PATTERN_TABLES[n] = (tuple(words), tuple(left), tuple(right))
     return table
 
 
-def _word(pair: LieRinehartPair, words: dict, units: list, block: tuple[int, ...], choice: tuple[int, ...]):
-    """``x_{b_m} ^ ... ^ x_{b_1}`` on the chosen units, one wedge onto the cached shorter word."""
-    key = (block, choice)
-    word = words.get(key)
+def _word(pair: LieRinehartPair, built: list, words: tuple, units: list, w: int) -> Multivector:
+    """Word ``w`` of :func:`_pattern_table` on the units, one wedge onto its cached prefix."""
+    word = built[w]
     if word is None:
-        head = units[block[-1]][choice[-1]]
-        word = words[key] = (
-            head if len(block) == 1 else wedge(pair, head, _word(pair, words, units, block[:-1], choice[:-1]))
-        )
+        k, u, prefix = words[w]
+        word = units[k][u]
+        if prefix >= 0:
+            word = wedge(pair, word, _word(pair, built, words, units, prefix))
+        built[w] = word
     return word
 
 
@@ -398,8 +470,7 @@ def _structure_equation_residual(source_pair, target_pair, args) -> Multivector:
     left side is the same with ``B* = R``: the inversions of ``(i, j, R)``
     are ``(i, k)`` for ``k < i`` and ``(j, k)`` for ``k < j``, ``R`` being
     increasing, so ``t_k = d_i [k < i] + d_j [k < j]``, and there is one
-    term per pair ``i < j`` and choice of ``d_i``, ``d_j``.  The rows'
-    ``B*``, partners and remaining inversions come from :func:`_twist_table`.
+    term per pair ``i < j`` and choice of ``d_i``, ``d_j``.
 
     The inner bracket.  On parts of degree ``<= 1``, ``embed`` carries the
     bracket ``[(a, x), (b, y)] = (D_x(b) + D_y(a), [x, y])`` of ``A (+) g``
@@ -411,23 +482,27 @@ def _structure_equation_residual(source_pair, target_pair, args) -> Multivector:
     and ``sn_sym`` the source pair's; the constructor rebuilds a bracket of
     another source pair in the target, refusing one that leaves it.
 
-    Words.  Each argument is embedded and cleared once, over its own
-    ``D_k``, into four int-form units: its scalar part, its vector part, and
-    their sum and difference.  A block ``b_1 < ... < b_m``'s word on chosen
-    units ``u`` is ``u_(b_m) ^ W(b_1, ..., b_(m-1))``, one :func:`wedge` onto
-    the cached shorter word, over ``D_(b_1) ... D_(b_m)``, built once per
-    call for both sides.  Its image is ``(-1)**(m-1) (m-1)!`` times it; each
-    :func:`_twist_table` row holds the product of these, so :func:`n_bracket`
-    takes the words.  A partition is skipped at a zero word (the bracket is
-    multilinear) and, on a trivial-scalar target, when fewer than two of its
-    words are non-constant, counted as the words are built: a constant is
-    central there, so every inner bracket meets one and the n-bracket is
-    zero without a call.  On one pair every term lies over ``D_pair D_1 ...
+    One table per arity.  Everything above that depends on ``n`` alone,
+    ``B*``, the twists, the signs ``e'(d)``, the constants ``(-1)**(m-1)
+    (m-1)!`` of the images ``i_m`` and the words each term takes, is read
+    from :func:`_pattern_table`, one row per partition and pattern of
+    outside degrees; a row whose pattern asks for a zero part is skipped.
+    Each argument is embedded and cleared once, over its own ``D_k``, into
+    four int-form units: its scalar part, its vector part, and their sum and
+    difference.  A word ``u_(b_m) ^ W(b_1, ..., b_(m-1))`` is one
+    :func:`wedge` onto its cached prefix, over ``D_(b_1) ... D_(b_m)``,
+    built once per call for both sides, so :func:`n_bracket` takes the words.
+    A row is skipped at a zero word (the bracket is multilinear) and, on a
+    trivial-scalar target, when fewer than two of its words are
+    non-constant, counted as the words are built: a constant is central
+    there, so every inner bracket meets one and the n-bracket is zero
+    without a call.  On one pair every term lies over ``D_pair D_1 ...
     D_n``; the residual is one ``int`` sum, ``exterior._IntSum``.
     """
     from .schouten import sn_sym
 
     n = len(args)
+    words, left, right = _pattern_table(n)
     residual = _IntSum()
     units = []
     for x in args:
@@ -438,15 +513,16 @@ def _structure_equation_residual(source_pair, target_pair, args) -> Multivector:
         # Units 0 and 1 are the parts of degree 0 and 1; unit 2 + t is x^0 + (-1)**t x^1.
         units.append([_of_form(target_pair, (dk, part)) for part in (scalar, vector, rows, scalar + minus)])
     degrees = [tuple(d for d in (0, 1) if not unit[d].is_zero()) for unit in units]
-    words: dict = {}
+    # Bit 2k + d is set when argument k has no part of degree d.
+    missing = sum([1 << 2 * k + d for k, parts in enumerate(degrees) for d in (0, 1) if d not in parts])
+    built: list = [None] * len(words)
     bracketed = units
     if source_pair is not target_pair:
         bracketed = [[Multivector(source_pair, u.terms) for u in unit[:2]] for unit in units]
     # Two scalar parts bracket to zero; on trivial scalars (zero anchor) a scalar part always does.
     least = 2 if source_pair.is_trivial_scalars else 1
     constant = parity_sign(n) * math.factorial(max(n - 2, 0))
-    for i, j in itertools.combinations(range(n), 2):
-        rest = tuple(k for k in range(n) if k != i and k != j)
+    for i, j, rest in left:
         for di in degrees[i]:
             for dj in degrees[j]:
                 if di + dj < least:
@@ -456,37 +532,31 @@ def _structure_equation_residual(source_pair, target_pair, args) -> Multivector:
                     continue
                 if term.pair is not target_pair:
                     term = Multivector(target_pair, term.terms)
-                if rest:
-                    choice = tuple([2 + (di * (k < i) + dj * (k < j)) % 2 for k in rest])
-                    term = wedge(target_pair, _word(target_pair, words, units, rest, choice), term)
+                w = rest[2 * di + dj]
+                if w >= 0:
+                    term = wedge(target_pair, _word(target_pair, built, words, units, w), term)
                 residual.add(term, constant)
 
     # Fewer than two non-constant words make a zero bracket when constants are central.
     needed = 2 if target_pair.is_trivial_scalars else 0
-    d = [0] * n
-    for blocks, star, outside, partners, inversions, factor in _twist_table(n):
-        for choice in itertools.product(*[degrees[m] for m in outside]):
-            for m, dm in zip(outside, choice):
-                d[m] = dm
-            block_words = []
-            live = 0
-            for b, block in enumerate(blocks):
-                if b == star:
-                    chosen = tuple([2 + sum([d[m] for m in p]) % 2 for p in partners])
-                else:
-                    chosen = tuple([d[k] for k in block])
-                word = _word(target_pair, words, units, block, chosen)
-                rows = word._form[1]
-                if not rows:
-                    break
-                if len(rows) > 1 or rows[0][0]:
-                    live += 1
-                block_words.append(word)
-            else:
-                if live < needed:
-                    continue
-                odd = sum([d[a] & d[b] for a, b in inversions]) % 2
-                residual.add(n_bracket(target_pair, block_words), factor if odd else -factor)
+    for need, ids, factor in right:
+        if need & missing:
+            continue
+        block_words = []
+        live = 0
+        for w in ids:
+            word = built[w]
+            if word is None:
+                word = _word(target_pair, built, words, units, w)
+            rows = word._form[1]
+            if not rows:
+                break
+            if len(rows) > 1 or rows[0][0]:
+                live += 1
+            block_words.append(word)
+        else:
+            if live >= needed:
+                residual.add(n_bracket(target_pair, block_words), factor)
     return residual.value(target_pair)
 
 

@@ -18,6 +18,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import index
 from pathlib import Path
 from types import MappingProxyType
 
@@ -49,10 +50,12 @@ class Vector:
         clean: dict[int, Scalar] = {}
         if terms:
             for gen, coeff in terms.items():
+                # operator.index refuses a float generator instead of truncating it.
+                gen = index(gen)
                 if not isinstance(coeff, Scalar):
                     raise TypeError("vector coefficients must be Scalar values")
                 if not coeff.is_zero():
-                    clean[int(gen)] = coeff
+                    clean[gen] = coeff
         self.terms = clean
 
     @classmethod
@@ -143,10 +146,13 @@ class LieRinehartPair:
     constants' denominators (each term holds one binary bracket, so one
     structure constant).  Another order reads it times ``(-1)**(pairs of
     odd-length monomials the sort swaps)``, by graded symmetry (any
-    antisymmetric table).
+    antisymmetric table).  ``n_bracket_sorts``, empty at construction and
+    filled beside it, maps each ordered tuple of monomials met to its sorted
+    tuple, the key of ``n_brackets``, and that sign; it is a pure function
+    of the tuple, with one entry per order met of each multiset.
     """
 
-    __slots__ = ("kind", "dim", "nvars", "brackets", "name", "monomial_brackets", "n_brackets", "bracket_denominator")
+    __slots__ = ("kind", "dim", "nvars", "brackets", "name", "monomial_brackets", "n_brackets", "n_bracket_sorts", "bracket_denominator")
 
     def __init__(
         self,
@@ -176,6 +182,7 @@ class LieRinehartPair:
         self.name = name or kind
         self.monomial_brackets: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple] = {}
         self.n_brackets: dict[tuple[tuple[int, ...], ...], tuple] = {}
+        self.n_bracket_sorts: dict[tuple[tuple[int, ...], ...], tuple] = {}
         self.bracket_denominator = lcm(
             *(q.denominator for value in table.values() for c in value.terms.values() for q in c.terms.values())
         )

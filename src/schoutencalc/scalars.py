@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from operator import add
+from operator import add, index
 
 __all__ = ["Scalar", "parse_fraction"]
 
@@ -55,12 +55,13 @@ class Scalar:
         clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
-                key = tuple(int(e) for e in exps)
+                # operator.index refuses a float or a string instead of truncating it.
+                key = tuple(map(index, exps))
                 if len(key) != nvars:
                     raise ValueError(f"exponent tuple {key!r} has wrong length for {nvars} variables")
-                if any(e < 0 for e in key):
+                if key and min(key) < 0:
                     raise ValueError(f"negative exponent in {key!r}")
-                c = Fraction(coeff)
+                c = coeff if type(coeff) is Fraction else Fraction(coeff)
                 if c:
                     clean[key] = c
         self.terms = clean
@@ -99,7 +100,7 @@ class Scalar:
 
     @classmethod
     def monomial(cls, exps: Sequence[int], coeff: RationalLike, nvars: int) -> Scalar:
-        return cls(nvars, {tuple(exps): Fraction(coeff)})
+        return cls(nvars, {tuple(exps): coeff})
 
     # -- predicates --------------------------------------------------------
 

@@ -26,6 +26,12 @@ choice of homogeneous part of every argument and per set partition, with no
 block summed out and no twisted argument; :func:`source_parts` splits an
 argument into those parts, and :func:`associated_bracket`, the bracket of
 ``A (+) g`` through the vector bracket and the anchor, brackets them.
+:func:`structure_equation_twisted` is the library's evaluator before its
+per-arity pattern table: the same largest block summed out with twisted
+arguments, but each term's twisted choices, word keys and sign computed
+afresh from the outside degrees.  :func:`merge_by_swaps` is the oracle for
+the memoized :func:`schoutencalc.exterior._merge_monomials`: the
+concatenation bubble-sorted, one sign flip per adjacent swap.
 :func:`decalage_relation` checks the dictionary between the two Schouten
 brackets, ``{x, y} = e(x) [y, x]``, with both graded symmetries.
 :func:`wedge_by_scalars` is the oracle for
@@ -41,8 +47,10 @@ tests.
 from __future__ import annotations
 
 import itertools
+import math
 
-from schoutencalc.exterior import INHOMOGENEOUS, Multivector, _merge_monomials, tensor_degree, wedge
+from schoutencalc.exterior import INHOMOGENEOUS, Multivector, _IntSum, _merge_monomials, _of_form, embed
+from schoutencalc.exterior import tensor_degree, wedge
 from schoutencalc.graded import koszul_sign, parity_sign, partition_table, shuffles, signed_shuffles
 from schoutencalc.linfty import _n_bracket_hom, n_bracket, natural_injection
 from schoutencalc.pairs import GradedPairElement, LieRinehartPair, Vector, anchor, bracket_vectors
@@ -352,6 +360,119 @@ def structure_equation_by_parts(
                 odd = sum(degrees[a] * degrees[b] for a, b in inversions) % 2
                 _accumulate(residual, n_bracket(target_pair, block_images), 1 if odd else -1)
     return Multivector(target_pair, residual)
+
+
+def twist_table(n: int) -> list[tuple]:
+    """The rows of ``partition_table(n)`` with their first largest block ``B*`` summed out.
+
+    One ``(blocks, star, outside, partners, inversions, factor)`` row per
+    partition: ``blocks[star]`` is ``B*``, ``outside`` the arguments not in
+    it, ``partners[r]`` the outside arguments that an inversion joins to
+    ``B*``'s ``r``-th argument, ``inversions`` those that touch no argument
+    of ``B*``, and ``factor`` the product of ``(-1)**(|B|-1) (|B|-1)!`` over
+    the blocks.
+    """
+    rows = []
+    for blocks, inversions in partition_table(n):
+        star = max(range(len(blocks)), key=lambda b: len(blocks[b]))
+        inside = blocks[star]
+        outside = tuple(k for k in range(n) if k not in inside)
+        # No inversion lies inside B*, so a + b - k is k's outside partner.
+        partners = [tuple(sorted(a + b - k for a, b in inversions if k in (a, b))) for k in inside]
+        rest = tuple(ab for ab in inversions if ab[0] not in inside and ab[1] not in inside)
+        factor = math.prod([parity_sign(len(b) - 1) * math.factorial(len(b) - 1) for b in blocks])
+        rows.append((blocks, star, outside, partners, rest, factor))
+    return rows
+
+
+def _twisted_word(pair: LieRinehartPair, words: dict, units: list, block: tuple[int, ...], choice: tuple[int, ...]):
+    """``x_{b_m} ^ ... ^ x_{b_1}`` on the chosen units, one wedge onto the cached shorter word."""
+    key = (block, choice)
+    word = words.get(key)
+    if word is None:
+        head = units[block[-1]][choice[-1]]
+        word = words[key] = (
+            head if len(block) == 1 else wedge(pair, head, _twisted_word(pair, words, units, block[:-1], choice[:-1]))
+        )
+    return word
+
+
+def structure_equation_twisted(
+    source_pair: LieRinehartPair, target_pair: LieRinehartPair, args: list[GradedPairElement]
+) -> Multivector:
+    """LHS minus RHS of the natural injection's structure equation, ``B*`` summed out per term.
+
+    The proof of the twist is in
+    ``schoutencalc.linfty._structure_equation_residual``.  Here every
+    partition of :func:`twist_table` enumerates the available degrees of its
+    outside arguments and builds, for each choice, the twisted units of
+    ``B*`` (unit ``2 + t_k``, ``t_k`` the parity of the partners' degrees),
+    the word keys of the other blocks and the sign of the inversions that
+    miss ``B*``; the left side twists the rest of each pair ``i < j`` the
+    same way.  Words are cached per call by ``(block, choice)``.
+    """
+    n = len(args)
+    residual = _IntSum()
+    units = []
+    for x in args:
+        dk, rows = embed(target_pair, x)._form
+        scalar = [row for row in rows if not row[0]]
+        vector = [row for row in rows if row[0]]
+        minus = [(m, [(e, -c) for e, c in row]) for m, row in vector]
+        # Units 0 and 1 are the parts of degree 0 and 1; unit 2 + t is x^0 + (-1)**t x^1.
+        units.append([_of_form(target_pair, (dk, part)) for part in (scalar, vector, rows, scalar + minus)])
+    degrees = [tuple(d for d in (0, 1) if not unit[d].is_zero()) for unit in units]
+    words: dict = {}
+    bracketed = units
+    if source_pair is not target_pair:
+        bracketed = [[Multivector(source_pair, u.terms) for u in unit[:2]] for unit in units]
+    constant = parity_sign(n) * math.factorial(max(n - 2, 0))
+    for i, j in itertools.combinations(range(n), 2):
+        rest = tuple(k for k in range(n) if k != i and k != j)
+        for di in degrees[i]:
+            for dj in degrees[j]:
+                term = sn_sym(source_pair, bracketed[i][di], bracketed[j][dj])
+                if term.is_zero():
+                    continue
+                if term.pair is not target_pair:
+                    term = Multivector(target_pair, term.terms)
+                if rest:
+                    choice = tuple([2 + (di * (k < i) + dj * (k < j)) % 2 for k in rest])
+                    term = wedge(target_pair, _twisted_word(target_pair, words, units, rest, choice), term)
+                residual.add(term, constant)
+    d = [0] * n
+    for blocks, star, outside, partners, inversions, factor in twist_table(n):
+        for choice in itertools.product(*[degrees[m] for m in outside]):
+            for m, dm in zip(outside, choice):
+                d[m] = dm
+            block_words = []
+            for b, block in enumerate(blocks):
+                if b == star:
+                    chosen = tuple([2 + sum([d[m] for m in p]) % 2 for p in partners])
+                else:
+                    chosen = tuple([d[k] for k in block])
+                word = _twisted_word(target_pair, words, units, block, chosen)
+                if word.is_zero():
+                    break
+                block_words.append(word)
+            else:
+                odd = sum([d[a] & d[b] for a, b in inversions]) % 2
+                residual.add(n_bracket(target_pair, block_words), factor if odd else -factor)
+    return residual.value(target_pair)
+
+
+def merge_by_swaps(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
+    """``(sign, merged)`` of ``e_left ^ e_right`` by bubble sort, or None on a repeated index."""
+    word = list(left + right)
+    if len(set(word)) < len(word):
+        return None
+    sign = 1
+    for top in range(len(word) - 1, 0, -1):
+        for k in range(top):
+            if word[k] > word[k + 1]:
+                word[k], word[k + 1] = word[k + 1], word[k]
+                sign = -sign
+    return sign, tuple(word)
 
 
 def decalage_relation(pair: LieRinehartPair, x: Multivector, y: Multivector) -> BracketReport:

@@ -21,7 +21,7 @@ from schoutencalc.scalars import Scalar
 from schoutencalc.schouten import check_antisym_jacobi, sn_antisym
 
 from fixtures import scaling_morphism, sl2_to_gl2
-from oracles import _accumulate, sn_antisym_poisson, wedge_by_scalars
+from oracles import _accumulate, merge_by_swaps, sn_antisym_poisson, wedge_by_scalars
 from test_schouten import CLEARED_COEFFS, FRACTIONAL_HEISENBERG
 
 
@@ -39,7 +39,46 @@ class TestNormalForm:
             Multivector(pair, {(1, 1): pair.scalar_one()})
 
 
+    def test_non_integral_indices_are_refused_not_truncated(self):
+        pair = sl2()
+        for mono in ((1.7,), (1.0,), (1, 2.0), ("1",)):
+            with pytest.raises(TypeError):
+                Multivector(pair, {mono: pair.scalar_one()})
+            with pytest.raises(TypeError):
+                Multivector.monomial(pair, mono)
+        assert Multivector(pair, {(1, 3): pair.scalar_one()}) == Multivector.monomial(pair, (1, 3))
+
+    def test_coefficients_must_be_scalars(self):
+        pair = sl2()
+        for coeff in (2, Fraction(1, 2), pair.generator(1)):
+            with pytest.raises(TypeError, match="multivector coefficients must be Scalar values"):
+                Multivector(pair, {(1,): coeff})
+
+    def test_range_and_order_messages(self):
+        pair = sl2()
+        for mono in ((0,), (4,), (1, 4), (0, 1)):
+            with pytest.raises(ValueError, match=r"has indices outside 1\.\.3"):
+                Multivector(pair, {mono: pair.scalar_one()})
+        for mono in ((2, 1), (1, 1), (1, 3, 2)):
+            with pytest.raises(ValueError, match="is not strictly increasing"):
+                Multivector(pair, {mono: pair.scalar_one()})
+
+
 class TestWedge:
+    def test_merge_memo_equals_the_sort_on_every_monomial_pair(self):
+        # Every pair of monomials of up to five generators, asked twice: after
+        # the first call the memo holds the result, and the second reads it.
+        monomials = [m for k in range(6) for m in itertools.combinations(range(1, 6), k)]
+        disjoint = 0
+        for left, right in itertools.product(monomials, repeat=2):
+            expected = merge_by_swaps(left, right)
+            assert exterior._merge_monomials(left, right) == expected
+            assert exterior._MERGES[left, right] == expected
+            assert exterior._merge_monomials(left, right) == expected
+            disjoint += expected is not None
+        # Each generator lies in the left monomial, the right one or neither.
+        assert disjoint == 3**5
+
     def test_repeated_factor_vanishes(self):
         pair = cartan(2)
         d1 = Multivector.monomial(pair, (1,))
@@ -223,6 +262,22 @@ class TestIntegerForm:
                 self.assert_int_form(zero)
                 assert zero.is_zero()
                 assert zero._form[1] == []
+
+    @pytest.mark.parametrize("factory", FACTORIES, ids=IDS)
+    def test_a_zero_operand_leaves_the_other_form(self, factory):
+        # No int sum is made, yet the sum is a new value with no Fraction view.
+        pair = factory()
+        zero = Multivector.zero(pair)
+        for got, _, z in self.kernel_results(pair, 227, count=4):
+            for x in (got, z):
+                if x.is_zero():
+                    continue
+                for value in (zero + x, x + zero, x - zero):
+                    assert value is not x
+                    assert value._form is x._form
+                    self.assert_int_form(value)
+                    assert value == x
+                assert zero - x == -x
 
     @pytest.mark.parametrize("factory", FACTORIES, ids=IDS)
     def test_scaled_by_rationals(self, factory):

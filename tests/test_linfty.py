@@ -16,6 +16,7 @@ from oracles import (
     n_bracket_shuffle,
     source_parts,
     structure_equation_by_parts,
+    structure_equation_twisted,
     weak_jacobi_shuffle,
 )
 
@@ -29,12 +30,12 @@ from schoutencalc.exterior import (
     tensor_degree,
     wedge,
 )
-from schoutencalc.graded import Permutation, koszul_sign, shuffles
+from schoutencalc.graded import Permutation, koszul_sign, partition_table, shuffles
 from schoutencalc.instances import abelian, cartan, gl2, perturbed_sl2, sl2, solvable4
 from schoutencalc.linfty import (
     BracketFamily,
     _compositions,
-    _twist_table,
+    _pattern_table,
     ce_differential,
     check_linfty_morphism,
     composition_identity_lhs,
@@ -340,6 +341,7 @@ class TestNBracketTable:
                     permuted = [args[s(i) - 1] for i in range(1, n + 1)]
                     assert n_bracket(pair, permuted) == reference.scaled(koszul_sign(s, degrees))
                 assert len(pair.n_brackets) == filled
+        assert len(pair.n_bracket_sorts) > len(pair.n_brackets)
         assert nonzero > 0
 
     def test_interleaved_pairs_keep_their_own_tables(self):
@@ -361,19 +363,44 @@ class TestNBracketTable:
     def test_fresh_pair_starts_empty_and_cartan_pair_never_fills(self):
         pair = sl2()
         assert pair.n_brackets == {}
+        assert pair.n_bracket_sorts == {}
         e, f, ef = (Multivector.monomial(pair, m) for m in ((1,), (2,), (1, 2)))
         assert n_bracket(pair, [e, ef, f]) == -Multivector.monomial(pair, (1, 2, 3))
         assert n_bracket(pair, [f, e, ef]) == Multivector.monomial(pair, (1, 2, 3))
         assert set(pair.n_brackets) == {((1,), (1, 2), (2,))}
+        # One sorted key, two orders: f before e swaps two odd monomials.
+        key = ((1,), (1, 2), (2,))
+        assert pair.n_bracket_sorts == {key: (key, 1), ((2,), (1,), (1, 2)): (key, -1)}
         # Total length 5 > dim + 1: the bracket would have degree 4 > dim.
         assert n_bracket(pair, [ef, ef, Multivector.monomial(pair, (3,))]).is_zero()
         assert set(pair.n_brackets) == {((1,), (1, 2), (2,))}
+        assert len(pair.n_bracket_sorts) == 2
         assert sl2().n_brackets == {}
+        assert sl2().n_bracket_sorts == {}
         two = cartan(2)
         rng = sampling.rng_for(151)
         for n in (2, 3, 4):
             n_bracket(two, [sampling.random_multivector(two, rng) for _ in range(n)])
         assert two.n_brackets == {}
+        assert two.n_bracket_sorts == {}
+
+    @pytest.mark.parametrize("factory", [sl2, gl2])
+    def test_sort_slot_holds_sorted_keys_and_koszul_signs(self, factory):
+        # Each ordered tuple met maps to its sorted tuple and the Koszul sign
+        # of the sort on the monomial lengths, computed here by koszul_sign.
+        pair = factory()
+        rng = sampling.rng_for(152)
+        palette = [(0,), (1,), (1,), (2,), (0, 1), (1, 2), (0, 2, 3)]
+        for n in range(2, 6):
+            for _ in range(8):
+                n_bracket(pair, [random_argument(pair, rng, rng.choice(palette)) for _ in range(n)])
+        assert len(pair.n_bracket_sorts) > len(pair.n_brackets) > 0
+        assert all(key == tuple(sorted(key)) for key in pair.n_brackets)
+        for monos, (key, sign) in pair.n_bracket_sorts.items():
+            order = sorted(range(len(monos)), key=lambda k: monos[k])
+            assert key == tuple(monos[k] for k in order)
+            # The sort moves monos[order[r]] to place r: the word key is monos permuted by it.
+            assert sign == koszul_sign(Permutation([k + 1 for k in order]), [len(m) for m in monos])
 
     def test_overlong_wide_bracket_is_zero_at_once(self):
         # 6**8 choices of one term per argument, each of length 1 or 2, so
@@ -707,7 +734,7 @@ class TestInjectionMorphismEquation:
             GradedPairElement(pair.scalar_const(c), pair.generator(g))
             for c, g in ((2, 1), (-1, 2), (3, 3), (1, 1))
         ]
-        assert sum(2 ** (4 - len(blocks[star])) for blocks, star, *_ in _twist_table(4)) == 52
+        assert len(_pattern_table(4)[2]) == 52
         counts = Counter()
         for name in ("n_bracket", "natural_injection", "embed"):
             original = getattr(linfty, name)
@@ -843,7 +870,8 @@ class TestPartitionFormMatchesOrderedOracle:
 class TestStructureEquationMatchesPartsOracle:
     """Summing out the largest block with twisted arguments equals the sum
     with one term per choice of homogeneous parts, rendered residual for
-    rendered residual."""
+    rendered residual, and the twisted sum with each term's words and sign
+    computed afresh instead of read from the pattern table."""
 
     @pytest.mark.parametrize(
         "source, target, arities",
@@ -852,7 +880,7 @@ class TestStructureEquationMatchesPartsOracle:
             (gl2, None, range(2, 7)),
             (solvable4, None, range(2, 7)),
             (perturbed_sl2, sl2, range(2, 7)),
-            (lambda: cartan(2), None, range(2, 6)),
+            (lambda: cartan(2), None, range(2, 7)),
             *((factory, None, range(2, 6)) for factory in FRACTIONAL_PAIRS),
         ],
         ids=["sl2", "gl2", "solvable4", "perturbed-sl2-into-sl2", "cartan2", *FRACTIONAL_IDS],
@@ -878,8 +906,59 @@ class TestStructureEquationMatchesPartsOracle:
                 expected = structure_equation_by_parts(source_pair, target_pair, args)
                 got = linfty._structure_equation_residual(source_pair, target_pair, args)
                 assert str(got) == str(expected), (n, trial)
+                assert got == structure_equation_twisted(source_pair, target_pair, args), (n, trial)
                 nonzero += not expected.is_zero()
         assert (nonzero > 0) == (target is not None)
+
+
+class TestPatternTable:
+    """The per-arity table of the structure equation: its rows and words,
+    and residuals on arguments whose parts are missing."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_one_row_per_partition_and_outside_pattern(self, n):
+        words, left, right = _pattern_table(n)
+        rows = partition_table(n)
+        assert len(right) == sum(2 ** (n - max(map(len, blocks))) for blocks, _ in rows)
+        assert len(left) == n * (n - 1) // 2
+        # A word's prefix precedes it, and no word is listed twice.
+        assert all(prefix < w for w, (_, _, prefix) in enumerate(words))
+        assert len(set(words)) == len(words)
+        # Each row names one word per block of its partition, in partition order.
+        lengths = []
+        for w, (_, _, prefix) in enumerate(words):
+            lengths.append(1 if prefix < 0 else lengths[prefix] + 1)
+        at = 0
+        for blocks, _ in rows:
+            for _ in range(2 ** (n - max(map(len, blocks)))):
+                need, ids, factor = right[at]
+                assert [lengths[w] for w in ids] == [len(b) for b in blocks]
+                assert need.bit_count() == n - max(map(len, blocks))
+                assert abs(factor) == math.prod(math.factorial(len(b) - 1) for b in blocks)
+                at += 1
+        assert _pattern_table(n) is _pattern_table(n)
+
+    @pytest.mark.parametrize("factory", [sl2, lambda: cartan(2)], ids=["sl2", "cartan2"])
+    def test_pure_and_zero_arguments(self, factory):
+        # Rows asking for a missing part are skipped; a zero argument leaves
+        # only rows whose words are zero.
+        pair = factory()
+        rng = sampling.rng_for(257)
+        zero = GradedPairElement(pair.scalar_zero(), Vector.zero())
+        for n in (2, 3, 4, 5):
+            for trial in range(4):
+                args = [sampling.random_pair_element(pair, rng) for _ in range(n)]
+                for k in rng.sample(range(n), rng.randint(1, n)):
+                    element = args[k]
+                    if trial == 3 and k == 0:
+                        args[k] = zero
+                    elif rng.random() < 0.5 and not element.vector.is_zero():
+                        args[k] = GradedPairElement(pair.scalar_zero(), element.vector)
+                    elif not element.scalar.is_zero():
+                        args[k] = GradedPairElement(element.scalar, Vector.zero())
+                got = linfty._structure_equation_residual(pair, pair, args)
+                assert got == structure_equation_twisted(pair, pair, args), (n, trial)
+                assert got.is_zero()
 
 
 class TestNoFractionView:

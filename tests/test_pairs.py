@@ -157,6 +157,18 @@ class TestGradedPairElement:
         assert u == GradedPairElement(pair.scalar_variable(1), pair.generator(2))
 
 
+class TestVector:
+    def test_non_integral_generators_are_refused_not_truncated(self):
+        pair = sl2()
+        for gen in (1.9, 1.0, "1"):
+            for coeff in (pair.scalar_one(), pair.scalar_zero()):
+                with pytest.raises(TypeError):
+                    Vector({gen: coeff})
+        with pytest.raises(TypeError, match="vector coefficients must be Scalar values"):
+            Vector({1: 2})
+        assert Vector({1: pair.scalar_one()}) == pair.generator(1)
+
+
 class TestAssociatedBracket:
     def setup_method(self):
         self.pair = cartan(2)

@@ -35,6 +35,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Scalar(1, {(-1,): 1})
 
+    def test_non_integral_exponents_are_refused_not_truncated(self):
+        for exps in ((1.5,), (1.0,), ("1",)):
+            with pytest.raises(TypeError):
+                Scalar(1, {exps: 1})
+            with pytest.raises(TypeError):
+                Scalar.monomial(exps, 1, 1)
+        assert Scalar.monomial((2,), Fraction(1, 2), 1) == Scalar(1, {(2,): Fraction(1, 2)})
+
+    def test_coefficients_become_fractions_once(self):
+        # A Fraction is kept as given; anything else is converted.
+        q = Fraction(3, 7)
+        assert Scalar(0, {(): q}).terms[()] is q
+        for value in (2, "5/3", 0.5):
+            (coeff,) = Scalar.monomial((1,), value, 1).terms.values()
+            assert type(coeff) is Fraction and coeff == Fraction(value)
+
     def test_nvars_zero_is_a_rational(self):
         q = Scalar.const(Fraction(3, 4), 0)
         assert q.is_constant()
