@@ -409,7 +409,9 @@ def structure_equation_twisted(
     ``B*`` (unit ``2 + t_k``, ``t_k`` the parity of the partners' degrees),
     the word keys of the other blocks and the sign of the inversions that
     miss ``B*``; the left side twists the rest of each pair ``i < j`` the
-    same way.  Words are cached per call by ``(block, choice)``.
+    same way.  Words are cached per call by ``(block, choice)``.  Unlike the
+    library, it brackets every pair of nonzero parts and every partition of
+    nonzero words, including those zero by degree or by central constants.
     """
     n = len(args)
     residual = _IntSum()
