@@ -95,8 +95,10 @@ class Scalar:
         """The variable ``x_index`` (1-based)."""
         if not 1 <= index <= nvars:
             raise ValueError(f"variable index {index} out of range 1..{nvars}")
-        exps = tuple(1 if i == index - 1 else 0 for i in range(nvars))
-        return cls(nvars, {exps: Fraction(1)})
+        # A non-integral index cannot index a list: TypeError, not the constant 1.
+        exps = [0] * nvars
+        exps[index - 1] = 1
+        return cls(nvars, {tuple(exps): Fraction(1)})
 
     @classmethod
     def monomial(cls, exps: Sequence[int], coeff: RationalLike, nvars: int) -> Scalar:

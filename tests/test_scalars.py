@@ -61,6 +61,10 @@ class TestConstruction:
         assert x2.terms == {(0, 1, 0): Fraction(1)}
         with pytest.raises(ValueError):
             Scalar.variable(4, 3)
+        # 1.5 is in range, but no variable has that index: it was the constant 1.
+        for index in (1.5, 2.0):
+            with pytest.raises(TypeError):
+                Scalar.variable(index, 3)
 
 
 class TestArithmetic:
