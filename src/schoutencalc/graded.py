@@ -2,27 +2,24 @@
 
 Every sign-weighted sum in the bracket calculus is driven by the
 primitives defined here: enumeration of block-monotone (shuffle)
-permutations and of unordered set partitions, and the sign picked up when a
-permutation reorders a word of graded elements.  An adjacent swap of factors
-with degrees ``d`` and ``d'`` costs ``(-1)**(d*d')``; the total sign is
-independent of the chosen decomposition into adjacent swaps.  Shuffle sums
-read :func:`signed_shuffles`, which enumerates each shuffle family with its
-signs once per pattern of degree parities; sums over set partitions read
-:func:`partition_table`, which enumerates the partitions of one arity with
-the inversions that sign them, once per arity.
+permutations, and the sign picked up when a permutation reorders a word of
+graded elements.  An adjacent swap of factors with degrees ``d`` and ``d'``
+costs ``(-1)**(d*d')``; the total sign is independent of the chosen
+decomposition into adjacent swaps.  Shuffle sums read
+:func:`signed_shuffles`, which enumerates each shuffle family with its signs
+once per pattern of degree parities.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator, Sequence
+from operator import index
 
 __all__ = [
     "Permutation",
     "koszul_sign",
     "parity_sign",
-    "partition_table",
-    "set_partitions",
     "shuffles",
     "signed_shuffles",
 ]
@@ -31,13 +28,13 @@ __all__ = [
 class Permutation:
     """A permutation of ``{1, ..., k}`` stored by its image tuple, as :func:`shuffles` yields it.
 
-    ``p(i)`` is 1-based: ``Permutation((2, 3, 1))(1) == 2``.
+    ``p(i)`` is 1-based: ``Permutation((2, 3, 1))(1) == 2``; a non-integral image raises ``TypeError``.
     """
 
     __slots__ = ("images",)
 
     def __init__(self, images: Sequence[int]):
-        imgs = tuple(int(i) for i in images)
+        imgs = tuple(map(index, images))
         if sorted(imgs) != list(range(1, len(imgs) + 1)):
             raise ValueError(f"not a permutation of 1..{len(imgs)}: {imgs!r}")
         self.images = imgs
@@ -69,9 +66,6 @@ def parity_sign(degree: int) -> int:
 # Keyed by (parts, degree parities): a pure function of a key that the arity
 # bounds, so it is never evicted.
 _SIGNED_SHUFFLES: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple] = {}
-# Keyed by the arity alone, so it holds Bell(n) - 1 rows per arity used
-# whatever the degrees; never evicted either.
-_PARTITION_TABLES: dict[int, tuple] = {}
 
 
 def koszul_sign(s: Permutation, degrees: Sequence[int]) -> int:
@@ -119,53 +113,15 @@ def signed_shuffles(
     return table
 
 
-def partition_table(
-    n: int,
-) -> tuple[tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]], ...]:
-    """The set partitions of ``{1, ..., n}`` into two or more blocks, signed by inversions.
-
-    One ``(blocks, inversions)`` row per partition, in :func:`set_partitions`
-    order without the single block: ``blocks`` holds the blocks zero-based,
-    and ``inversions`` the pairs ``(a, b)`` of zero-based arguments with
-    ``a > b`` that the blocks' concatenation ``s`` lists in that order.  The
-    Koszul sign of ``s`` on a degree vector ``d`` is ``(-1)**sum(d[a] * d[b]
-    for a, b in inversions)``: those are exactly the swaps that
-    :func:`koszul_sign` makes.  The table depends only on ``n``, so it is
-    built once per arity; a bad ``n`` raises as in :func:`set_partitions`.
-    Equal blocks and equal pairs are shared between rows.
-    """
-    table = _PARTITION_TABLES.get(n)
-    if table is None:
-        pairs: dict[tuple[int, int], tuple[int, int]] = {}
-        zero_based: dict[tuple[int, ...], tuple[int, ...]] = {}
-        rows = []
-        for blocks in set_partitions(n):
-            if len(blocks) < 2:
-                continue
-            order = [i - 1 for block in blocks for i in block]
-            inversions = tuple(
-                pairs.setdefault((a, b), (a, b))
-                for k, a in enumerate(order)
-                for b in order[k + 1 :]
-                if a > b
-            )
-            rows.append((
-                tuple(zero_based.setdefault(b, tuple([i - 1 for i in b])) for b in blocks),
-                inversions,
-            ))
-        table = _PARTITION_TABLES[n] = tuple(rows)
-    return table
-
-
 def shuffles(parts: Sequence[int]) -> Iterator[Permutation]:
     """Stream the ``(p_1, ..., p_n)``-shuffles of ``S_{p_1+...+p_n}``.
 
     A shuffle is increasing within each consecutive block of positions; the
     stream is strictly lexicographic on image tuples and yields each shuffle
     exactly once (multinomial count in total).  Bad parts raise immediately,
-    not on first consumption.
+    not on first consumption; a non-integral part raises ``TypeError``.
     """
-    sizes = tuple(int(p) for p in parts)
+    sizes = tuple(map(index, parts))
     if not sizes:
         raise ValueError("parts must be nonempty")
     if any(p <= 0 for p in sizes):
@@ -187,22 +143,3 @@ def _shuffle_stream(sizes: tuple[int, ...]) -> Iterator[Permutation]:
 
     for images in gen(tuple(range(1, sum(sizes) + 1)), sizes):
         yield Permutation._trusted(images)
-
-
-def set_partitions(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """The unordered set partitions of ``{1, ..., n}``, Bell-number many.
-
-    Each block is increasing and blocks are ordered by their least element,
-    so concatenating the blocks gives a shuffle of the block sizes.
-    """
-    if n < 1:
-        raise ValueError(f"n must be positive: {n}")
-    partitions: list[list[list[int]]] = [[[1]]]
-    for i in range(2, n + 1):
-        grown = []
-        for blocks in partitions:
-            for j in range(len(blocks)):
-                grown.append(blocks[:j] + [blocks[j] + [i]] + blocks[j + 1 :])
-            grown.append(blocks + [[i]])
-        partitions = grown
-    return [tuple(tuple(block) for block in blocks) for blocks in partitions]

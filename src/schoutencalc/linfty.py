@@ -11,25 +11,15 @@ x_n ^ ... ^ x_1`` together with the checker of its weak-morphism structure
 equation, and the exact combinatorial sum over ordered compositions whose
 value ``1/2`` closes the injection argument.
 
-The checker sums the right side of the structure equation over unordered
-set partitions of the arguments with coefficient 1 (the unshuffle form of
-Lada-Markl).  That equals the ``1/p!``-weighted sum over ordered
-compositions because the injection's components are multilinear and graded
-symmetric in the tensor grading, with an image carrying the total degree of
-its arguments, and the target bracket is graded symmetric too: the ``p!``
-block orders of one partition give equal terms.  Each argument splits into
-a scalar part of degree 0 and a vector part of degree 1.  For each
-partition the checker enumerates the parts only of the arguments outside
-its largest block ``B*`` and sums ``B*``'s exactly: no inversion lies inside
-an increasing block, so the Koszul sign factors over ``B*``'s elements, and
-by multilinearity each ``k`` in ``B*`` enters as ``x_k^0 + (-1)**t_k
-x_k^1``, ``t_k`` the parity of the outside degrees that inversions join to
-``k`` (the proof is in ``_structure_equation_residual``).  The left side is
-twisted the same way, one term per pair ``i < j`` and choice of their parts:
-``sn_sym`` of the two embedded parts, which is their bracket in ``A (+) g``,
-wedged under the cached word of the rest, as on the right side.  What
-depends on the arity alone (each term's words, twists and sign, per pattern
-of part degrees) is read from one table per arity.
+The checker writes the right side of the structure equation over unordered
+set partitions with coefficient 1 (the unshuffle form of Lada-Markl).  The
+weights ``(-1)**(m-1) (m-1)!`` of the injection's components, the Moebius
+function of the partition lattice, collapse that sum to the brackets of two
+blocks that leave at most one argument out; in each, the parts of the
+arguments are enumerated only outside the larger block, which enters with
+twisted arguments ``x_k^0 + (-1)**t_k x_k^1``, as does the rest on the left
+side.  The proofs are in ``_structure_equation_residual``; what depends on
+the arity alone is read from one table per arity.
 
 Every sum here adds the ``int`` numerators of int forms ``(D, rows)`` (see
 :mod:`schoutencalc.exterior`), so no ``Fraction`` is built before a result is
@@ -48,7 +38,7 @@ from fractions import Fraction
 
 from .errors import UnsupportedPairError
 from .exterior import Multivector, _IntSum, _of_form, embed, tensor_degree, wedge
-from .graded import parity_sign, partition_table, signed_shuffles
+from .graded import parity_sign, signed_shuffles
 from .pairs import GradedPairElement, LieRinehartPair
 from .report import BracketReport, run_identity
 
@@ -316,12 +306,17 @@ def _compositions(n: int, p: int):
         yield tuple(bounds[i + 1] - bounds[i] for i in range(p))
 
 
-# Keyed by the arity alone, like graded.partition_table; never evicted.
-_PATTERN_TABLES: dict[int, tuple] = {}
+def _weight(m: int) -> int:
+    """``w(m) = (-1)**(m-1) (m-1)!``, the constant of the injection's component ``i_m``."""
+    return parity_sign(m - 1) * math.factorial(m - 1)
 
 
-def _pattern_table(n: int) -> tuple:
-    """The structure equation's words and terms at arity ``n``, for every pattern of part degrees.
+# Keyed by the arity alone; never evicted.
+_PAIR_TABLES: dict[int, tuple] = {}
+
+
+def _pair_table(n: int) -> tuple:
+    """The structure equation's words and terms at arity ``n``.
 
     ``(words, left, right)``.  ``words[w] = (k, u, prefix)`` is the word
     ``units[k][u] ^ words[prefix]``, or ``units[k][u]`` alone when ``prefix``
@@ -330,106 +325,86 @@ def _pattern_table(n: int) -> tuple:
     ``x^0 + (-1)**t x^1``.  ``left`` has one ``(i, j, rest)`` per pair ``i <
     j``: ``rest[2 d_i + d_j]`` is the id of the word of the other arguments
     twisted by ``t_k = d_i [k < i] + d_j [k < j]``, ``-1`` when there are
-    none.  ``right`` has one ``(need, ids, factor)`` per row of
-    ``partition_table(n)`` and pattern of degrees ``d`` on the arguments
-    outside its first largest block ``B*``, in the order of
-    ``itertools.product``: ``need`` has bit ``2m + d_m`` set for each outside
-    ``m``, ``ids`` are the blocks' words (parts of those degrees, and on
-    ``B*`` each ``k`` twisted by the parity of the outside degrees that the
-    partition's inversions join to ``k``), and ``factor`` is the term's
-    coefficient in LHS minus RHS, ``-e'(d) prod (-1)**(|B|-1) (|B|-1)!``,
-    ``e'`` signed by the inversions that touch no argument of ``B*``.
-
-    The patterns of one partition are walked depth first, one outside
-    argument at a time in increasing order, so each step extends one
-    block's word by one unit and updates the twists and the sign by bit
-    masks.  Equal ``need`` and ``factor`` values are shared between rows.
+    none.  ``right`` has one ``(r, d_r, groups)`` per argument ``r`` left
+    out and its degree, and ``(-1, 0, groups)``: one row per split of the
+    other arguments into ``F``, holding the least, and ``S``, and choice of
+    degrees on the smaller block (``S`` on a tie), 68 at n = 4.  A row
+    ``(fixed, factor)`` is ``factor x_r^(d_r) ^ {W_F, W_S}``, ``fixed`` the
+    smaller block's word and ``factor = -e'(d) w(|F|) w(|S|)``, ``e'``
+    signed by the inversions that miss the larger block, whose word is
+    twisted by the parity of the fixed degrees that the inversions of ``F S
+    r`` join to each of its arguments.  The rows sharing a twisted word
+    ``w`` form one group ``(w, summed_first, rows)``, ``summed_first``
+    telling if ``w`` is ``W_F``.
     """
-    table = _PATTERN_TABLES.get(n)
+    table = _PAIR_TABLES.get(n)
     if table is None:
         ids: dict[tuple[int, int, int], int] = {}
         words: list[tuple[int, int, int]] = []
 
-        def extend(prefix: int, k: int, u: int) -> int:
-            spec = (k, u, prefix)
-            w = ids.get(spec)
-            if w is None:
-                w = ids[spec] = len(words)
-                words.append(spec)
-            return w
-
         def word(block: tuple[int, ...], choice) -> int:
             w = -1
             for k, u in zip(block, choice):
-                w = extend(w, k, u)
+                spec = (k, u, w)
+                w = ids.get(spec)
+                if w is None:
+                    w = ids[spec] = len(words)
+                    words.append(spec)
             return w
 
         left = []
         for i, j in itertools.combinations(range(n), 2):
             rest = tuple(k for k in range(n) if k != i and k != j)
-            twisted = [
-                word(rest, [2 + (di * (k < i) + dj * (k < j)) % 2 for k in rest]) if rest else -1
-                for di in (0, 1)
-                for dj in (0, 1)
+            twists = [[2 + (di * (k < i) + dj * (k < j)) % 2 for k in rest] for di in (0, 1) for dj in (0, 1)]
+            left.append((i, j, tuple(word(rest, t) for t in twists)))
+        right = []
+        for r in range(-1, n):
+            rest = [k for k in range(n) if k != r]
+            splits = [
+                ((rest[0], *chosen), tuple(k for k in rest[1:] if k not in chosen))
+                for size in range(len(rest) - 1)
+                for chosen in itertools.combinations(rest[1:], size)
             ]
-            left.append((i, j, tuple(twisted)))
-        right: list = []
-        shared: dict[int, int] = {}
-        for blocks, inversions in partition_table(n):
-            star = max(range(len(blocks)), key=lambda b: len(blocks[b]))
-            inside = blocks[star]
-            outside = [k for k in range(n) if k not in inside]
-            block_of = {k: b for b, block in enumerate(blocks) for k in block}
-            constant = math.prod([parity_sign(len(b) - 1) * math.factorial(len(b) - 1) for b in blocks])
-            # No inversion lies inside B*.  Bit r of twists[m] marks that an
-            # inversion joins m to B*'s r-th argument; bit k of joined[m] that
-            # one joins m to the outside argument k.
-            twists = [0] * n
-            joined = [0] * n
-            for a, b in inversions:
-                if a in inside or b in inside:
-                    k, m = (a, b) if a in inside else (b, a)
-                    twists[m] |= 1 << inside.index(k)
-                else:
-                    joined[a] |= 1 << b
-                    joined[b] |= 1 << a
-            starred: dict[int, int] = {}
-            state = [-1] * len(blocks)
-
-            def walk(pos: int, need: int, ones: int, odd: int, t: int) -> None:
-                if pos == len(outside):
-                    w = starred.get(t)
-                    if w is None:
-                        w = starred[t] = word(inside, [2 + (t >> r & 1) for r in range(len(inside))])
-                    state[star] = w
-                    factor = constant if odd else -constant
-                    right.append((shared.setdefault(need, need), tuple(state), shared.setdefault(factor, factor)))
-                    return
-                m = outside[pos]
-                b = block_of[m]
-                prefix = state[b]
-                state[b] = extend(prefix, m, 0)
-                walk(pos + 1, need | 1 << 2 * m, ones, odd, t)
-                state[b] = extend(prefix, m, 1)
-                odd ^= (ones & joined[m]).bit_count() & 1
-                walk(pos + 1, need | 2 << 2 * m, ones | 1 << m, odd, t ^ twists[m])
-                state[b] = prefix
-
-            walk(0, 0, 0, 0, 0)
-        table = _PATTERN_TABLES[n] = (tuple(words), tuple(left), tuple(right))
+            for dr in (0, 1) if r >= 0 else (0,):
+                groups: dict[tuple[int, bool], list] = {}
+                for first, second in splits:
+                    summed_first = len(first) >= len(second)
+                    large, small = (first, second) if summed_first else (second, first)
+                    order = first + second + ((r,) if r >= 0 else ())
+                    inversions = [(a, b) for at, a in enumerate(order) for b in order[at + 1 :] if a > b]
+                    # No inversion lies inside the larger block, so each one
+                    # touching it joins one of its arguments to a fixed one.
+                    partners = [[a + b - k for a, b in inversions if k in (a, b)] for k in large]
+                    missed = [(a, b) for a, b in inversions if a not in large and b not in large]
+                    weight = _weight(len(first)) * _weight(len(second))
+                    for choice in itertools.product((0, 1), repeat=len(small)):
+                        d = {**dict(zip(small, choice)), r: dr}
+                        twisted = word(large, [2 + sum([d[m] for m in ms]) % 2 for ms in partners])
+                        odd = sum([d[a] & d[b] for a, b in missed]) % 2
+                        rows = groups.setdefault((twisted, summed_first), [])
+                        rows.append((word(small, choice), weight if odd else -weight))
+                right.append((r, dr, tuple((w, at, tuple(rows)) for (w, at), rows in groups.items())))
+        table = _PAIR_TABLES[n] = (tuple(words), tuple(left), tuple(right))
     return table
 
 
 def _word(pair: LieRinehartPair, built: list, words: tuple, units: list, w: int) -> Multivector:
-    """Word ``w`` of :func:`_pattern_table` on the units, one wedge onto its cached prefix."""
+    """Word ``w`` of :func:`_pair_table` on the units, one wedge onto its cached prefix."""
     word = built[w]
     if word is None:
         k, u, prefix = words[w]
         word = units[k][u]
-        if prefix >= 0:
+        # A zero unit makes a zero word without its prefix.
+        if prefix >= 0 and word._form[1]:
             word = wedge(pair, word, _word(pair, built, words, units, prefix))
         built[w] = word
     return word
+
+
+def _inert(word: Multivector, central: bool) -> bool:
+    """Whether ``word`` is zero or, with ``central``, a constant."""
+    rows = word._form[1]
+    return not rows or central and len(rows) == 1 and not rows[0][0]
 
 
 def _structure_equation_residual(source_pair, target_pair, args) -> Multivector:
@@ -444,33 +419,55 @@ def _structure_equation_residual(source_pair, target_pair, args) -> Multivector:
 
     The left side is the ``Sh(2, n-2)`` sum, ``R`` the rest in increasing
     order, since ``A (+) g`` has only its binary bracket.  The right side
-    runs over the unordered set partitions of ``1..n`` into ``p >= 2``
-    blocks (the arity-one bracket is zero), blocks increasing and ordered by
-    least element, ``s`` their concatenation: the unshuffle form of
-    Lada-Markl.  Coefficient 1 replaces the ``1/p!`` of the
-    ordered-composition form because the components and the target bracket
-    are multilinear and graded symmetric in the tensor grading, so the
-    ``p!`` block orders give equal terms.  ``e(s; d)`` is ``(-1)**sum(d_a
-    d_b)`` over the inversions ``(a, b)`` of ``s``, from :func:`partition_table`.
+    runs over the set partitions of ``1..n`` into ``p >= 2`` increasing
+    blocks ordered by least element, ``s`` their concatenation and ``e(s;
+    d)`` the sign ``(-1)**sum(d_a d_b)`` of its inversions ``(a, b)``: the
+    unshuffle form of Lada-Markl, whose coefficient 1 replaces the ``1/p!``
+    of ordered compositions since the components and the target bracket are
+    multilinear and graded symmetric in the tensor grading.
 
-    Summing out one block.  Fix a partition and its first largest block
-    ``B*``.  Blocks are increasing, so no inversion lies inside ``B*``, and
-    each inversion touching ``B*`` joins one ``k`` in ``B*`` to one outside
-    argument.  So the Koszul sign factors over ``B*``'s elements:
+    The collapse.  ``i_m(x_B) = w(m) W_B`` with ``W_B = x_(b_m) ^ ... ^
+    x_(b_1)`` and ``w(m) = (-1)**(m-1) (m-1)!``, and each term of ``{y_1,
+    ..., y_p}_p`` on pure degrees is ``e(t) y_t(p) ^ ... ^ y_t(3) ^
+    {y_t(1), y_t(2)}`` for one ``t`` in ``Sh(2, p-2)``.  Group the right
+    side's terms by the blocks ``F`` and ``S`` that the binary bracket
+    joins, ``F`` holding the smaller least element, and let ``R`` be the
+    other arguments, split by the other blocks ``C_1 | ... | C_q``.  The
+    block shuffle's sign times ``e(s; d)`` is the Koszul sign of ``F S c``,
+    ``c = C_1 ... C_q``, so a term is ``w(|F|) w(|S|) prod w(|C_l|)`` times
+    ``e(F S c; d) W_(C_q) ^ ... ^ W_(C_1) ^ {W_F, W_S}``.  The wedge there
+    is ``e(c; d)`` times ``W_R`` (the exterior algebra is graded
+    commutative in the tensor degree) and ``e(F S c; d) = e(F S R; d)
+    e(c; d)``, so that product is ``e(F S R; d) W_R ^ {W_F, W_S}``,
+    whatever the split of ``R``.  The group is therefore one term times
+    ``sum prod w(|C_l|)`` over the partitions of ``R``, which by the
+    exponential formula is ``|R|!`` times the coefficient of ``x**|R|`` in
+    ``exp(sum_k w(k) x**k / k!) = exp(log(1 + x)) = 1 + x``: 1 when ``|R|
+    <= 1`` and 0 otherwise (``w`` is the Moebius function of the partition
+    lattice).  The right side is
 
-        e(s; d) = e'(d) prod_{k in B*} (-1)**(d_k t_k),
+        sum_{F, S, |R| <= 1} sum_d e(F S R; d) w(|F|) w(|S|) x_R^d ^ {W_F, W_S},
 
-    where ``e'`` counts only the inversions that touch no argument of
-    ``B*`` and ``t_k`` is the parity of the degrees of the outside arguments
-    that the inversions join to ``k``.  Neither depends on the degrees on
-    ``B*``, nor do the other blocks' images.  ``i_|B*|`` and the bracket
-    are multilinear, so for fixed outside degrees the ``2**|B*|`` terms of
-    the degrees on ``B*`` sum to one bracket with ``y_k = x_k^0 +
-    (-1)**t_k x_k^1`` in place of ``x_k`` in ``B*``, signed ``e'(d)``.  The
-    left side is the same with ``B* = R``: the inversions of ``(i, j, R)``
-    are ``(i, k)`` for ``k < i`` and ``(j, k)`` for ``k < j``, ``R`` being
-    increasing, so ``t_k = d_i [k < i] + d_j [k < j]``, and there is one
-    term per pair ``i < j`` and choice of ``d_i``, ``d_j``.
+    over the splits of all arguments, or of all but one ``r``, into ``F``
+    and ``S``: ``2**(n-1) - 1 + n (2**(n-2) - 1)`` splits, not ``Bell(n) -
+    1`` partitions.
+
+    Summing out one block.  Let ``L`` be the larger of ``F`` and ``S``
+    (``F`` on a tie).  No inversion of ``F S r`` lies inside the increasing
+    ``L``, and each one touching ``L`` joins one ``k`` in ``L`` to a fixed
+    argument, of the other block or ``r``, so
+
+        e(F S r; d) = e'(d) prod_{k in L} (-1)**(d_k t_k),
+
+    ``e'`` counting the inversions that miss ``L`` and ``t_k`` the parity
+    of the fixed degrees that inversions join to ``k``.  Neither depends on
+    the degrees on ``L``, nor does the other block's word, so by
+    multilinearity the ``2**|L|`` terms of those degrees sum to one with
+    ``y_k = x_k^0 + (-1)**t_k x_k^1`` in place of ``x_k`` in ``L``, signed
+    ``e'(d)``.  The left side is the same with ``L = R``: the inversions of
+    ``(i, j, R)`` are ``(i, k)`` for ``k < i`` and ``(j, k)`` for ``k <
+    j``, so ``t_k = d_i [k < i] + d_j [k < j]``, one term per pair ``i <
+    j`` and choice of ``d_i``, ``d_j``.
 
     The inner bracket.  On parts of degree ``<= 1``, ``embed`` carries the
     bracket ``[(a, x), (b, y)] = (D_x(b) + D_y(a), [x, y])`` of ``A (+) g``
@@ -482,27 +479,24 @@ def _structure_equation_residual(source_pair, target_pair, args) -> Multivector:
     and ``sn_sym`` the source pair's; the constructor rebuilds a bracket of
     another source pair in the target, refusing one that leaves it.
 
-    One table per arity.  Everything above that depends on ``n`` alone,
-    ``B*``, the twists, the signs ``e'(d)``, the constants ``(-1)**(m-1)
-    (m-1)!`` of the images ``i_m`` and the words each term takes, is read
-    from :func:`_pattern_table`, one row per partition and pattern of
-    outside degrees; a row whose pattern asks for a zero part is skipped.
-    Each argument is embedded and cleared once, over its own ``D_k``, into
-    four int-form units: its scalar part, its vector part, and their sum and
-    difference.  A word ``u_(b_m) ^ W(b_1, ..., b_(m-1))`` is one
-    :func:`wedge` onto its cached prefix, over ``D_(b_1) ... D_(b_m)``,
-    built once per call for both sides, so :func:`n_bracket` takes the words.
-    A row is skipped at a zero word (the bracket is multilinear) and, on a
-    trivial-scalar target, when fewer than two of its words are
-    non-constant, counted as the words are built: a constant is central
-    there, so every inner bracket meets one and the n-bracket is zero
-    without a call.  On one pair every term lies over ``D_pair D_1 ...
-    D_n``; the residual is one ``int`` sum, ``exterior._IntSum``.
+    One table per arity, :func:`_pair_table`.  Each argument is embedded
+    and cleared once, over its own ``D_k``, into four int-form units: its
+    scalar part, its vector part, and their sum and difference.  A word
+    ``u_(b_m) ^ W(b_1, ..., b_(m-1))`` is one :func:`wedge` onto its cached
+    prefix, over ``D_(b_1) ... D_(b_m)``, built once per call for both
+    sides.  The rows sharing ``x_r^(d_r)`` and a twisted word add their
+    fixed words first and make one :func:`n_bracket` call, and the brackets
+    sharing ``x_r^(d_r)`` add up under one :func:`wedge`.  Zero words, and
+    on a trivial-scalar target constant ones (a constant is central there),
+    are skipped.  On one pair every term lies over ``D_pair D_1 ... D_n``:
+    the residual is one ``int`` sum, ``exterior._IntSum``.
     """
     from .schouten import sn_sym
 
     n = len(args)
-    words, left, right = _pattern_table(n)
+    if not n:
+        raise ValueError("the structure equation needs at least one argument")
+    words, left, right = _pair_table(n)
     residual = _IntSum()
     units = []
     for x in args:
@@ -513,8 +507,6 @@ def _structure_equation_residual(source_pair, target_pair, args) -> Multivector:
         # Units 0 and 1 are the parts of degree 0 and 1; unit 2 + t is x^0 + (-1)**t x^1.
         units.append([_of_form(target_pair, (dk, part)) for part in (scalar, vector, rows, scalar + minus)])
     degrees = [tuple(d for d in (0, 1) if not unit[d].is_zero()) for unit in units]
-    # Bit 2k + d is set when argument k has no part of degree d.
-    missing = sum([1 << 2 * k + d for k, parts in enumerate(degrees) for d in (0, 1) if d not in parts])
     built: list = [None] * len(words)
     bracketed = units
     if source_pair is not target_pair:
@@ -537,26 +529,33 @@ def _structure_equation_residual(source_pair, target_pair, args) -> Multivector:
                     term = wedge(target_pair, _word(target_pair, built, words, units, w), term)
                 residual.add(term, constant)
 
-    # Fewer than two non-constant words make a zero bracket when constants are central.
-    needed = 2 if target_pair.is_trivial_scalars else 0
-    for need, ids, factor in right:
-        if need & missing:
+    # A zero word brackets to zero, and so does a constant one on a
+    # trivial-scalar target, where a constant is central.
+    central = target_pair.is_trivial_scalars
+    for r, dr, groups in right:
+        if r >= 0 and dr not in degrees[r]:
             continue
-        block_words = []
-        live = 0
-        for w in ids:
-            word = built[w]
-            if word is None:
-                word = _word(target_pair, built, words, units, w)
-            rows = word._form[1]
-            if not rows:
-                break
-            if len(rows) > 1 or rows[0][0]:
-                live += 1
-            block_words.append(word)
-        else:
-            if live >= needed:
-                residual.add(n_bracket(target_pair, block_words), factor)
+        brackets = residual if r < 0 else _IntSum()
+        for w, summed_first, rows in groups:
+            live = []
+            for s, factor in rows:
+                word = built[s] or _word(target_pair, built, words, units, s)
+                if not _inert(word, central):
+                    live.append((word, factor))
+            if not live:
+                continue
+            summed = built[w] or _word(target_pair, built, words, units, w)
+            if _inert(summed, central):
+                continue
+            fixed, factor = live[0]
+            if len(live) > 1:
+                total = _IntSum()
+                for word, c in live:
+                    total.add(word, c)
+                fixed, factor = total.value(target_pair), 1
+            brackets.add(n_bracket(target_pair, [summed, fixed] if summed_first else [fixed, summed]), factor)
+        if r >= 0 and brackets.sums:
+            residual.add(wedge(target_pair, units[r][dr], brackets.value(target_pair)))
     return residual.value(target_pair)
 
 
@@ -573,12 +572,14 @@ def check_linfty_morphism(
 ) -> BracketReport:
     """Evaluate the natural injection's weak-morphism structure equation at arity ``n``.
 
-    ``f`` must be ``injection_family(target.pair)``: the evaluator sums out
-    one block per partition by the injection's multilinearity and graded
-    symmetry, so any other family raises ``TypeError``.  The source is
-    ``A (+) g`` with only its binary bracket, so ``args`` must be
-    :class:`GradedPairElement` values.  The term count grows
-    super-exponentially in ``n``, so ``n`` above 5 is refused.
+    ``f`` must be ``injection_family(target.pair)``: the evaluator collapses
+    the right side to pairs of blocks by the injection's weights and sums
+    out one block per pair by its multilinearity and graded symmetry, so
+    any other family raises ``TypeError``.  The source is ``A (+) g`` with
+    only its binary bracket, so ``args`` must be :class:`GradedPairElement`
+    values.  ``n`` above 5 is refused.  The sum now grows only about
+    threefold per arity; the cap stays as a fixed bound on the cost of one
+    call, like the CLI's ``--n <= 8``, until a cost budget replaces both.
     """
     if f != injection_family(target.pair):
         raise TypeError("check_linfty_morphism evaluates injection_family(target.pair) only")

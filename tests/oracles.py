@@ -26,12 +26,15 @@ choice of homogeneous part of every argument and per set partition, with no
 block summed out and no twisted argument; :func:`source_parts` splits an
 argument into those parts, and :func:`associated_bracket`, the bracket of
 ``A (+) g`` through the vector bracket and the anchor, brackets them.
-:func:`structure_equation_twisted` is the library's evaluator before its
-per-arity pattern table: the same largest block summed out with twisted
-arguments, but each term's twisted choices, word keys and sign computed
-afresh from the outside degrees.  :func:`merge_by_swaps` is the oracle for
-the memoized :func:`schoutencalc.exterior._merge_monomials`: the
-concatenation bubble-sorted, one sign flip per adjacent swap.
+Both sum over :func:`partition_table`, the set partitions of
+:func:`set_partitions` with the inversions that sign them, which the library
+no longer reads: it sums over pairs of blocks.
+:func:`structure_equation_twisted` sums every partition with its largest
+block summed out by twisted arguments, each term's twisted choices, word
+keys and sign computed afresh from the outside degrees.
+:func:`merge_by_swaps` is the oracle for the memoized
+:func:`schoutencalc.exterior._merge_monomials`: the concatenation
+bubble-sorted, one sign flip per adjacent swap.
 :func:`decalage_relation` checks the dictionary between the two Schouten
 brackets, ``{x, y} = e(x) [y, x]``, with both graded symmetries.
 :func:`wedge_by_scalars` is the oracle for
@@ -51,7 +54,7 @@ import math
 
 from schoutencalc.exterior import INHOMOGENEOUS, Multivector, _IntSum, _merge_monomials, _of_form, embed
 from schoutencalc.exterior import tensor_degree, wedge
-from schoutencalc.graded import koszul_sign, parity_sign, partition_table, shuffles, signed_shuffles
+from schoutencalc.graded import koszul_sign, parity_sign, shuffles, signed_shuffles
 from schoutencalc.linfty import _n_bracket_hom, n_bracket, natural_injection
 from schoutencalc.pairs import GradedPairElement, LieRinehartPair, Vector, anchor, bracket_vectors
 from schoutencalc.report import BracketReport
@@ -296,6 +299,68 @@ def n_bracket_hom_parts(pair: LieRinehartPair, args: list[Multivector]) -> Multi
     return out
 
 
+# Keyed by the arity alone, so it holds Bell(n) - 1 rows per arity used
+# whatever the degrees; never evicted.
+_PARTITION_TABLES: dict[int, tuple] = {}
+
+
+def set_partitions(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The unordered set partitions of ``{1, ..., n}``, Bell-number many.
+
+    Each block is increasing and blocks are ordered by their least element,
+    so concatenating the blocks gives a shuffle of the block sizes.
+    """
+    if n < 1:
+        raise ValueError(f"n must be positive: {n}")
+    partitions: list[list[list[int]]] = [[[1]]]
+    for i in range(2, n + 1):
+        grown = []
+        for blocks in partitions:
+            for j in range(len(blocks)):
+                grown.append(blocks[:j] + [blocks[j] + [i]] + blocks[j + 1 :])
+            grown.append(blocks + [[i]])
+        partitions = grown
+    return [tuple(tuple(block) for block in blocks) for blocks in partitions]
+
+
+def partition_table(
+    n: int,
+) -> tuple[tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]], ...]:
+    """The set partitions of ``{1, ..., n}`` into two or more blocks, signed by inversions.
+
+    One ``(blocks, inversions)`` row per partition, in :func:`set_partitions`
+    order without the single block: ``blocks`` holds the blocks zero-based,
+    and ``inversions`` the pairs ``(a, b)`` of zero-based arguments with
+    ``a > b`` that the blocks' concatenation ``s`` lists in that order.  The
+    Koszul sign of ``s`` on a degree vector ``d`` is ``(-1)**sum(d[a] * d[b]
+    for a, b in inversions)``: those are exactly the swaps that
+    :func:`koszul_sign` makes.  The table depends only on ``n``, so it is
+    built once per arity; a bad ``n`` raises as in :func:`set_partitions`.
+    Equal blocks and equal pairs are shared between rows.
+    """
+    table = _PARTITION_TABLES.get(n)
+    if table is None:
+        pairs: dict[tuple[int, int], tuple[int, int]] = {}
+        zero_based: dict[tuple[int, ...], tuple[int, ...]] = {}
+        rows = []
+        for blocks in set_partitions(n):
+            if len(blocks) < 2:
+                continue
+            order = [i - 1 for block in blocks for i in block]
+            inversions = tuple(
+                pairs.setdefault((a, b), (a, b))
+                for k, a in enumerate(order)
+                for b in order[k + 1 :]
+                if a > b
+            )
+            rows.append((
+                tuple(zero_based.setdefault(b, tuple([i - 1 for i in b])) for b in blocks),
+                inversions,
+            ))
+        table = _PARTITION_TABLES[n] = tuple(rows)
+    return table
+
+
 def source_parts(pair: LieRinehartPair, x: GradedPairElement) -> list[tuple[GradedPairElement, int]]:
     """``x``'s nonzero degree-0 scalar and degree-1 vector parts with their degrees."""
     out: list[tuple[GradedPairElement, int]] = []
@@ -402,8 +467,9 @@ def structure_equation_twisted(
 ) -> Multivector:
     """LHS minus RHS of the natural injection's structure equation, ``B*`` summed out per term.
 
-    The proof of the twist is in
-    ``schoutencalc.linfty._structure_equation_residual``.  Here every
+    ``schoutencalc.linfty._structure_equation_residual`` proves the twist
+    for the larger block of two; it holds for any increasing block, which
+    no inversion lies inside.  Here every
     partition of :func:`twist_table` enumerates the available degrees of its
     outside arguments and builds, for each choice, the twisted units of
     ``B*`` (unit ``2 + t_k``, ``t_k`` the parity of the partners' degrees),

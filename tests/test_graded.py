@@ -7,16 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schoutencalc import graded
-from schoutencalc.graded import (
-    Permutation,
-    koszul_sign,
-    parity_sign,
-    partition_table,
-    set_partitions,
-    shuffles,
-    signed_shuffles,
-)
+import oracles
+from oracles import partition_table, set_partitions
+from schoutencalc.graded import Permutation, koszul_sign, parity_sign, shuffles, signed_shuffles
 
 
 def brute_force_shuffles(parts):
@@ -91,6 +84,12 @@ class TestPermutation:
             Permutation((1, 1))
         with pytest.raises(ValueError):
             Permutation((0, 1))
+
+    def test_refuses_non_integral_images(self):
+        # int() would truncate (1.5, 2.9) to the identity (1, 2).
+        for images in ((1.5, 2.9), (1, 2.0), ("1", "2")):
+            with pytest.raises(TypeError):
+                Permutation(images)
 
     def test_call_is_one_based(self):
         s = Permutation((2, 3, 1))
@@ -183,6 +182,12 @@ class TestShuffles:
             list(shuffles(()))
         with pytest.raises(ValueError):
             list(shuffles((2, 0)))
+
+    def test_refuses_non_integral_parts_at_once(self):
+        # int() would truncate (1.9, 1) to the (1, 1)-shuffles (1, 2) and (2, 1).
+        for parts in ((1.9, 1), (2, 1.0), ("2", 1)):
+            with pytest.raises(TypeError):
+                shuffles(parts)
 
     @pytest.mark.parametrize(
         "parts",
@@ -301,12 +306,12 @@ class TestPartitionTable:
                 assert table_sign(inversions, degrees) == koszul_sign(s, degrees)
 
     def test_one_table_per_arity(self):
-        graded._PARTITION_TABLES.clear()
+        oracles._PARTITION_TABLES.clear()
         for n in range(2, 7):
             for _ in range(3):
                 partition_table(n)
-        assert sorted(graded._PARTITION_TABLES) == [2, 3, 4, 5, 6]
-        assert [len(graded._PARTITION_TABLES[n]) for n in range(2, 7)] == [1, 4, 14, 51, 202]
+        assert sorted(oracles._PARTITION_TABLES) == [2, 3, 4, 5, 6]
+        assert [len(oracles._PARTITION_TABLES[n]) for n in range(2, 7)] == [1, 4, 14, 51, 202]
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):

@@ -4,9 +4,13 @@ import dataclasses
 import gc
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from fixtures import sl2_to_gl2
@@ -14,6 +18,7 @@ from oracles import (
     associated_bracket,
     n_bracket_hom_parts,
     n_bracket_shuffle,
+    set_partitions,
     source_parts,
     structure_equation_by_parts,
     structure_equation_twisted,
@@ -30,12 +35,12 @@ from schoutencalc.exterior import (
     tensor_degree,
     wedge,
 )
-from schoutencalc.graded import Permutation, koszul_sign, partition_table, shuffles
+from schoutencalc.graded import Permutation, koszul_sign, shuffles
 from schoutencalc.instances import abelian, cartan, gl2, perturbed_sl2, sl2, solvable4
 from schoutencalc.linfty import (
     BracketFamily,
     _compositions,
-    _pattern_table,
+    _pair_table,
     ce_differential,
     check_linfty_morphism,
     composition_identity_lhs,
@@ -662,6 +667,10 @@ class TestInjectionMorphismEquation:
             residual = injection_morphism_residual(pair, args)
             assert residual.is_zero(), str(residual)
 
+    def test_empty_args_rejected(self):
+        with pytest.raises(ValueError, match="at least one argument"):
+            injection_morphism_residual(sl2(), [])
+
     def test_check_wrapper(self):
         pair = sl2()
         rng = sampling.rng_for(151)
@@ -723,18 +732,21 @@ class TestInjectionMorphismEquation:
         assert family(3)(elems) == natural_injection(pair, elems)
 
     def test_call_counts_at_arity_four(self, monkeypatch):
-        # One bracket per partition and choice of degrees outside its largest
-        # block: 52 here, against 208 with one term per choice of parts.  On
-        # this trivial-scalar target the 14 with fewer than two non-constant
-        # words are skipped, which leaves 38.  The left side is built from the
-        # embedded arguments' words: no injection is evaluated, and each
-        # argument is embedded once.
+        # The table's 68 rows, one per pair of blocks and pattern of fixed
+        # degrees, make one binary bracket per pair of blocks, argument left
+        # out and twisted word: 43 here, against 208 terms with one per
+        # choice of parts.  On this trivial-scalar target the 10 whose other
+        # words are all constant are skipped, which leaves 33.  The left side
+        # is built from the embedded arguments' words: no injection is
+        # evaluated, and each argument is embedded once.
         pair = sl2()
         args = [
             GradedPairElement(pair.scalar_const(c), pair.generator(g))
             for c, g in ((2, 1), (-1, 2), (3, 3), (1, 1))
         ]
-        assert len(_pattern_table(4)[2]) == 52
+        right = _pair_table(4)[2]
+        assert sum(len(rows) for _, _, groups in right for _, _, rows in groups) == 68
+        assert sum(len(groups) for _, _, groups in right) == 43
         counts = Counter()
         for name in ("n_bracket", "natural_injection", "embed"):
             original = getattr(linfty, name)
@@ -745,7 +757,7 @@ class TestInjectionMorphismEquation:
 
             monkeypatch.setattr(linfty, name, counted)
         assert injection_morphism_residual(pair, args).is_zero()
-        assert 0 < counts["n_bracket"] <= 38
+        assert 0 < counts["n_bracket"] <= 33
         assert counts["natural_injection"] == 0
         assert counts["embed"] <= len(args)
 
@@ -821,7 +833,7 @@ class TestStrictMorphism:
 
 
 class TestPartitionFormMatchesOrderedOracle:
-    """The set-partition evaluator equals the ordered-composition sum exactly."""
+    """The structure-equation evaluator equals the ordered-composition sum exactly."""
 
     @pytest.mark.parametrize("factory", [sl2, lambda: cartan(2)])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -868,10 +880,10 @@ class TestPartitionFormMatchesOrderedOracle:
 
 
 class TestStructureEquationMatchesPartsOracle:
-    """Summing out the largest block with twisted arguments equals the sum
-    with one term per choice of homogeneous parts, rendered residual for
-    rendered residual, and the twisted sum with each term's words and sign
-    computed afresh instead of read from the pattern table."""
+    """The sum over pairs of blocks, each with its larger block summed out,
+    equals the sum with one term per choice of homogeneous parts and set
+    partition, rendered residual for rendered residual, and the sum over
+    every set partition with its largest block summed out."""
 
     @pytest.mark.parametrize(
         "source, target, arities",
@@ -910,33 +922,107 @@ class TestStructureEquationMatchesPartsOracle:
                 nonzero += not expected.is_zero()
         assert (nonzero > 0) == (target is not None)
 
+    def test_arity_seven_into_another_bracket(self):
+        source_pair, target_pair = perturbed_sl2(), sl2()
+        rng = sampling.rng_for(223)
+        args = [
+            GradedPairElement(source_pair.scalar_const(1), source_pair.generator(1)),
+            GradedPairElement(source_pair.scalar_zero(), source_pair.generator(2)),
+            *(sampling.random_pair_element(source_pair, rng, ensure_mixed=True) for _ in range(5)),
+        ]
+        got = linfty._structure_equation_residual(source_pair, target_pair, args)
+        assert not got.is_zero()
+        assert got == structure_equation_twisted(source_pair, target_pair, args)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    def test_arity_nine_in_bounded_memory(self):
+        # The sum over Bell(9) - 1 partitions and patterns of outside degrees
+        # held 1,206,482 table rows, and its process peaked near 212 MB; the
+        # sum over pairs of blocks holds 23,298.  A fresh interpreter reports
+        # the peak resident set of its own address space (tracemalloc would
+        # slow the call down fifteenfold, and ru_maxrss keeps the peak of the
+        # process it was started from).
+        child = (
+            "from schoutencalc import linfty, sampling\n"
+            "from schoutencalc.instances import sl2\n"
+            "pair = sl2()\n"
+            "rng = sampling.rng_for(227)\n"
+            "args = [sampling.random_pair_element(pair, rng, ensure_mixed=True) for _ in range(9)]\n"
+            "print(linfty.injection_morphism_residual(pair, args).is_zero())\n"
+            "print(*[line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(linfty.__file__).parents[1]), *sys.path]))
+        proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        zero, peak_kib = proc.stdout.split()
+        assert zero == "True"
+        assert int(peak_kib) < 64 * 1024
+
 
 class TestPatternTable:
     """The per-arity table of the structure equation: its rows and words,
     and residuals on arguments whose parts are missing."""
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_one_row_per_partition_and_outside_pattern(self, n):
-        words, left, right = _pattern_table(n)
-        rows = partition_table(n)
-        assert len(right) == sum(2 ** (n - max(map(len, blocks))) for blocks, _ in rows)
+        # The partitions are the splits of all arguments, or of all but one
+        # r, into blocks F and S, and the patterns those of the degrees
+        # outside the larger block, which is summed out.
+        words, left, right = _pair_table(n)
+        splits = [(-1, blocks) for blocks in set_partitions(n) if len(blocks) == 2]
+        for r in range(n if n > 1 else 0):
+            rest = [k + 1 for k in range(n) if k != r]
+            splits += [
+                (r, tuple(tuple(rest[i - 1] for i in b) for b in blocks))
+                for blocks in set_partitions(n - 1)
+                if len(blocks) == 2
+            ]
+        expected = sum(2 ** (min(map(len, blocks)) + (r >= 0)) for r, blocks in splits)
+        assert expected == {1: 0, 4: 68, 8: 7184}.get(n, expected)
         assert len(left) == n * (n - 1) // 2
         # A word's prefix precedes it, and no word is listed twice.
         assert all(prefix < w for w, (_, _, prefix) in enumerate(words))
         assert len(set(words)) == len(words)
-        # Each row names one word per block of its partition, in partition order.
-        lengths = []
-        for w, (_, _, prefix) in enumerate(words):
-            lengths.append(1 if prefix < 0 else lengths[prefix] + 1)
-        at = 0
-        for blocks, _ in rows:
-            for _ in range(2 ** (n - max(map(len, blocks)))):
-                need, ids, factor = right[at]
-                assert [lengths[w] for w in ids] == [len(b) for b in blocks]
-                assert need.bit_count() == n - max(map(len, blocks))
-                assert abs(factor) == math.prod(math.factorial(len(b) - 1) for b in blocks)
-                at += 1
-        assert _pattern_table(n) is _pattern_table(n)
+
+        def spell(w):
+            """The word's arguments, one-based, and units, in increasing order."""
+            spelled = []
+            while w >= 0:
+                k, u, w = words[w]
+                spelled.append((k + 1, u))
+            return tuple(zip(*reversed(spelled)))
+
+        seen = set()
+        for r, dr, groups in right:
+            assert dr in ((0, 1) if r >= 0 else (0,))
+            for w, summed_first, rows in groups:
+                summed, twists = spell(w)
+                assert min(twists) >= 2
+                for s, factor in rows:
+                    fixed, pattern = spell(s)
+                    assert max(pattern) <= 1
+                    first, second = (summed, fixed) if summed_first else (fixed, summed)
+                    assert list(first) == sorted(first) and list(second) == sorted(second)
+                    assert first[0] < second[0]
+                    assert sorted(first + second + ((r + 1,) if r >= 0 else ())) == list(range(1, n + 1))
+                    assert len(summed) > len(fixed) or len(summed) == len(fixed) and summed_first
+                    assert abs(factor) == math.factorial(len(first) - 1) * math.factorial(len(second) - 1)
+                    seen.add((r, first, second, dr, pattern))
+        assert sum(len(rows) for _, _, groups in right for _, _, rows in groups) == len(seen) == expected
+        assert {(r, (first, second)) for r, first, second, _, _ in seen} == set(splits)
+        assert _pair_table(n) is _pair_table(n)
+
+    def test_block_weights_sum_to_one_on_at_most_one_argument(self):
+        # The collapse: summed over the partitions of m arguments, the
+        # product of the weights w(|B|) = (-1)**(|B|-1) (|B|-1)! is 1 when
+        # m <= 1 and 0 otherwise, so only brackets leaving at most one
+        # argument out survive.
+        def w(size):
+            return (-1) ** (size - 1) * math.factorial(size - 1)
+
+        for m in range(1, 9):
+            assert linfty._weight(m) == w(m)
+            assert sum(math.prod(w(len(b)) for b in blocks) for blocks in set_partitions(m)) == (m <= 1)
 
     @pytest.mark.parametrize("factory", [sl2, lambda: cartan(2)], ids=["sl2", "cartan2"])
     def test_pure_and_zero_arguments(self, factory):
