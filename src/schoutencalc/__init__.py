@@ -41,20 +41,20 @@ from .pairs import (
     Vector,
     anchor,
     bracket_vectors,
-    check_leibniz,
     check_pair_morphism,
+    leibniz_residual,
     load_morphism,
     load_pair,
 )
 from .report import BracketReport, run_identity
 from .scalars import Scalar, parse_fraction
 from .schouten import (
-    check_antisym_jacobi,
-    check_morphism_respects_sn,
-    check_poisson,
-    check_sym_jacobi,
+    antisym_jacobi_residual,
+    morphism_sn_residual,
+    poisson_residual,
     sn_antisym,
     sn_sym,
+    sym_jacobi_residual,
 )
 
 __version__ = "0.1.0"

@@ -8,10 +8,12 @@ Commands::
     schoutencalc --pair PATH info
 
 ``--pair`` accepts a JSON document path or a ``builtin:<name>`` shortcut
-(sl2, gl2, solvable4, abelian2, abelian3, cartan1..3).  ``--n``, ``--p``,
-``--q`` and ``--morphism`` given to a suite that does not read them are
-usage errors.  Exit codes: 0 all checks pass, 1 an identity violation was
-found, 2 usage or expression error, 3 bad pair or morphism document.
+(sl2, gl2, solvable4, abelian2, abelian3, cartan1..3).  ``SUITES`` lists
+each suite with the optional flags it reads; ``--n``, ``--p``, ``--q`` or
+``--morphism`` given to any other suite is a usage error.  A suite draws its
+seeded cases here and feeds them to a library residual.  Exit codes: 0 all
+checks pass, 1 an identity violation was found, 2 usage or expression error,
+3 bad pair or morphism document.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from pathlib import Path
 
 from . import sampling
 from .errors import PairDocumentError, ParseError, UnsupportedPairError
-from .exterior import associated_exterior_morphism
+from .exterior import Multivector, associated_exterior_morphism
 from .expr import evaluate
 from .instances import pair_from_spec
 from .linfty import (
@@ -37,18 +39,18 @@ from .linfty import (
 from .pairs import (
     LieRinehartPair,
     PairMorphism,
-    check_leibniz,
     check_pair_morphism,
+    leibniz_residual,
     load_morphism,
     read_document,
 )
 from .report import run_identity
 from .scalars import Scalar
 from .schouten import (
-    check_antisym_jacobi,
-    check_morphism_respects_sn,
-    check_poisson,
-    check_sym_jacobi,
+    antisym_jacobi_residual,
+    morphism_sn_residual,
+    poisson_residual,
+    sym_jacobi_residual,
 )
 
 EXIT_OK = 0
@@ -63,13 +65,39 @@ def _require_pair(pair: LieRinehartPair | None, parser: argparse.ArgumentParser)
     return pair
 
 
+# Highest tensor degree of a sampled argument in the Schouten-layer suites.
+_MAX_DEGREE = 3
+
+
 def _random_homogeneous_args(pair, rng, n):
     return [sampling.random_homogeneous(pair, rng, rng.randint(0, min(2, pair.dim))) for _ in range(n)]
 
 
-def _sampled(check):
-    """A suite of one report from a library check drawing ``--trials`` seeded cases."""
-    return lambda pair, args: [check(pair, trials=args.trials, seed=args.seed)]
+def _run_triples(identity, residual):
+    """A runner of one report: ``residual(pair, x, y, z)`` on ``--trials`` seeded homogeneous triples."""
+
+    def run(pair, args):
+        rng = sampling.rng_for(args.seed)
+        # Vectors and bivectors carry the most signal; scalars and top-degree
+        # elements stay in the mix but less often.
+        palette = [d for d in (0, 1, 1, 2, 2, _MAX_DEGREE) if d <= pair.dim]
+        cases = (
+            tuple(sampling.random_homogeneous(pair, rng, rng.choice(palette)) for _ in range(3))
+            for _ in range(args.trials)
+        )
+        yield run_identity(identity, cases, lambda case: residual(pair, *case), seed=args.seed)
+
+    return run
+
+
+def _run_leibniz(pair, args):
+    rng = sampling.rng_for(args.seed)
+    cases = (
+        (sampling.random_scalar(pair, rng), sampling.random_vector(pair, rng), sampling.random_vector(pair, rng))
+        for _ in range(args.trials)
+    )
+    residual = lambda case: leibniz_residual(pair, *case)
+    yield run_identity("leibniz", cases, residual, show=repr, seed=args.seed)
 
 
 def _run_weak_jacobi(pair, args):
@@ -112,7 +140,14 @@ def _run_morphism_strict(pair, args):
     yield validation
     if not validation.passed:
         return
-    yield check_morphism_respects_sn(morphism, trials=args.trials, seed=args.seed)
+    sn_rng = sampling.rng_for(args.seed)
+    top = min(_MAX_DEGREE, morphism.source.dim)
+    sn_cases = (
+        tuple(sampling.random_homogeneous(morphism.source, sn_rng, sn_rng.randint(0, top)) for _ in range(2))
+        for _ in range(args.trials)
+    )
+    sn_residual = lambda case: morphism_sn_residual(morphism, *case)
+    yield run_identity("morphism-sn", sn_cases, sn_residual, seed=args.seed)
 
     def residual(sample):
         lhs = associated_exterior_morphism(morphism, n_bracket(morphism.source, sample))
@@ -152,36 +187,30 @@ def _run_combinatorial(pair, args):
         yield run_identity("combinatorial", [()], residual, n=n)
 
 
-# Every suite, in the order the CLI lists them: ``runner(pair, args)`` yields
-# reports, and each is printed as soon as it is made.
-RUNNERS = {
-    "leibniz": _sampled(check_leibniz),
-    "jacobi-antisym": _sampled(check_antisym_jacobi),
-    "jacobi-sym": _sampled(check_sym_jacobi),
-    "poisson": _sampled(check_poisson),
-    "weak-jacobi": _run_weak_jacobi,
-    "morphism-injection": _run_morphism_injection,
-    "morphism-strict": _run_morphism_strict,
-    "ce-square-zero": _run_ce_square_zero,
-    "combinatorial": _run_combinatorial,
-}
-SUITES = tuple(RUNNERS)
-# The suites that read each optional flag; a flag given to any other suite
-# is refused.  ``--max-n`` is read by combinatorial alone but has a default,
-# so every suite accepts it.
-FLAG_SUITES = {
-    "n": ("weak-jacobi", "morphism-injection", "morphism-strict"),
-    "p": ("weak-jacobi",),
-    "q": ("weak-jacobi",),
-    "morphism": ("morphism-strict",),
+# Every suite, in the order the CLI lists them: its runner, and the optional
+# flags it reads.  ``runner(pair, args)`` yields reports, and each is printed
+# as soon as it is made.  ``--n``, ``--p``, ``--q`` or ``--morphism`` given
+# to a suite that does not list it is refused.  ``--max-n`` is read by
+# combinatorial alone but has a default, so every suite accepts it.
+SUITES = {
+    "leibniz": (_run_leibniz, ()),
+    "jacobi-antisym": (_run_triples("jacobi-antisym", antisym_jacobi_residual), ()),
+    "jacobi-sym": (_run_triples("jacobi-sym", sym_jacobi_residual), ()),
+    "poisson": (_run_triples("poisson", poisson_residual), ()),
+    "weak-jacobi": (_run_weak_jacobi, ("n", "p", "q")),
+    "morphism-injection": (_run_morphism_injection, ("n",)),
+    "morphism-strict": (_run_morphism_strict, ("n", "morphism")),
+    "ce-square-zero": (_run_ce_square_zero, ()),
+    "combinatorial": (_run_combinatorial, ()),
 }
 
 
 def _cmd_check(pair, args, parser) -> int:
     # Refusals of check's own arguments print check's usage line, not the top-level one.
     check_parser = args.check_parser
-    for flag, suites in FLAG_SUITES.items():
-        if getattr(args, flag) is not None and args.suite not in suites:
+    runner, flags = SUITES[args.suite]
+    for flag in ("n", "p", "q", "morphism"):
+        if getattr(args, flag) is not None and flag not in flags:
             check_parser.error(f"--{flag} does not apply to {args.suite}")
     if args.trials < 1:
         check_parser.error("--trials must be at least 1")
@@ -194,15 +223,13 @@ def _cmd_check(pair, args, parser) -> int:
         if args.suite == "ce-square-zero" and not pair.is_trivial_scalars:
             check_parser.error("ce-square-zero is defined only for trivial-scalar pairs")
     passed = True
-    for report in RUNNERS[args.suite](pair, args):
+    for report in runner(pair, args):
         print(report.to_json() if args.json else report.render_text())
         passed &= report.passed
     return EXIT_OK if passed else EXIT_VIOLATION
 
 
 def _cmd_info(pair: LieRinehartPair, as_json: bool) -> int:
-    from .exterior import Multivector
-
     generators = [pair.generator_name(i) for i in range(1, pair.dim + 1)]
     brackets = {
         f"[{pair.generator_name(i)}, {pair.generator_name(j)}]": str(

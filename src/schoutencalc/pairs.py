@@ -23,7 +23,7 @@ from pathlib import Path
 from types import MappingProxyType
 
 from .errors import PairDocumentError
-from .report import BracketReport, run_identity
+from .report import BracketReport
 from .scalars import Scalar, parse_fraction
 
 __all__ = [
@@ -33,8 +33,8 @@ __all__ = [
     "Vector",
     "anchor",
     "bracket_vectors",
-    "check_leibniz",
     "check_pair_morphism",
+    "leibniz_residual",
     "load_morphism",
     "load_pair",
     "read_document",
@@ -392,31 +392,16 @@ class PairMorphism:
         return f"PairMorphism({self.source.name!r} -> {self.target.name!r})"
 
 
-# -- randomized identity checks ---------------------------------------------
+# -- identity checks ----------------------------------------------------------
 
 
-def check_leibniz(pair: LieRinehartPair, trials: int = 200, seed: int = 0) -> BracketReport:
-    """Sample ``a, x, y`` and assert ``[x, a y] - D_x(a) y - a [x, y] = 0``."""
-    from . import sampling
-
-    def residual(case):
-        a, x, y = case
-        return (
-            bracket_vectors(pair, x, y.scaled(a))
-            - y.scaled(anchor(pair, x, a))
-            - bracket_vectors(pair, x, y).scaled(a)
-        )
-
-    rng = sampling.rng_for(seed)
-    cases = (
-        (
-            sampling.random_scalar(pair, rng),
-            sampling.random_vector(pair, rng),
-            sampling.random_vector(pair, rng),
-        )
-        for _ in range(trials)
+def leibniz_residual(pair: LieRinehartPair, a: Scalar, x: Vector, y: Vector) -> Vector:
+    """``[x, a y] - D_x(a) y - a [x, y]``, zero for every scalar ``a`` and vectors ``x, y``."""
+    return (
+        bracket_vectors(pair, x, y.scaled(a))
+        - y.scaled(anchor(pair, x, a))
+        - bracket_vectors(pair, x, y).scaled(a)
     )
-    return run_identity("leibniz", cases, residual, show=repr, seed=seed)
 
 
 def check_pair_morphism(m: PairMorphism, trials: int = 50, seed: int = 0) -> BracketReport:
@@ -527,6 +512,8 @@ def load_pair(document: str | Path | dict, *, validate: bool = True) -> LieRineh
         table: dict[tuple[int, int], Vector] = {}
         for entry in doc.get("brackets", []):
             i, j = _int_from_json(entry["i"], "i"), _int_from_json(entry["j"], "j")
+            if (i, j) in table:
+                raise PairDocumentError(f"bracket key ({i}, {j}) is given twice")
             table[(i, j)] = _vector_from_json(entry["value"], dim, nvars)
         return LieRinehartPair(kind, dim, table, name=doc.get("name", ""), validate=validate)
     except PairDocumentError:

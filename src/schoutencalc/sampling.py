@@ -1,4 +1,5 @@
-"""Seeded random element generators shared by the identity checks.
+"""Seeded random element generators for the command line's case streams and
+``pairs.check_pair_morphism``.
 
 All generators draw from an explicit ``random.Random`` so parallel or
 repeated runs reproduce byte-identical reports.  Coefficients stay small:

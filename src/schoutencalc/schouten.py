@@ -24,6 +24,9 @@ arguments' int forms (table entries are ``int``s over the pair's
 ``Fraction``; :func:`sn_sym` is one :func:`sn_antisym` call.  The independent oracles
 (the term-pair double sum, Poisson-rule recursion and the shuffle form) live
 with the tests, in ``tests/oracles.py``.
+
+The laws are residuals that must vanish, one function each of the pair and
+the case; the command line draws the cases (``cli.SUITES``).
 """
 
 from __future__ import annotations
@@ -32,18 +35,17 @@ from fractions import Fraction
 from operator import add
 
 from .exterior import Multivector, _check_args, _from_cleared, _merge_monomials, _of_form
-from .exterior import tensor_degree, wedge
+from .exterior import associated_exterior_morphism, tensor_degree, wedge
 from .graded import parity_sign, signed_shuffles
 from .pairs import LieRinehartPair, PairMorphism
-from .report import BracketReport, run_identity
 
 __all__ = [
-    "check_antisym_jacobi",
-    "check_morphism_respects_sn",
-    "check_poisson",
-    "check_sym_jacobi",
+    "antisym_jacobi_residual",
+    "morphism_sn_residual",
+    "poisson_residual",
     "sn_antisym",
     "sn_sym",
+    "sym_jacobi_residual",
 ]
 
 
@@ -190,100 +192,48 @@ def sn_sym(pair: LieRinehartPair, x: Multivector, y: Multivector) -> Multivector
     return sn_antisym(pair, y, _of_form(x.pair, (d, twisted)))
 
 
-# -- identity checks ----------------------------------------------------------
+# -- identity residuals --------------------------------------------------------
 
 
-# Highest tensor degree of a sampled argument in the checks below.
-_MAX_DEGREE = 3
-
-
-def _sample_triples(pair, trials, seed):
-    """``trials`` seeded random homogeneous triples, drawn lazily."""
-    from . import sampling
-
-    rng = sampling.rng_for(seed)
-    # Vectors and bivectors carry the most signal; scalars and top-degree
-    # elements stay in the mix but less often.
-    palette = [d for d in (0, 1, 1, 2, 2, _MAX_DEGREE) if d <= pair.dim]
-    for _ in range(trials):
-        yield tuple(sampling.random_homogeneous(pair, rng, rng.choice(palette)) for _ in range(3))
-
-
-def check_antisym_jacobi(
-    pair: LieRinehartPair, trials: int = 200, seed: int = 0
-) -> BracketReport:
-    """Graded Jacobi in the antisymmetric grading on random homogeneous triples."""
-
-    def residual(case):
-        x, y, z = case
-        dx, dy, dz = (tensor_degree(v) - 1 for v in case)
-        return (
-            sn_antisym(pair, x, sn_antisym(pair, y, z)).scaled(parity_sign(dx * dz))
-            + sn_antisym(pair, y, sn_antisym(pair, z, x)).scaled(parity_sign(dx * dy))
-            + sn_antisym(pair, z, sn_antisym(pair, x, y)).scaled(parity_sign(dy * dz))
-        )
-
-    cases = _sample_triples(pair, trials, seed)
-    return run_identity("jacobi-antisym", cases, residual, seed=seed)
-
-
-def check_poisson(
-    pair: LieRinehartPair, trials: int = 200, seed: int = 0
-) -> BracketReport:
-    """Graded Leibniz rule of the bracket against the wedge."""
-
-    def residual(case):
-        x, y, z = case
-        dx = tensor_degree(x) - 1
-        dy = tensor_degree(y) - 1
-        return (
-            sn_antisym(pair, x, wedge(pair, y, z))
-            - wedge(pair, sn_antisym(pair, x, y), z)
-            - wedge(pair, y, sn_antisym(pair, x, z)).scaled(parity_sign(dx * (dy - 1)))
-        )
-
-    cases = _sample_triples(pair, trials, seed)
-    return run_identity("poisson", cases, residual, seed=seed)
-
-
-def check_sym_jacobi(
-    pair: LieRinehartPair, trials: int = 200, seed: int = 0
-) -> BracketReport:
-    """Shuffle-sum Jacobi of the symmetric bracket over ``Sh(2, 1)``."""
-
-    def residual(args):
-        degrees = [tensor_degree(v) for v in args]
-        out = Multivector.zero(pair)
-        for (i, j, k), sign in signed_shuffles((2, 1), degrees):
-            term = sn_sym(pair, sn_sym(pair, args[i], args[j]), args[k])
-            out = out + (term if sign > 0 else -term)
-        return out
-
-    cases = _sample_triples(pair, trials, seed)
-    return run_identity("jacobi-sym", cases, residual, seed=seed)
-
-
-def check_morphism_respects_sn(
-    m: PairMorphism, trials: int = 100, seed: int = 0
-) -> BracketReport:
-    """Prolonged morphisms are bracket morphisms: ``F([x,y]) = [F(x), F(y)]``."""
-    from . import sampling
-    from .exterior import associated_exterior_morphism
-
-    def residual(case):
-        x, y = case
-        lhs = associated_exterior_morphism(m, sn_antisym(m.source, x, y))
-        rhs = sn_antisym(
-            m.target,
-            associated_exterior_morphism(m, x),
-            associated_exterior_morphism(m, y),
-        )
-        return lhs - rhs
-
-    rng = sampling.rng_for(seed)
-    max_degree = min(_MAX_DEGREE, m.source.dim)
-    cases = (
-        tuple(sampling.random_homogeneous(m.source, rng, rng.randint(0, max_degree)) for _ in range(2))
-        for _ in range(trials)
+def antisym_jacobi_residual(
+    pair: LieRinehartPair, x: Multivector, y: Multivector, z: Multivector
+) -> Multivector:
+    """Graded Jacobi in the antisymmetric grading on homogeneous ``x, y, z``."""
+    dx, dy, dz = (tensor_degree(v) - 1 for v in (x, y, z))
+    return (
+        sn_antisym(pair, x, sn_antisym(pair, y, z)).scaled(parity_sign(dx * dz))
+        + sn_antisym(pair, y, sn_antisym(pair, z, x)).scaled(parity_sign(dx * dy))
+        + sn_antisym(pair, z, sn_antisym(pair, x, y)).scaled(parity_sign(dy * dz))
     )
-    return run_identity("morphism-sn", cases, residual, seed=seed)
+
+
+def poisson_residual(
+    pair: LieRinehartPair, x: Multivector, y: Multivector, z: Multivector
+) -> Multivector:
+    """Graded Leibniz rule of the bracket against the wedge, on homogeneous ``x, y``."""
+    dx = tensor_degree(x) - 1
+    dy = tensor_degree(y) - 1
+    return (
+        sn_antisym(pair, x, wedge(pair, y, z))
+        - wedge(pair, sn_antisym(pair, x, y), z)
+        - wedge(pair, y, sn_antisym(pair, x, z)).scaled(parity_sign(dx * (dy - 1)))
+    )
+
+
+def sym_jacobi_residual(
+    pair: LieRinehartPair, x: Multivector, y: Multivector, z: Multivector
+) -> Multivector:
+    """Shuffle-sum Jacobi of the symmetric bracket over ``Sh(2, 1)``, on homogeneous args."""
+    args = (x, y, z)
+    degrees = [tensor_degree(v) for v in args]
+    out = Multivector.zero(pair)
+    for (i, j, k), sign in signed_shuffles((2, 1), degrees):
+        term = sn_sym(pair, sn_sym(pair, args[i], args[j]), args[k])
+        out = out + (term if sign > 0 else -term)
+    return out
+
+
+def morphism_sn_residual(m: PairMorphism, x: Multivector, y: Multivector) -> Multivector:
+    """``F([x, y]) - [F(x), F(y)]`` for the prolongation ``F`` of a validated morphism."""
+    image = lambda v: associated_exterior_morphism(m, v)
+    return image(sn_antisym(m.source, x, y)) - sn_antisym(m.target, image(x), image(y))

@@ -1,11 +1,20 @@
-"""Pair morphisms that the tests build: an inclusion, a scaling and a zero vector map."""
+"""Pair morphisms that the tests build (an inclusion, a scaling and a zero
+vector map), and a CLI suite run in-process on a pair object."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from schoutencalc import cli
 from schoutencalc.instances import gl2, sl2
 from schoutencalc.pairs import LieRinehartPair, PairMorphism, Vector, check_pair_morphism
+from schoutencalc.report import BracketReport
+
+
+def run_suite(suite: str, pair: LieRinehartPair, *, trials: int, seed: int) -> list[BracketReport]:
+    """The reports of ``check SUITE --trials T --seed S`` on ``pair``: the CLI's cases, draw for draw."""
+    args = cli.build_parser().parse_args(["check", suite, "--trials", str(trials), "--seed", str(seed)])
+    return list(cli.SUITES[suite][0](pair, args))
 
 
 def sl2_to_gl2(*, validate: bool = True) -> PairMorphism:

@@ -23,14 +23,9 @@ from schoutencalc.linfty import (
     weak_jacobi_residual,
 )
 from schoutencalc.pairs import bracket_vectors
-from schoutencalc.schouten import (
-    check_antisym_jacobi,
-    check_poisson,
-    check_sym_jacobi,
-    sn_antisym,
-)
+from schoutencalc.schouten import sn_antisym
 
-from fixtures import sl2_to_gl2
+from fixtures import run_suite, sl2_to_gl2
 from oracles import decalage_relation, sn_antisym_poisson
 
 FAMILIES = {"sl2": sl2, "cartan2": lambda: cartan(2)}
@@ -94,11 +89,11 @@ def test_criterion_4_schouten_layer():
     ok = True
     for family_name, factory in FAMILIES.items():
         pair = factory()
-        for check in (check_antisym_jacobi, check_poisson, check_sym_jacobi):
-            result = check(pair, trials=200, seed=4)
-            if not result.passed:
-                ok = False
-                print(f"  violation: {family_name} {result.identity}")
+        for suite in ("jacobi-antisym", "poisson", "jacobi-sym"):
+            for result in run_suite(suite, pair, trials=200, seed=4):
+                if not result.passed:
+                    ok = False
+                    print(f"  violation: {family_name} {result.identity}")
         rng = sampling.rng_for(44)
         top = min(3, pair.dim)
         for _ in range(200):

@@ -270,6 +270,16 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err == "error: dimension must be an integer, not 3.9\n"
 
+    def test_repeated_bracket_key_exits_3(self, capsys):
+        # A format error, not a structure error, so --no-validate refuses it too.
+        brackets = FH3_SL2["brackets"] + [FH3_SL2["brackets"][0]]
+        document = json.dumps(dict(FH3_SL2, brackets=brackets))
+        for flags in ([], ["--no-validate"]):
+            assert main(["--pair", document, *flags, "check", "jacobi-antisym"]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: bracket key (1, 2) is given twice\n"
+
     def test_zero_denominator_documents_exit_3(self, tmp_path, capsys):
         # "1/0" used to escape as a ZeroDivisionError traceback with exit 1.
         pair = tmp_path / "pair.json"
@@ -344,7 +354,7 @@ def test_morphism_injection_failure_names_its_sample(monkeypatch):
     monkeypatch.setattr(cli, "injection_morphism_residual", lambda pair, sample: embed(pair, sample[0]))
     args = cli.build_parser().parse_args(["check", "morphism-injection", "--n", "3", "--trials", "4", "--seed", "2"])
     pair = sl2()
-    reports = list(cli.RUNNERS["morphism-injection"](pair, args))
+    reports = list(cli.SUITES["morphism-injection"][0](pair, args))
     assert [(r.identity, r.passed, r.n, r.seed) for r in reports] == [
         ("morphism-injection", False, 2, 2),
         ("morphism-injection", False, 3, 2),

@@ -3,6 +3,7 @@
 A stale export fails at once.  So does a public name that only the tests
 call: each must be read outside its own definition, in ``src/`` (the
 package root's re-exports do not count, being imports) or in ``bench/``.
+Only the command line draws random cases: the library's laws are residuals.
 """
 
 import ast
@@ -47,6 +48,28 @@ def definition(tree, name):
         if any(isinstance(t, ast.Name) and t.id == name for t in targets):
             return node
     return None
+
+
+def imported_modules(tree):
+    """The dotted names that the imports of ``tree`` reach, relative dots dropped."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            yield base
+            yield from (f"{base}.{alias.name}".lstrip(".") for alias in node.names)
+
+
+def test_only_the_cli_draws_cases():
+    # pairs.check_pair_morphism is the one library check that samples: its
+    # anchor and multiplicativity conditions are not one residual.
+    importers = {
+        path.stem
+        for path, tree in SOURCES.items()
+        if any(name.split(".")[-1] == "sampling" for name in imported_modules(tree))
+    }
+    assert importers == {"cli", "pairs"}
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from schoutencalc import exterior, sampling, schouten
+from schoutencalc import exterior, sampling
 from schoutencalc.errors import DegreeUndefinedError, MorphismValidationError
 from schoutencalc.exterior import (
     INHOMOGENEOUS,
@@ -18,9 +18,9 @@ from schoutencalc.exterior import (
 from schoutencalc.instances import abelian, cartan, gl2, sl2
 from schoutencalc.pairs import GradedPairElement, PairMorphism, Vector, check_pair_morphism, load_pair
 from schoutencalc.scalars import Scalar
-from schoutencalc.schouten import check_antisym_jacobi, sn_antisym
+from schoutencalc.schouten import sn_antisym
 
-from fixtures import scaling_morphism, sl2_to_gl2
+from fixtures import run_suite, scaling_morphism, sl2_to_gl2
 from oracles import _accumulate, merge_by_swaps, sn_antisym_poisson, wedge_by_scalars
 from test_schouten import CLEARED_COEFFS, FRACTIONAL_HEISENBERG
 
@@ -305,13 +305,25 @@ class TestIntegerForm:
             return original(terms)
 
         monkeypatch.setattr(exterior, "_clear", counted)
-        triple = next(schouten._sample_triples(pair, 1, 7))
-        sampled = len(cleared)
-        assert sampled >= 3
+        drawn = []
+        original_draw = sampling.random_homogeneous
+
+        def draw(*args):
+            value = original_draw(*args)
+            drawn.append((value, len(cleared)))
+            return value
+
+        monkeypatch.setattr(sampling, "random_homogeneous", draw)
+        assert all(r.passed for r in run_suite("jacobi-antisym", pair, trials=1, seed=7))
+        triple = [value for value, _ in drawn]
+        sampled = drawn[-1][1]
+        assert len(triple) == 3 and sampled >= 3
         assert all(not v.is_zero() for v in triple)
-        assert check_antisym_jacobi(pair, trials=1, seed=7).passed
-        # The check draws the same triple, clearing the same maps, and clears nothing more.
-        assert cleared[sampled:] == cleared[:sampled]
+        # Drawing the triple cleared its arguments' monomials (the draw adds
+        # them up without clearing again), and the residual cleared nothing.
+        assert len(cleared) == sampled
+        monomials = [{mono: c} for v in triple for mono, c in v.terms.items()]
+        assert all(m in cleared for m in monomials)
 
 
 class TestImmutable:

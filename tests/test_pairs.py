@@ -19,14 +19,13 @@ from schoutencalc.pairs import (
     Vector,
     anchor,
     bracket_vectors,
-    check_leibniz,
     check_pair_morphism,
     load_morphism,
     load_pair,
 )
 from schoutencalc.scalars import Scalar
 
-from fixtures import sl2_to_gl2, zero_vector_morphism
+from fixtures import run_suite, sl2_to_gl2, zero_vector_morphism
 from oracles import associated_bracket
 
 def taylor_derivative(pair, index, a):
@@ -289,18 +288,15 @@ class TestJacobiValidation:
 class TestCheckLeibniz:
     @pytest.mark.parametrize("factory", [sl2, lambda: cartan(2)])
     def test_passes(self, factory):
-        report = check_leibniz(factory(), trials=100, seed=3)
-        assert report.passed
+        assert all(r.passed for r in run_suite("leibniz", factory(), trials=100, seed=3))
 
     def test_corrupted_table_is_a_jacobi_defect_not_a_leibniz_one(self):
         # The bracket evaluator extends the table by the Leibniz rule, so the
         # rule holds for any table; a corrupted constant surfaces in the
         # Jacobi checks instead.
-        from schoutencalc.schouten import check_antisym_jacobi
-
         bad = perturbed_sl2()
-        assert check_leibniz(bad, trials=100, seed=3).passed
-        assert not check_antisym_jacobi(bad, trials=100, seed=3).passed
+        assert all(r.passed for r in run_suite("leibniz", bad, trials=100, seed=3))
+        assert not any(r.passed for r in run_suite("jacobi-antisym", bad, trials=100, seed=3))
 
 
 class TestPairMorphism:
@@ -391,6 +387,14 @@ class TestDocuments:
         assert load_pair("  " + text).compatible(sl2())
         with pytest.raises(PairDocumentError, match="invalid pair document"):
             load_pair("{not json")
+
+    def test_repeated_bracket_key_is_refused(self):
+        # The last entry used to overwrite the first: this loaded as [e1, e2] = 5 e3.
+        doc = self.sl2_doc()
+        doc["brackets"].append({"i": 1, "j": 2, "value": [{"gen": 3, "coeff": "5"}]})
+        for validate in (True, False):
+            with pytest.raises(PairDocumentError, match=r"^bracket key \(1, 2\) is given twice$"):
+                load_pair(doc, validate=validate)
 
     def test_corrupted_document_fails_validation(self):
         doc = self.sl2_doc()

@@ -19,15 +19,15 @@ from schoutencalc.instances import (
 from schoutencalc.pairs import LieRinehartPair, PairMorphism, Vector, bracket_vectors, check_pair_morphism, load_pair
 from schoutencalc.scalars import Scalar
 from schoutencalc.schouten import (
-    check_antisym_jacobi,
-    check_morphism_respects_sn,
-    check_poisson,
-    check_sym_jacobi,
+    antisym_jacobi_residual,
+    morphism_sn_residual,
+    poisson_residual,
     sn_antisym,
     sn_sym,
+    sym_jacobi_residual,
 )
 
-from fixtures import sl2_to_gl2
+from fixtures import run_suite, sl2_to_gl2
 from oracles import decalage_relation, sn_antisym_poisson, sn_antisym_shuffle, sn_term_pair, wedge_by_scalars
 
 
@@ -611,15 +611,15 @@ class TestSymBracket:
 class TestIdentityChecks:
     @pytest.mark.parametrize("factory", [sl2, lambda: cartan(2)])
     def test_antisym_jacobi(self, factory):
-        assert check_antisym_jacobi(factory(), trials=100, seed=7).passed
+        assert all(r.passed for r in run_suite("jacobi-antisym", factory(), trials=100, seed=7))
 
     @pytest.mark.parametrize("factory", [sl2, lambda: cartan(2)])
     def test_poisson(self, factory):
-        assert check_poisson(factory(), trials=100, seed=11).passed
+        assert all(r.passed for r in run_suite("poisson", factory(), trials=100, seed=11))
 
     @pytest.mark.parametrize("factory", [sl2, lambda: cartan(2), lambda: abelian(3)])
     def test_sym_jacobi(self, factory):
-        assert check_sym_jacobi(factory(), trials=100, seed=13).passed
+        assert all(r.passed for r in run_suite("jacobi-sym", factory(), trials=100, seed=13))
 
     def test_abelian_trivial_pair_identically_zero(self):
         pair = abelian(3)
@@ -630,17 +630,59 @@ class TestIdentityChecks:
             assert sn_antisym(pair, x, y).is_zero()
 
     def test_corrupted_table_detected(self):
-        assert not check_antisym_jacobi(perturbed_sl2(), trials=100, seed=5).passed
+        assert not any(r.passed for r in run_suite("jacobi-antisym", perturbed_sl2(), trials=100, seed=5))
+
+
+class TestResidualsOnEveryBasisTriple:
+    """On a trivial-scalar pair each residual is Q-trilinear in homogeneous
+    arguments, so zero on every ordered triple of basis monomials proves the
+    law for that pair."""
+
+    RESIDUALS = {
+        "jacobi-antisym": antisym_jacobi_residual,
+        "jacobi-sym": sym_jacobi_residual,
+        "poisson": poisson_residual,
+    }
+
+    def failing_triples(self, pair):
+        basis = [Multivector.monomial(pair, mono) for mono in basis_monomials(pair)]
+        triples = list(itertools.product(basis, repeat=3))
+        counts = {
+            name: sum(not residual(pair, *triple).is_zero() for triple in triples)
+            for name, residual in self.RESIDUALS.items()
+        }
+        return len(triples), counts
+
+    @pytest.mark.parametrize("factory, triples", [(sl2, 512), (gl2, 4096), (solvable4, 4096)])
+    def test_every_law_holds(self, factory, triples):
+        assert self.failing_triples(factory()) == (triples, {name: 0 for name in self.RESIDUALS})
+
+    def test_a_jacobi_defect_fails_the_jacobi_laws_only(self):
+        # Poisson does not use Jacobi, as in test_cli's
+        # test_which_suites_detect_a_jacobi_defect.
+        counts = {"jacobi-antisym": 51, "jacobi-sym": 51, "poisson": 0}
+        assert self.failing_triples(perturbed_sl2()) == (512, counts)
+
+
+def respects_bracket(m, *, trials, seed):
+    """Whether ``morphism_sn_residual`` vanishes on ``trials`` seeded homogeneous pairs."""
+    rng = sampling.rng_for(seed)
+    top = min(3, m.source.dim)
+    for _ in range(trials):
+        x, y = (sampling.random_homogeneous(m.source, rng, rng.randint(0, top)) for _ in range(2))
+        if not morphism_sn_residual(m, x, y).is_zero():
+            return False
+    return True
 
 
 class TestMorphismRespectsBracket:
     def test_identity(self):
         m = PairMorphism.identity(cartan(2))
         check_pair_morphism(m)
-        assert check_morphism_respects_sn(m, trials=60, seed=17).passed
+        assert respects_bracket(m, trials=60, seed=17)
 
     def test_sl2_to_gl2(self):
-        assert check_morphism_respects_sn(sl2_to_gl2(), trials=60, seed=19).passed
+        assert respects_bracket(sl2_to_gl2(), trials=60, seed=19)
 
     def test_corrupted_vector_map_detected(self):
         m = sl2_to_gl2()
@@ -648,7 +690,7 @@ class TestMorphismRespectsBracket:
         broken = list(m.vector_images)
         broken[0] = broken[0] + Vector({1: m.target.scalar_one()})
         m.vector_images = tuple(broken)
-        assert not check_morphism_respects_sn(m, trials=60, seed=23).passed
+        assert not respects_bracket(m, trials=60, seed=23)
 
 
 class TestDecalage:
