@@ -25,7 +25,12 @@ Every sum here adds the ``int`` numerators of int forms ``(D, rows)`` (see
 :mod:`schoutencalc.exterior`), so no ``Fraction`` is built before a result is
 read.  On trivial scalars the n-bracket table holds ``int`` terms over the
 pair's ``bracket_denominator`` ``D_pair``, so on one pair each term of the
-structure equation lies over ``D_pair D_1 ... D_n``.
+structure equation lies over ``D_pair D_1 ... D_n`` and its residual is one
+``exterior._IntSum``.  On trivial scalars the weak-Jacobi shuffle sum is one
+``int`` sum as well: each inner bracket lies over ``D_pair`` times its
+arguments' ``D_k``, so every outer bracket's table terms lie over
+``D_pair**2 D_1 ... D_n`` and add into one :func:`_table_sum`, with no outer
+bracket built as a multivector.
 """
 
 from __future__ import annotations
@@ -111,28 +116,65 @@ def _fitting_combinations(forms: list[list], budget: int):
     return itertools.chain.from_iterable(itertools.product(*chosen) for chosen, _ in prefixes)
 
 
+def _table_sum(pair: LieRinehartPair, d: int, brackets, top: int) -> Multivector:
+    """A sum of n-brackets on a trivial-scalar pair, as one ``int`` sum over ``d``.
+
+    ``brackets`` yields, for each bracket, the rows of its arguments' int
+    forms ``(D_k, rows)``; ``top`` bounds the sum of their longest rows'
+    lengths.  A bracket adds ``sum +-n_1...n_p n_brackets[sorted
+    (m_1..m_p)]`` over one row ``n_k e_(m_k)`` per argument (sign: see
+    :class:`LieRinehartPair`), so ``d`` must be ``D_pair D_1 ... D_p`` for
+    every bracket.  The sorted tuple and the sort's Koszul sign of each
+    ordered tuple of monomials are computed once per pair and kept in its
+    ``n_bracket_sorts``; inversions are counted only among two or more
+    odd-length monomials.  A combination of total length above ``dim + 1``
+    brackets to degree above ``dim``, which is zero; only when ``top``
+    passes ``dim + 1`` are the combinations enumerated by length, skipping
+    those (:func:`_fitting_combinations`), so the table never holds such an
+    entry.
+    """
+    budget = pair.dim + 1
+    table = pair.n_brackets
+    sorts = pair.n_bracket_sorts
+    sums: dict = {}
+    for forms in brackets:
+        combos = _fitting_combinations(forms, budget) if top > budget else itertools.product(*forms)
+        for combo in combos:
+            monos = tuple([mono for mono, _ in combo])
+            sort = sorts.get(monos)
+            if sort is None:
+                odd = [mono for mono in monos if len(mono) & 1]
+                swaps = sum([a > b for i, a in enumerate(odd) for b in odd[i + 1 :]]) if len(odd) > 1 else 0
+                sort = sorts[monos] = (tuple(sorted(monos)), -1 if swaps & 1 else 1)
+            key, c = sort
+            entry = table.get(key)
+            if entry is None:
+                units = [_of_form(pair, (1, [(m, [((), 1)])])) for m in key]
+                # Each term holds one sn_antisym result over D_pair, so the sum lies over D_pair.
+                value = _n_bracket_hom(pair, units, [len(m) for m in key])._form[1]
+                entry = table[key] = tuple((m, r[0][1]) for m, r in value)
+            if not entry:
+                continue
+            for _, row in combo:
+                c *= row[0][1]
+            for mono, q in entry:
+                sums[mono] = sums.get(mono, 0) + q * c
+    rows = [(mono, [((), c)]) for mono, c in sums.items() if c]
+    return _of_form(pair, (d, rows)) if rows else Multivector.zero(pair)
+
+
 def n_bracket(pair: LieRinehartPair, args: Sequence[Multivector]) -> Multivector:
     """The arity-``len(args)`` bracket, extended multilinearly to mixed degrees.
 
     One pass over ``args`` refuses an argument of another pair, reads each
     int form ``(D_k, rows)``, multiplies the ``D_k`` and notes each
-    argument's longest row.  On trivial scalars the result is ``sum
-    +-c_1...c_p n_brackets[sorted (m_1..m_p)]`` over one term ``c_k
-    e_(m_k)`` per argument (sign: see :class:`LieRinehartPair`), with ``c_k
-    = n_k / D_k``: the ``int`` sums lie over ``D_pair D_1 ... D_p``.  The
-    sorted tuple and the sort's Koszul sign of each ordered tuple of
-    monomials are computed once per pair and kept in its
-    ``n_bracket_sorts``; inversions are counted only among two or more
-    odd-length monomials.
+    argument's longest row.  On trivial scalars the result is one
+    :func:`_table_sum` over ``D_pair D_1 ... D_p``.
 
     Zero without a sum.  On trivial scalars a constant is central (the
     anchor is zero), so when fewer than two arguments have a non-constant
     row every inner bracket of the shuffle sum meets a constant; a zero
-    argument has no row.  A combination of total length above ``dim + 1``
-    brackets to degree above ``dim``, which is zero; only when the longest
-    rows sum past ``dim + 1`` are the combinations enumerated by length,
-    skipping those (:func:`_fitting_combinations`), so the table never
-    holds such an entry.  Other pairs sum :func:`_n_bracket_hom` over the
+    argument has no row.  Other pairs sum :func:`_n_bracket_hom` over the
     homogeneous parts.
     """
     if not args:
@@ -161,35 +203,7 @@ def n_bracket(pair: LieRinehartPair, args: Sequence[Multivector]) -> Multivector
         return out.value(pair)
     if live < 2:
         return Multivector.zero(pair)
-    budget = pair.dim + 1
-    combos = _fitting_combinations(forms, budget) if top > budget else itertools.product(*forms)
-    table = pair.n_brackets
-    sorts = pair.n_bracket_sorts
-    sums: dict = {}
-    for combo in combos:
-        monos = tuple([mono for mono, _ in combo])
-        sort = sorts.get(monos)
-        if sort is None:
-            odd = [mono for mono in monos if len(mono) & 1]
-            swaps = sum([a > b for i, a in enumerate(odd) for b in odd[i + 1 :]]) if len(odd) > 1 else 0
-            sort = sorts[monos] = (tuple(sorted(monos)), -1 if swaps & 1 else 1)
-        key, c = sort
-        entry = table.get(key)
-        if entry is None:
-            units = [_of_form(pair, (1, [(m, [((), 1)])])) for m in key]
-            # Each term holds one sn_antisym result over D_pair, so the sum lies over D_pair.
-            value = _n_bracket_hom(pair, units, [len(m) for m in key])._form[1]
-            entry = table[key] = tuple((m, r[0][1]) for m, r in value)
-        if not entry:
-            continue
-        for _, row in combo:
-            c *= row[0][1]
-        for mono, q in entry:
-            sums[mono] = sums.get(mono, 0) + q * c
-    if not sums:
-        return Multivector.zero(pair)
-    rows = [(mono, [((), c)]) for mono, c in sums.items() if c]
-    return _of_form(pair, (d, rows)) if rows else Multivector.zero(pair)
+    return _table_sum(pair, d, (forms,), top)
 
 
 @dataclass(frozen=True)
@@ -218,25 +232,71 @@ def weak_jacobi_residual(
     bracket, has degree ``sum |x_i| - 2``, and ``wedge^k L = 0`` for ``k >
     dim`` (``L`` is free of rank ``dim``).  When ``sum |x_i| - 2 > dim`` the
     residual is therefore zero, and it is returned without a bracket.
+
+    Skipped shuffles, on trivial scalars.  There a constant (degree 0) is
+    central, since the anchor is zero, so an n-bracket with fewer than two
+    non-constant arguments is zero: each of its shuffle terms holds one
+    binary bracket, and that bracket meets a constant (see
+    :func:`n_bracket`).  Hence a shuffle whose inner block has fewer than
+    two non-constant arguments has a zero inner bracket.  Otherwise two of
+    the inner arguments have degree at least 1, so the inner bracket, when
+    nonzero, is homogeneous of degree ``sum_S |x_k| - 1 >= 1`` and is not a
+    constant; if the remaining arguments are all constants, the outer
+    bracket again has one non-constant argument and is zero.  Neither kind
+    of shuffle is bracketed, and with fewer than three non-constant
+    arguments none is left.  The inner bracket of a remaining shuffle is one
+    :func:`n_bracket` call, over ``D_pair prod_S D_k``; the outer bracket's
+    table terms then lie over ``D_pair**2 D_1 ... D_n`` whatever the
+    shuffle, so every outer bracket adds into one :func:`_table_sum`, with
+    no outer :class:`Multivector` built.  On other pairs a constant need not
+    be central, and there is no n-bracket table: each shuffle's brackets are
+    two :func:`n_bracket` calls.
     """
     n = len(args)
     if p + q != n + 1 or p < 2 or q < 2:
         raise ValueError(f"invalid split p={p}, q={q} for n={n}")
     degrees = []
     for a in args:
-        d = tensor_degree(a)
-        if not isinstance(d, int):
+        degree = tensor_degree(a)
+        if not isinstance(degree, int):
             raise ValueError("weak Jacobi arguments must be homogeneous")
-        degrees.append(d)
+        degrees.append(degree)
     if sum(degrees) - 2 > pair.dim:
         return Multivector.zero(pair)
-    residual = _IntSum()
-    for order, sign in signed_shuffles((q, p - 1), degrees):
-        inner = n_bracket(pair, [args[i] for i in order[:q]])
-        if inner.is_zero():
-            continue
-        residual.add(n_bracket(pair, [inner] + [args[i] for i in order[q:]]), sign)
-    return residual.value(pair)
+    if not pair.is_trivial_scalars:
+        residual = _IntSum()
+        for order, sign in signed_shuffles((q, p - 1), degrees):
+            inner = n_bracket(pair, [args[i] for i in order[:q]])
+            if inner.is_zero():
+                continue
+            residual.add(n_bracket(pair, [inner] + [args[i] for i in order[q:]]), sign)
+        return residual.value(pair)
+    d = pair.bracket_denominator**2
+    forms = []
+    for a in args:
+        if a.pair is not pair and not a.pair.compatible(pair):
+            raise ValueError("multivector does not belong to the given pair")
+        dk, rows = a._form
+        d *= dk
+        forms.append(rows)
+    moving = [1 if degree else 0 for degree in degrees]
+    count = sum(moving)
+    if count < 3:
+        return Multivector.zero(pair)
+    # The outer bracket's widths: sum_S |x_k| - 1 for the inner bracket, |x_k| for the rest.
+    top = sum(degrees) - 1
+
+    def outer():
+        for order, sign in signed_shuffles((q, p - 1), degrees):
+            live = sum([moving[i] for i in order[:q]])
+            if live < 2 or live == count:
+                continue
+            inner = n_bracket(pair, [args[i] for i in order[:q]])
+            if not inner.is_zero():
+                # The sign rides on the inner bracket, which the outer one is linear in.
+                yield [(-inner if sign < 0 else inner)._form[1]] + [forms[i] for i in order[q:]]
+
+    return _table_sum(pair, d, outer(), top)
 
 
 # -- coalgebraic differential ---------------------------------------------------

@@ -51,7 +51,7 @@ from schoutencalc.linfty import (
     natural_injection,
     weak_jacobi_residual,
 )
-from schoutencalc.pairs import GradedPairElement, Vector, load_pair
+from schoutencalc.pairs import GradedPairElement, LieRinehartPair, Vector, load_pair
 from schoutencalc.schouten import sn_antisym, sn_sym
 from test_schouten import FRACTIONAL_HEISENBERG, FRACTIONAL_SOLVABLE
 
@@ -262,6 +262,16 @@ TRIVIAL_SCALAR_PAIRS = [sl2, gl2, solvable4, lambda: abelian(3), perturbed_sl2]
 
 FRACTIONAL_PAIRS = [lambda: load_pair(FRACTIONAL_HEISENBERG), lambda: load_pair(FRACTIONAL_SOLVABLE)]
 FRACTIONAL_IDS = ["heisenberg-2/3", "solvable-1/2-1/3"]
+
+
+def halved_perturbed_sl2():
+    """``perturbed_sl2`` with its corruption halved, ``[e1, e2] = e3 + e1/2``: ``D_pair = 2``."""
+    return LieRinehartPair.lie_algebra(
+        3,
+        {(1, 2): {3: 1, 1: Fraction(1, 2)}, (1, 3): {1: -2}, (2, 3): {2: 2}},
+        name="sl2-corrupted-1/2",
+        validate=False,
+    )
 
 
 class TestNBracketTable:
@@ -486,14 +496,17 @@ class TestWeakJacobi:
 
     @pytest.mark.parametrize(
         "factory",
-        [sl2, gl2, perturbed_sl2, *FRACTIONAL_PAIRS, lambda: cartan(2)],
-        ids=["sl2", "gl2", "perturbed-sl2", *FRACTIONAL_IDS, "cartan2"],
+        [sl2, gl2, perturbed_sl2, halved_perturbed_sl2, *FRACTIONAL_PAIRS, lambda: cartan(2)],
+        ids=["sl2", "gl2", "perturbed-sl2", "perturbed-sl2-1/2", *FRACTIONAL_IDS, "cartan2"],
     )
     def test_degree_bound(self, factory, monkeypatch):
         # Every term has degree sum |x_i| - 2: above dim the residual is zero
         # with no bracket evaluated; at dim the shuffle sum is still taken.
+        # Below dim, with constants among the arguments, the skipped shuffles
+        # must not change the residual.
         pair = factory()
         rng = sampling.rng_for(160)
+        below = sampling.rng_for(161)
         calls = Counter()
         original = linfty.n_bracket
 
@@ -504,24 +517,69 @@ class TestWeakJacobi:
         monkeypatch.setattr(linfty, "n_bracket", counted)
         nonzero = 0
         for n, p, q in ((3, 2, 2), (4, 2, 3), (4, 3, 2), (5, 2, 4), (5, 3, 3), (5, 4, 2)):
-            for above in (True, True, False, False):
+            for kind in ("above", "above", "at", "at", "below", "below with a constant"):
+                draw = rng if kind in ("above", "at") else below
                 while True:
-                    degrees = [rng.randint(0, min(pair.dim, 3)) for _ in range(n)]
+                    degrees = [draw.randint(0, min(pair.dim, 3)) for _ in range(n)]
                     excess = sum(degrees) - 2 - pair.dim
-                    if (excess > 0) if above else excess == 0:
+                    if kind == "above":
+                        fits = excess > 0
+                    elif kind == "at":
+                        fits = excess == 0
+                    else:
+                        fits = excess < 0 and (kind == "below" or 0 in degrees)
+                    if fits:
                         break
-                args = [sampling.random_homogeneous(pair, rng, d) for d in degrees]
+                args = [sampling.random_homogeneous(pair, draw, d) for d in degrees]
                 calls.clear()
                 got = weak_jacobi_residual(pair, p, q, args)
-                if above:
+                if kind == "above":
                     assert got.is_zero()
                     assert calls["n_bracket"] == 0
                 else:
-                    assert calls["n_bracket"] > 0
+                    if kind == "at":
+                        assert calls["n_bracket"] > 0
                     assert got == weak_jacobi_shuffle(pair, p, q, args)
                     nonzero += not got.is_zero()
-        # Jacobi fails on the perturbed pair, and the bound keeps its residuals.
-        assert (nonzero > 0) == (factory is perturbed_sl2)
+        # Jacobi fails on the perturbed pairs, and the bound keeps their residuals.
+        assert (nonzero > 0) == (factory in (perturbed_sl2, halved_perturbed_sl2))
+
+    @pytest.mark.parametrize(
+        "factory", [perturbed_sl2, halved_perturbed_sl2], ids=["perturbed-sl2", "perturbed-sl2-1/2"]
+    )
+    @pytest.mark.parametrize("n, cases, failing", [(3, 120, 9), (4, 660, 20)])
+    def test_every_basis_multiset_on_perturbed_sl2(self, factory, n, cases, failing):
+        # The residual is multilinear and graded symmetric, so every multiset
+        # of unit basis monomials and every split decides the identity at
+        # arity n; the corrupted bracket [e1, e2] = e3 + c e1 fails on exactly
+        # these.  At c = 1/2 a nonzero residual lies over D_pair**2 = 4.
+        pair = factory()
+        seen = []
+        for args in itertools.combinations_with_replacement(list(all_monomials(pair)), n):
+            for p in range(2, n):
+                got = weak_jacobi_residual(pair, p, n + 1 - p, args)
+                assert got == weak_jacobi_shuffle(pair, p, n + 1 - p, list(args))
+                seen.append(not got.is_zero())
+        assert (len(seen), sum(seen)) == (cases, failing)
+
+    def test_every_basis_multiset_on_gl2_at_arity_three(self):
+        pair = gl2()
+        seen = 0
+        for args in itertools.combinations_with_replacement(list(all_monomials(pair)), 3):
+            assert weak_jacobi_residual(pair, 2, 2, args).is_zero()
+            seen += 1
+        assert seen == 816
+
+    def test_arguments_of_another_pair_are_refused(self):
+        # Also when fewer than three arguments are non-constant, so that no
+        # shuffle is bracketed.
+        pair, other = sl2(), gl2()
+        e1, e2 = Multivector.monomial(pair, (1,)), Multivector.monomial(pair, (2,))
+        one = Multivector.monomial(pair, ())
+        for foreign in (Multivector.monomial(other, (1,)), Multivector.monomial(other, ())):
+            for args in ([e1, e2, foreign], [foreign, e1, e2], [e1, foreign, one]):
+                with pytest.raises(ValueError, match="does not belong to the given pair"):
+                    weak_jacobi_residual(pair, 2, 2, args)
 
     def test_invalid_split_rejected(self):
         pair = sl2()
