@@ -54,7 +54,6 @@ from .schouten import (
     poisson_residual,
     sn_antisym,
     sn_sym,
-    sym_jacobi_residual,
 )
 
 __version__ = "0.1.0"

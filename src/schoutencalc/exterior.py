@@ -12,8 +12,8 @@ absorb into the map, so ``a (x ^ y)``, ``(a x) ^ y`` and ``x ^ (a y)`` are
 equal.
 
 The public constructor and classmethods validate their input, clear the map
-once into the int form and keep the map as the view; :func:`embed` makes the
-constructor's checks itself and clears the same way.  Every other value
+once into the int form and keep the map as the view; :func:`embed` is one
+constructor call.  Every other value
 (``zero``, sums, negation, ``scaled`` and the kernels' results) is wrapped
 unchecked from a form by ``_of_form``.  The bilinear kernels (:func:`wedge`,
 ``schouten.sn_antisym``) sum ``int`` products of their arguments' forms, and
@@ -24,6 +24,7 @@ assigned, the view is a ``MappingProxyType`` and the form is never mutated.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import lcm
@@ -46,29 +47,18 @@ __all__ = [
 INHOMOGENEOUS = "inhomogeneous"
 
 
-# Keyed by the monomial pair; see _merge_monomials.
-_MERGES: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, tuple[int, ...]] | None] = {}
-
-
+@functools.cache
 def _merge_monomials(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
     """Sort the concatenation; returns (sign, merged) or None on a repeat.
 
-    Memoized in the module-level ``_MERGES``.  Like
-    ``graded._SIGNED_SHUFFLES``, the result is a pure function of its key,
-    so an entry never goes stale and is never evicted; the monomials of
-    ``dim`` generators make at most ``4**dim`` pairs, so the table is
-    bounded by the largest dimension met.
+    A pure function of its arguments: the monomials of ``dim`` generators
+    make at most ``4**dim`` pairs, so the cache is bounded by the largest
+    dimension met.
     """
-    try:
-        return _MERGES[left, right]
-    except KeyError:
-        pass
-    merged = None
-    if set(left).isdisjoint(right):
-        inversions = sum([a > b for a in left for b in right])
-        merged = (-1 if inversions % 2 else 1), tuple(sorted(left + right))
-    _MERGES[left, right] = merged
-    return merged
+    if not set(left).isdisjoint(right):
+        return None
+    inversions = sum([a > b for a in left for b in right])
+    return (-1 if inversions % 2 else 1), tuple(sorted(left + right))
 
 
 def _clear(terms: dict[tuple[int, ...], Scalar]) -> tuple[int, list]:
@@ -335,24 +325,8 @@ def tensor_degree(x: Multivector) -> int | str:
 
 
 def embed(pair: LieRinehartPair, u: GradedPairElement) -> Multivector:
-    """Natural inclusion of ``A (+) g`` as the degree <= 1 part.
-
-    Checks what the constructor would (generators in ``1..dim``, each
-    coefficient in the pair's scalars, zeros dropped) with its messages.
-    """
-    parts = [] if u.scalar.is_zero() else [((), u.scalar)]
-    parts += [((gen,), coeff) for gen, coeff in u.vector.terms.items()]
-    terms: dict[tuple[int, ...], Scalar] = {}
-    for mono, coeff in parts:
-        if mono and not 1 <= mono[0] <= pair.dim:
-            raise ValueError(f"monomial {mono!r} has indices outside 1..{pair.dim}")
-        if coeff.nvars != pair.nvars:
-            raise ValueError("coefficient does not belong to this pair")
-        if not coeff.is_zero():
-            terms[mono] = coeff
-    out = _of_form(pair, _clear(terms))
-    out._terms = MappingProxyType(terms)
-    return out
+    """Natural inclusion of ``A (+) g`` as the degree <= 1 part, through the constructor."""
+    return Multivector(pair, {(): u.scalar, **{(gen,): coeff for gen, coeff in u.vector.terms.items()}})
 
 
 def associated_exterior_morphism(m: PairMorphism, x: Multivector) -> Multivector:

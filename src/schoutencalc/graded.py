@@ -12,6 +12,7 @@ once per pattern of degree parities.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Iterator, Sequence
 from operator import index
@@ -63,11 +64,6 @@ def parity_sign(degree: int) -> int:
     return -1 if degree % 2 else 1
 
 
-# Keyed by (parts, degree parities): a pure function of a key that the arity
-# bounds, so it is never evicted.
-_SIGNED_SHUFFLES: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple] = {}
-
-
 def koszul_sign(s: Permutation, degrees: Sequence[int]) -> int:
     """Sign relating a graded word to its reordering by ``s``.
 
@@ -104,13 +100,13 @@ def signed_shuffles(
     such pair by :func:`shuffles` and :func:`koszul_sign` and then reused,
     so bad parts and a degree vector of the wrong length raise as they do.
     """
-    key = (tuple(parts), tuple([d % 2 for d in degrees]))
-    table = _SIGNED_SHUFFLES.get(key)
-    if table is None:
-        table = _SIGNED_SHUFFLES[key] = tuple(
-            (tuple([i - 1 for i in s.images]), koszul_sign(s, degrees)) for s in shuffles(parts)
-        )
-    return table
+    return _signed_shuffles(tuple(parts), tuple([d % 2 for d in degrees]))
+
+
+@functools.cache
+def _signed_shuffles(parts: tuple[int, ...], parities: tuple[int, ...]) -> tuple:
+    """The table of :func:`signed_shuffles`, a pure function of a key that the arity bounds."""
+    return tuple((tuple([i - 1 for i in s.images]), koszul_sign(s, parities)) for s in shuffles(parts))
 
 
 def shuffles(parts: Sequence[int]) -> Iterator[Permutation]:

@@ -35,9 +35,10 @@ bracket built as a multivector.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -121,32 +122,34 @@ def _table_sum(pair: LieRinehartPair, d: int, brackets, top: int) -> Multivector
 
     ``brackets`` yields, for each bracket, the rows of its arguments' int
     forms ``(D_k, rows)``; ``top`` bounds the sum of their longest rows'
-    lengths.  A bracket adds ``sum +-n_1...n_p n_brackets[sorted
-    (m_1..m_p)]`` over one row ``n_k e_(m_k)`` per argument (sign: see
-    :class:`LieRinehartPair`), so ``d`` must be ``D_pair D_1 ... D_p`` for
-    every bracket.  The sorted tuple and the sort's Koszul sign of each
-    ordered tuple of monomials are computed once per pair and kept in its
-    ``n_bracket_sorts``; inversions are counted only among two or more
-    odd-length monomials.  A combination of total length above ``dim + 1``
-    brackets to degree above ``dim``, which is zero; only when ``top``
-    passes ``dim + 1`` are the combinations enumerated by length, skipping
-    those (:func:`_fitting_combinations`), so the table never holds such an
-    entry.
+    lengths.  A bracket adds ``sum n_1...n_p n_brackets[key]`` over one row
+    ``n_k e_(m_k)`` per argument, ``key`` the tuple of the non-constant
+    ``m_k`` in argument order, so ``d`` must be ``D_pair D_1 ... D_p`` for
+    every bracket.  A missing entry is :func:`_n_bracket_hom` on the unit
+    monomials of its key, in that order, whose terms are ``int``s over
+    ``D_pair``.  A combination of total length above ``dim + 1`` brackets to
+    degree above ``dim``, which is zero; only when ``top`` passes ``dim + 1``
+    are the combinations enumerated by length, skipping those
+    (:func:`_fitting_combinations`), so the table never holds such an entry.
+
+    The lemma.  On trivial scalars the anchor is zero, so a constant ``c`` is
+    central, and it wedges as a scalar: ``l_n(c, y_2, ..., y_n) = c
+    l_(n-1)(y_2, ..., y_n)``, with ``c`` in any position.  The shuffle terms
+    whose inner bracket meets ``c`` are zero, and in each other one ``c`` is
+    a factor of degree 0, which moves through the wedge and adds no Koszul
+    sign, leaving one term of the ``(n-1)``-bracket.  Since ``l_1 = 0``, the
+    bracket is zero when fewer than two non-constant arguments remain: such a
+    key is skipped and stores no entry.
     """
     budget = pair.dim + 1
     table = pair.n_brackets
-    sorts = pair.n_bracket_sorts
     sums: dict = {}
     for forms in brackets:
         combos = _fitting_combinations(forms, budget) if top > budget else itertools.product(*forms)
         for combo in combos:
-            monos = tuple([mono for mono, _ in combo])
-            sort = sorts.get(monos)
-            if sort is None:
-                odd = [mono for mono in monos if len(mono) & 1]
-                swaps = sum([a > b for i, a in enumerate(odd) for b in odd[i + 1 :]]) if len(odd) > 1 else 0
-                sort = sorts[monos] = (tuple(sorted(monos)), -1 if swaps & 1 else 1)
-            key, c = sort
+            key = tuple([mono for mono, _ in combo if mono])
+            if len(key) < 2:
+                continue
             entry = table.get(key)
             if entry is None:
                 units = [_of_form(pair, (1, [(m, [((), 1)])])) for m in key]
@@ -155,6 +158,7 @@ def _table_sum(pair: LieRinehartPair, d: int, brackets, top: int) -> Multivector
                 entry = table[key] = tuple((m, r[0][1]) for m, r in value)
             if not entry:
                 continue
+            c = 1
             for _, row in combo:
                 c *= row[0][1]
             for mono, q in entry:
@@ -169,19 +173,14 @@ def n_bracket(pair: LieRinehartPair, args: Sequence[Multivector]) -> Multivector
     One pass over ``args`` refuses an argument of another pair, reads each
     int form ``(D_k, rows)``, multiplies the ``D_k`` and notes each
     argument's longest row.  On trivial scalars the result is one
-    :func:`_table_sum` over ``D_pair D_1 ... D_p``.
-
-    Zero without a sum.  On trivial scalars a constant is central (the
-    anchor is zero), so when fewer than two arguments have a non-constant
-    row every inner bracket of the shuffle sum meets a constant; a zero
-    argument has no row.  Other pairs sum :func:`_n_bracket_hom` over the
-    homogeneous parts.
+    :func:`_table_sum` over ``D_pair D_1 ... D_p``.  Other pairs sum
+    :func:`_n_bracket_hom` over the homogeneous parts.
     """
     if not args:
         raise ValueError("n_bracket needs at least one argument")
     d = pair.bracket_denominator
     forms = []
-    live = top = 0
+    top = 0
     for a in args:
         if a.pair is not pair and not a.pair.compatible(pair):
             raise ValueError("multivector does not belong to the given pair")
@@ -192,8 +191,6 @@ def n_bracket(pair: LieRinehartPair, args: Sequence[Multivector]) -> Multivector
         for mono, _ in rows:
             if len(mono) > width:
                 width = len(mono)
-        if width:
-            live += 1
         top += width
     if not pair.is_trivial_scalars:
         out = _IntSum()
@@ -201,8 +198,6 @@ def n_bracket(pair: LieRinehartPair, args: Sequence[Multivector]) -> Multivector
             for combo in itertools.product(*(a.homogeneous_components().items() for a in args)):
                 out.add(_n_bracket_hom(pair, [c[1] for c in combo], [c[0] for c in combo]))
         return out.value(pair)
-    if live < 2:
-        return Multivector.zero(pair)
     return _table_sum(pair, d, (forms,), top)
 
 
@@ -233,24 +228,21 @@ def weak_jacobi_residual(
     dim`` (``L`` is free of rank ``dim``).  When ``sum |x_i| - 2 > dim`` the
     residual is therefore zero, and it is returned without a bracket.
 
-    Skipped shuffles, on trivial scalars.  There a constant (degree 0) is
-    central, since the anchor is zero, so an n-bracket with fewer than two
-    non-constant arguments is zero: each of its shuffle terms holds one
-    binary bracket, and that bracket meets a constant (see
-    :func:`n_bracket`).  Hence a shuffle whose inner block has fewer than
-    two non-constant arguments has a zero inner bracket.  Otherwise two of
-    the inner arguments have degree at least 1, so the inner bracket, when
+    Skipped shuffles, on trivial scalars.  By the lemma of
+    :func:`_table_sum`, a shuffle whose inner block has fewer than two
+    non-constant arguments has a zero inner bracket.  Otherwise two of the
+    inner arguments have degree at least 1, so the inner bracket, when
     nonzero, is homogeneous of degree ``sum_S |x_k| - 1 >= 1`` and is not a
     constant; if the remaining arguments are all constants, the outer
-    bracket again has one non-constant argument and is zero.  Neither kind
-    of shuffle is bracketed, and with fewer than three non-constant
-    arguments none is left.  The inner bracket of a remaining shuffle is one
-    :func:`n_bracket` call, over ``D_pair prod_S D_k``; the outer bracket's
-    table terms then lie over ``D_pair**2 D_1 ... D_n`` whatever the
-    shuffle, so every outer bracket adds into one :func:`_table_sum`, with
-    no outer :class:`Multivector` built.  On other pairs a constant need not
-    be central, and there is no n-bracket table: each shuffle's brackets are
-    two :func:`n_bracket` calls.
+    bracket has one non-constant argument and is zero by the same lemma.
+    Neither kind of shuffle is bracketed, and with fewer than three
+    non-constant arguments none is left.  The inner bracket of a remaining
+    shuffle is one :func:`n_bracket` call, over ``D_pair prod_S D_k``; the
+    outer bracket's table terms then lie over ``D_pair**2 D_1 ... D_n``
+    whatever the shuffle, so every outer bracket adds into one
+    :func:`_table_sum`, with no outer :class:`Multivector` built.  On other
+    pairs a constant need not be central, and there is no n-bracket table:
+    each shuffle's brackets are two :func:`n_bracket` calls.
     """
     n = len(args)
     if p + q != n + 1 or p < 2 or q < 2:
@@ -350,12 +342,9 @@ class _InjectionFamily:
 
     pair: LieRinehartPair
 
-    def __call__(self, k: int) -> Callable:
-        return lambda elems: natural_injection(self.pair, elems)
-
 
 def injection_family(pair: LieRinehartPair) -> _InjectionFamily:
-    """The natural injection's components: ``f(k)(elems) == i_k(elems)``, none of them zero."""
+    """The components ``i_k`` of :func:`natural_injection` into ``pair``'s exterior algebra."""
     return _InjectionFamily(pair)
 
 
@@ -371,10 +360,7 @@ def _weight(m: int) -> int:
     return parity_sign(m - 1) * math.factorial(m - 1)
 
 
-# Keyed by the arity alone; never evicted.
-_PAIR_TABLES: dict[int, tuple] = {}
-
-
+@functools.cache
 def _pair_table(n: int) -> tuple:
     """The structure equation's words and terms at arity ``n``.
 
@@ -397,55 +383,52 @@ def _pair_table(n: int) -> tuple:
     ``w`` form one group ``(w, summed_first, rows)``, ``summed_first``
     telling if ``w`` is ``W_F``.
     """
-    table = _PAIR_TABLES.get(n)
-    if table is None:
-        ids: dict[tuple[int, int, int], int] = {}
-        words: list[tuple[int, int, int]] = []
+    ids: dict[tuple[int, int, int], int] = {}
+    words: list[tuple[int, int, int]] = []
 
-        def word(block: tuple[int, ...], choice) -> int:
-            w = -1
-            for k, u in zip(block, choice):
-                spec = (k, u, w)
-                w = ids.get(spec)
-                if w is None:
-                    w = ids[spec] = len(words)
-                    words.append(spec)
-            return w
+    def word(block: tuple[int, ...], choice) -> int:
+        w = -1
+        for k, u in zip(block, choice):
+            spec = (k, u, w)
+            w = ids.get(spec)
+            if w is None:
+                w = ids[spec] = len(words)
+                words.append(spec)
+        return w
 
-        left = []
-        for i, j in itertools.combinations(range(n), 2):
-            rest = tuple(k for k in range(n) if k != i and k != j)
-            twists = [[2 + (di * (k < i) + dj * (k < j)) % 2 for k in rest] for di in (0, 1) for dj in (0, 1)]
-            left.append((i, j, tuple(word(rest, t) for t in twists)))
-        right = []
-        for r in range(-1, n):
-            rest = [k for k in range(n) if k != r]
-            splits = [
-                ((rest[0], *chosen), tuple(k for k in rest[1:] if k not in chosen))
-                for size in range(len(rest) - 1)
-                for chosen in itertools.combinations(rest[1:], size)
-            ]
-            for dr in (0, 1) if r >= 0 else (0,):
-                groups: dict[tuple[int, bool], list] = {}
-                for first, second in splits:
-                    summed_first = len(first) >= len(second)
-                    large, small = (first, second) if summed_first else (second, first)
-                    order = first + second + ((r,) if r >= 0 else ())
-                    inversions = [(a, b) for at, a in enumerate(order) for b in order[at + 1 :] if a > b]
-                    # No inversion lies inside the larger block, so each one
-                    # touching it joins one of its arguments to a fixed one.
-                    partners = [[a + b - k for a, b in inversions if k in (a, b)] for k in large]
-                    missed = [(a, b) for a, b in inversions if a not in large and b not in large]
-                    weight = _weight(len(first)) * _weight(len(second))
-                    for choice in itertools.product((0, 1), repeat=len(small)):
-                        d = {**dict(zip(small, choice)), r: dr}
-                        twisted = word(large, [2 + sum([d[m] for m in ms]) % 2 for ms in partners])
-                        odd = sum([d[a] & d[b] for a, b in missed]) % 2
-                        rows = groups.setdefault((twisted, summed_first), [])
-                        rows.append((word(small, choice), weight if odd else -weight))
-                right.append((r, dr, tuple((w, at, tuple(rows)) for (w, at), rows in groups.items())))
-        table = _PAIR_TABLES[n] = (tuple(words), tuple(left), tuple(right))
-    return table
+    left = []
+    for i, j in itertools.combinations(range(n), 2):
+        rest = tuple(k for k in range(n) if k != i and k != j)
+        twists = [[2 + (di * (k < i) + dj * (k < j)) % 2 for k in rest] for di in (0, 1) for dj in (0, 1)]
+        left.append((i, j, tuple(word(rest, t) for t in twists)))
+    right = []
+    for r in range(-1, n):
+        rest = [k for k in range(n) if k != r]
+        splits = [
+            ((rest[0], *chosen), tuple(k for k in rest[1:] if k not in chosen))
+            for size in range(len(rest) - 1)
+            for chosen in itertools.combinations(rest[1:], size)
+        ]
+        for dr in (0, 1) if r >= 0 else (0,):
+            groups: dict[tuple[int, bool], list] = {}
+            for first, second in splits:
+                summed_first = len(first) >= len(second)
+                large, small = (first, second) if summed_first else (second, first)
+                order = first + second + ((r,) if r >= 0 else ())
+                inversions = [(a, b) for at, a in enumerate(order) for b in order[at + 1 :] if a > b]
+                # No inversion lies inside the larger block, so each one
+                # touching it joins one of its arguments to a fixed one.
+                partners = [[a + b - k for a, b in inversions if k in (a, b)] for k in large]
+                missed = [(a, b) for a, b in inversions if a not in large and b not in large]
+                weight = _weight(len(first)) * _weight(len(second))
+                for choice in itertools.product((0, 1), repeat=len(small)):
+                    d = {**dict(zip(small, choice)), r: dr}
+                    twisted = word(large, [2 + sum([d[m] for m in ms]) % 2 for ms in partners])
+                    odd = sum([d[a] & d[b] for a, b in missed]) % 2
+                    rows = groups.setdefault((twisted, summed_first), [])
+                    rows.append((word(small, choice), weight if odd else -weight))
+            right.append((r, dr, tuple((w, at, tuple(rows)) for (w, at), rows in groups.items())))
+    return tuple(words), tuple(left), tuple(right)
 
 
 def _word(pair: LieRinehartPair, built: list, words: tuple, units: list, w: int) -> Multivector:
@@ -547,8 +530,8 @@ def _structure_equation_residual(source_pair, target_pair, args) -> Multivector:
     sides.  The rows sharing ``x_r^(d_r)`` and a twisted word add their
     fixed words first and make one :func:`n_bracket` call, and the brackets
     sharing ``x_r^(d_r)`` add up under one :func:`wedge`.  Zero words, and
-    on a trivial-scalar target constant ones (a constant is central there),
-    are skipped.  On one pair every term lies over ``D_pair D_1 ... D_n``:
+    on a trivial-scalar target constant ones (by the lemma of
+    :func:`_table_sum`), are skipped.  On one pair every term lies over ``D_pair D_1 ... D_n``:
     the residual is one ``int`` sum, ``exterior._IntSum``.
     """
     from .schouten import sn_sym
@@ -590,7 +573,7 @@ def _structure_equation_residual(source_pair, target_pair, args) -> Multivector:
                 residual.add(term, constant)
 
     # A zero word brackets to zero, and so does a constant one on a
-    # trivial-scalar target, where a constant is central.
+    # trivial-scalar target, by the lemma of _table_sum.
     central = target_pair.is_trivial_scalars
     for r, dr, groups in right:
         if r >= 0 and dr not in degrees[r]:

@@ -123,36 +123,14 @@ class GradedPairElement:
 class LieRinehartPair:
     """Instance descriptor: generators, structure bracket and anchor.
 
-    ``brackets`` is a read-only view.  ``monomial_brackets`` starts empty and
-    is filled by :func:`schoutencalc.schouten.sn_antisym` on first use: it
-    maps a pair ``(I, J)`` of generator monomials to three tuples,
-    ``products`` of ``(monomial, q)`` (the bracket of the unit-coefficient
-    monomials) and ``left`` and ``right`` of ``(k, monomial, q)``, so that
-    ``bracket_denominator [a e_I, b e_J]`` is ``sum q ab e_mono + sum q a
-    d_k(b) e_mono + sum q b d_k(a) e_mono``.  An entry is filled in closed
-    form from :meth:`generator_bracket` and the anchor coefficients
-    ``rho_ik = D_(e_i)(x_k)`` read through :meth:`anchor_generator`, which
-    must be constants (both pair kinds satisfy this).  Every ``q`` is an
-    ``int``: a ``products`` term sums structure constants, each a multiple
-    of ``1/bracket_denominator``, and a ``left`` or ``right`` term is a
-    signed ``rho``: Cartan pairs have ``rho = delta`` and
-    ``bracket_denominator = 1``, and Lie algebras have a zero anchor, so
-    they have no such terms.  Each entry is a pure
-    function of the pair, so a fill is idempotent; there are at most
-    ``4**dim``.  ``n_brackets``, filled by ``linfty.n_bracket`` on trivial
-    scalars, has one entry per sorted tuple of monomials met of total length
-    at most ``dim + 1``: the ``(monomial, int)`` terms of their unit
-    n-bracket over ``bracket_denominator``, the lcm of the structure
-    constants' denominators (each term holds one binary bracket, so one
-    structure constant).  Another order reads it times ``(-1)**(pairs of
-    odd-length monomials the sort swaps)``, by graded symmetry (any
-    antisymmetric table).  ``n_bracket_sorts``, empty at construction and
-    filled beside it, maps each ordered tuple of monomials met to its sorted
-    tuple, the key of ``n_brackets``, and that sign; it is a pure function
-    of the tuple, with one entry per order met of each multiset.
+    ``brackets`` is a read-only view.  ``bracket_denominator`` is the lcm of
+    the structure constants' denominators.  ``monomial_brackets`` and
+    ``n_brackets`` start empty; they are the per-pair memo tables of
+    ``schouten._monomial_bracket`` and ``linfty._table_sum``, whose
+    docstrings say what an entry holds.
     """
 
-    __slots__ = ("kind", "dim", "nvars", "brackets", "name", "monomial_brackets", "n_brackets", "n_bracket_sorts", "bracket_denominator")
+    __slots__ = ("kind", "dim", "nvars", "brackets", "name", "monomial_brackets", "n_brackets", "bracket_denominator")
 
     def __init__(
         self,
@@ -182,7 +160,6 @@ class LieRinehartPair:
         self.name = name or kind
         self.monomial_brackets: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple] = {}
         self.n_brackets: dict[tuple[tuple[int, ...], ...], tuple] = {}
-        self.n_bracket_sorts: dict[tuple[tuple[int, ...], ...], tuple] = {}
         self.bracket_denominator = lcm(
             *(q.denominator for value in table.values() for c in value.terms.values() for q in c.terms.values())
         )

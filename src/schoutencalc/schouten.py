@@ -36,7 +36,7 @@ from operator import add
 
 from .exterior import Multivector, _check_args, _from_cleared, _merge_monomials, _of_form
 from .exterior import associated_exterior_morphism, tensor_degree, wedge
-from .graded import parity_sign, signed_shuffles
+from .graded import parity_sign
 from .pairs import LieRinehartPair, PairMorphism
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "poisson_residual",
     "sn_antisym",
     "sn_sym",
-    "sym_jacobi_residual",
 ]
 
 
@@ -218,19 +217,6 @@ def poisson_residual(
         - wedge(pair, sn_antisym(pair, x, y), z)
         - wedge(pair, y, sn_antisym(pair, x, z)).scaled(parity_sign(dx * (dy - 1)))
     )
-
-
-def sym_jacobi_residual(
-    pair: LieRinehartPair, x: Multivector, y: Multivector, z: Multivector
-) -> Multivector:
-    """Shuffle-sum Jacobi of the symmetric bracket over ``Sh(2, 1)``, on homogeneous args."""
-    args = (x, y, z)
-    degrees = [tensor_degree(v) for v in args]
-    out = Multivector.zero(pair)
-    for (i, j, k), sign in signed_shuffles((2, 1), degrees):
-        term = sn_sym(pair, sn_sym(pair, args[i], args[j]), args[k])
-        out = out + (term if sign > 0 else -term)
-    return out
 
 
 def morphism_sn_residual(m: PairMorphism, x: Multivector, y: Multivector) -> Multivector:

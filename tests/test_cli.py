@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -92,6 +93,14 @@ class TestEval:
     def test_long_sum_finishes(self, capsys):
         assert main(["--pair", "builtin:sl2", "eval", " + ".join(["e1"] * 1500)]) == 0
         assert capsys.readouterr().out.strip() == "1500*e1"
+
+    def test_constant_arguments_factor_out_of_a_wide_bracket(self, capsys):
+        # A constant is central on a Lie algebra, so {1, ..., 1, e1, e2}_200
+        # is {e1, e2}: one table entry of two monomials, not 200.
+        start = time.perf_counter()
+        assert main(["--pair", "builtin:sl2", "eval", "{" + "1, " * 198 + "e1, e2}_200"]) == 0
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().out.strip() == "e3"
 
     @pytest.mark.parametrize(
         "expression",

@@ -4,6 +4,7 @@ A stale export fails at once.  So does a public name that only the tests
 call: each must be read outside its own definition, in ``src/`` (the
 package root's re-exports do not count, being imports) or in ``bench/``.
 Only the command line draws random cases: the library's laws are residuals.
+No module keeps a hand-rolled memo table.
 """
 
 import ast
@@ -94,3 +95,30 @@ def test_all_names_are_used_outside_their_definition(name):
         if n not in elsewhere and n not in read_names(own, definition(own, n))
     ]
     assert unused == []
+
+
+def empty_container(node) -> bool:
+    """Whether ``node`` is an empty dict, list or set: ``{}``, ``[]``, ``dict()``, ``list()`` or ``set()``."""
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("dict", "list", "set")
+        and not node.args
+        and not node.keywords
+    )
+
+
+def test_no_module_binds_an_empty_container_at_top_level():
+    # A pure memo table is functools.cache on the function that fills it; a
+    # table of one pair is a slot of that pair.
+    bound = [
+        f"{path.stem}:{node.lineno}"
+        for path, tree in SOURCES.items()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None and empty_container(node.value)
+    ]
+    assert bound == []

@@ -66,15 +66,15 @@ class TestNormalForm:
 
 class TestWedge:
     def test_merge_memo_equals_the_sort_on_every_monomial_pair(self):
-        # Every pair of monomials of up to five generators, asked twice: after
-        # the first call the memo holds the result, and the second reads it.
+        # Every pair of monomials of up to five generators, asked twice: the
+        # second call returns the memoized result of the first.
         monomials = [m for k in range(6) for m in itertools.combinations(range(1, 6), k)]
         disjoint = 0
         for left, right in itertools.product(monomials, repeat=2):
             expected = merge_by_swaps(left, right)
-            assert exterior._merge_monomials(left, right) == expected
-            assert exterior._MERGES[left, right] == expected
-            assert exterior._merge_monomials(left, right) == expected
+            first = exterior._merge_monomials(left, right)
+            assert first == expected
+            assert exterior._merge_monomials(left, right) is first
             disjoint += expected is not None
         # Each generator lies in the left monomial, the right one or neither.
         assert disjoint == 3**5

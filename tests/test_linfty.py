@@ -62,11 +62,11 @@ def all_monomials(pair):
             yield Multivector.monomial(pair, combo)
 
 
-def ordered_structure_equation_residual(source_pair, f, target_pair, args):
-    """Oracle: the structure equation with its right side over ordered compositions.
+def ordered_structure_equation_residual(source_pair, target_pair, args):
+    """Oracle: the injection's structure equation with its right side over ordered compositions.
 
     ``sum_p (1/p!) sum_{k_1+...+k_p=n} sum_{Sh(k_1..k_p)} e(s)
-    {f_{k_1}(...), ..., f_{k_p}(...)}_p``, every block image evaluated afresh
+    {i_{k_1}(...), ..., i_{k_p}(...)}_p``, every block image evaluated afresh
     and every left-side term of the binary bracket built, zero brackets
     included.
     """
@@ -78,29 +78,25 @@ def ordered_structure_equation_residual(source_pair, f, target_pair, args):
 
         for q in range(1, n + 1):
             p = n + 1 - q
-            f_p = f(p)
             # Only the binary bracket of A (+) g is nonzero.
-            if q != 2 or f_p is None:
+            if q != 2:
                 continue
             parts = (q,) if p == 1 else (q, p - 1)
             for s in shuffles(parts):
                 inner = associated_bracket(source_pair, elems[s(1) - 1], elems[s(2) - 1])
                 rest = [elems[s(k) - 1] for k in range(q + 1, n + 1)]
-                term = f_p([inner] + rest)
+                term = natural_injection(target_pair, [inner] + rest)
                 residual = residual + term.scaled(koszul_sign(s, degrees))
 
         for p in range(1, n + 1):
             factor = Fraction(1, math.factorial(p))
             for ks in _compositions(n, p):
-                fs = [f(k) for k in ks]
-                if any(fk is None for fk in fs):
-                    continue
                 for s in shuffles(ks):
                     images = []
                     offset = 0
-                    for fk, k in zip(fs, ks):
+                    for k in ks:
                         block = [elems[s(offset + t) - 1] for t in range(1, k + 1)]
-                        images.append(fk(block))
+                        images.append(natural_injection(target_pair, block))
                         offset += k
                     term = n_bracket(target_pair, images)
                     residual = residual - term.scaled(koszul_sign(s, degrees)).scaled(factor)
@@ -277,7 +273,7 @@ def halved_perturbed_sl2():
 class TestNBracketTable:
     """On trivial-scalar pairs ``n_bracket`` sums, over one term per argument,
     the product of the coefficients times the ``n_brackets`` entry of the
-    sorted monomials, with the sort's Koszul sign; it must agree with the
+    non-constant monomials in argument order; it must agree with the
     expansion into homogeneous parts at every arity."""
 
     @pytest.mark.parametrize("factory", TRIVIAL_SCALAR_PAIRS)
@@ -337,8 +333,12 @@ class TestNBracketTable:
                     assert got == n_bracket_hom_parts(pair, args)
         assert pair.n_brackets == {}
 
-    @pytest.mark.parametrize("factory", [sl2, gl2, solvable4])
-    def test_permuted_arguments_add_no_entry_and_give_koszul_sign(self, factory):
+    @pytest.mark.parametrize(
+        "factory", [sl2, gl2, solvable4, *FRACTIONAL_PAIRS], ids=["sl2", "gl2", "solvable4", *FRACTIONAL_IDS]
+    )
+    def test_permuted_arguments_give_koszul_sign(self, factory):
+        # Each order of the monomials fills its own entry, so this checks the
+        # graded symmetry of _n_bracket_hom itself.
         pair = factory()
         rng = sampling.rng_for(150)
         nonzero = 0
@@ -348,16 +348,40 @@ class TestNBracketTable:
                 args = [sampling.random_homogeneous(pair, rng, d) for d in degrees]
                 reference = n_bracket(pair, args)
                 nonzero += not reference.is_zero()
-                filled = len(pair.n_brackets)
                 for _ in range(6):
                     images = list(range(1, n + 1))
                     rng.shuffle(images)
                     s = Permutation(images)
                     permuted = [args[s(i) - 1] for i in range(1, n + 1)]
                     assert n_bracket(pair, permuted) == reference.scaled(koszul_sign(s, degrees))
-                assert len(pair.n_brackets) == filled
-        assert len(pair.n_bracket_sorts) > len(pair.n_brackets)
         assert nonzero > 0
+
+    @pytest.mark.parametrize(
+        "factory", [sl2, gl2, solvable4, *FRACTIONAL_PAIRS], ids=["sl2", "gl2", "solvable4", *FRACTIONAL_IDS]
+    )
+    def test_scaled_constants_factor_out_at_any_position(self, factory):
+        # The lemma of _table_sum: l_n(c, y_2, ..., y_n) = c l_(n-1)(y_2, ...,
+        # y_n) wherever c stands, so no key holds the empty monomial.
+        pair = factory()
+        rng = sampling.rng_for(153)
+        palette = [(1,), (2,), (0, 1), (1, 2), (0, 2, 3)]
+        nonzero = 0
+        for n in (2, 3, 4):
+            for _ in range(8):
+                rest = [random_argument(pair, rng, rng.choice(palette)) for _ in range(n)]
+                reference = n_bracket(pair, rest)
+                nonzero += not reference.is_zero()
+                args, product = list(rest), Fraction(1)
+                for _ in range(rng.randint(1, 3)):
+                    c = Fraction(rng.choice((-3, -2, 2, 5)), rng.choice((1, 2, 7)))
+                    args.insert(rng.randint(0, len(args)), Multivector.monomial(pair, (), c))
+                    product *= c
+                got = n_bracket(pair, args)
+                assert got == reference.scaled(product)
+                assert got == n_bracket_hom_parts(pair, args)
+        assert nonzero > 0
+        assert pair.n_brackets
+        assert all(len(key) >= 2 and () not in key for key in pair.n_brackets)
 
     def test_interleaved_pairs_keep_their_own_tables(self):
         # Same dimension, different structure constants: a table shared
@@ -378,44 +402,20 @@ class TestNBracketTable:
     def test_fresh_pair_starts_empty_and_cartan_pair_never_fills(self):
         pair = sl2()
         assert pair.n_brackets == {}
-        assert pair.n_bracket_sorts == {}
         e, f, ef = (Multivector.monomial(pair, m) for m in ((1,), (2,), (1, 2)))
         assert n_bracket(pair, [e, ef, f]) == -Multivector.monomial(pair, (1, 2, 3))
         assert n_bracket(pair, [f, e, ef]) == Multivector.monomial(pair, (1, 2, 3))
-        assert set(pair.n_brackets) == {((1,), (1, 2), (2,))}
-        # One sorted key, two orders: f before e swaps two odd monomials.
-        key = ((1,), (1, 2), (2,))
-        assert pair.n_bracket_sorts == {key: (key, 1), ((2,), (1,), (1, 2)): (key, -1)}
+        # One key per order: f before e swaps two odd monomials.
+        assert set(pair.n_brackets) == {((1,), (1, 2), (2,)), ((2,), (1,), (1, 2))}
         # Total length 5 > dim + 1: the bracket would have degree 4 > dim.
         assert n_bracket(pair, [ef, ef, Multivector.monomial(pair, (3,))]).is_zero()
-        assert set(pair.n_brackets) == {((1,), (1, 2), (2,))}
-        assert len(pair.n_bracket_sorts) == 2
+        assert len(pair.n_brackets) == 2
         assert sl2().n_brackets == {}
-        assert sl2().n_bracket_sorts == {}
         two = cartan(2)
         rng = sampling.rng_for(151)
         for n in (2, 3, 4):
             n_bracket(two, [sampling.random_multivector(two, rng) for _ in range(n)])
         assert two.n_brackets == {}
-        assert two.n_bracket_sorts == {}
-
-    @pytest.mark.parametrize("factory", [sl2, gl2])
-    def test_sort_slot_holds_sorted_keys_and_koszul_signs(self, factory):
-        # Each ordered tuple met maps to its sorted tuple and the Koszul sign
-        # of the sort on the monomial lengths, computed here by koszul_sign.
-        pair = factory()
-        rng = sampling.rng_for(152)
-        palette = [(0,), (1,), (1,), (2,), (0, 1), (1, 2), (0, 2, 3)]
-        for n in range(2, 6):
-            for _ in range(8):
-                n_bracket(pair, [random_argument(pair, rng, rng.choice(palette)) for _ in range(n)])
-        assert len(pair.n_bracket_sorts) > len(pair.n_brackets) > 0
-        assert all(key == tuple(sorted(key)) for key in pair.n_brackets)
-        for monos, (key, sign) in pair.n_bracket_sorts.items():
-            order = sorted(range(len(monos)), key=lambda k: monos[k])
-            assert key == tuple(monos[k] for k in order)
-            # The sort moves monos[order[r]] to place r: the word key is monos permuted by it.
-            assert sign == koszul_sign(Permutation([k + 1 for k in order]), [len(m) for m in monos])
 
     def test_overlong_wide_bracket_is_zero_at_once(self):
         # 6**8 choices of one term per argument, each of length 1 or 2, so
@@ -780,14 +780,12 @@ class TestInjectionMorphismEquation:
                 check_linfty_morphism(pair, f, BracketFamily(pair), 2, args)
         assert check_linfty_morphism(pair, injection_family(pair), BracketFamily(pair), 2, args).passed
 
-    def test_injection_family_is_a_frozen_callable(self):
+    def test_injection_family_is_frozen_and_equal_per_pair(self):
         pair = sl2()
         family = injection_family(pair)
         assert family == injection_family(pair)
         with pytest.raises(dataclasses.FrozenInstanceError):
             family.pair = gl2()
-        elems = [GradedPairElement(pair.scalar_const(2), pair.generator(g)) for g in (1, 2, 3)]
-        assert family(3)(elems) == natural_injection(pair, elems)
 
     def test_call_counts_at_arity_four(self, monkeypatch):
         # The table's 68 rows, one per pair of blocks and pattern of fixed
@@ -903,9 +901,7 @@ class TestPartitionFormMatchesOrderedOracle:
                 sampling.random_pair_element(pair, rng, ensure_mixed=(trial % 2 == 0))
                 for _ in range(n)
             ]
-            expected = ordered_structure_equation_residual(
-                pair, injection_family(pair), pair, args
-            )
+            expected = ordered_structure_equation_residual(pair, pair, args)
             assert injection_morphism_residual(pair, args) == expected
 
     def test_injection_into_another_bracket(self):
@@ -928,9 +924,7 @@ class TestPartitionFormMatchesOrderedOracle:
                 ]
                 if trial == 0:
                     args[:2] = pinned
-                expected = ordered_structure_equation_residual(
-                    source, family, target, args
-                )
+                expected = ordered_structure_equation_residual(source, target, args)
                 report = check_linfty_morphism(source, family, BracketFamily(target), n, args)
                 assert (report.passed, report.residual) == (expected.is_zero(), str(expected))
                 nonzero += not expected.is_zero()

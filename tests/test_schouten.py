@@ -16,6 +16,7 @@ from schoutencalc.instances import (
     sl2,
     solvable4,
 )
+from schoutencalc.linfty import weak_jacobi_residual
 from schoutencalc.pairs import LieRinehartPair, PairMorphism, Vector, bracket_vectors, check_pair_morphism, load_pair
 from schoutencalc.scalars import Scalar
 from schoutencalc.schouten import (
@@ -24,7 +25,6 @@ from schoutencalc.schouten import (
     poisson_residual,
     sn_antisym,
     sn_sym,
-    sym_jacobi_residual,
 )
 
 from fixtures import run_suite, sl2_to_gl2
@@ -640,7 +640,7 @@ class TestResidualsOnEveryBasisTriple:
 
     RESIDUALS = {
         "jacobi-antisym": antisym_jacobi_residual,
-        "jacobi-sym": sym_jacobi_residual,
+        "jacobi-sym": lambda pair, *xyz: weak_jacobi_residual(pair, 2, 2, xyz),
         "poisson": poisson_residual,
     }
 
